@@ -46,6 +46,14 @@ DIGEST_BITS = 128
 _DIGEST_BYTES = DIGEST_BITS // 8
 
 
+#: One encoder for every key: ``json.dumps`` with non-default arguments
+#: builds a fresh ``JSONEncoder`` per call, which cost more than the
+#: encoding itself on the first write of every key and on every fold.
+_KEY_ENCODER = json.JSONEncoder(
+    separators=(",", ":"), sort_keys=True, ensure_ascii=False
+)
+
+
 def encode_key(key: Hashable) -> bytes:
     """Canonical byte encoding of a database key.
 
@@ -60,9 +68,7 @@ def encode_key(key: Hashable) -> bytes:
     (e.g. arbitrary objects, whose default repr embeds ``id()``).
     """
     try:
-        return json.dumps(
-            key, separators=(",", ":"), sort_keys=True, ensure_ascii=False
-        ).encode("utf-8")
+        return _KEY_ENCODER.encode(key).encode("utf-8")
     except (TypeError, ValueError) as error:
         raise ValueError(
             f"key {key!r} has no canonical encoding "

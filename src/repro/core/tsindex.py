@@ -3,9 +3,14 @@
 The *peel back* variant of anti-entropy exchanges updates in reverse
 timestamp order until checksum agreement, which requires each site to
 "maintain an inverted index of its database by timestamp".  The paper
-notes this index is the scheme's main cost; here it is a compact sorted
-list with lazy deletion so that maintenance stays O(log n) amortized per
-update.
+notes this index is the scheme's main cost, so only its readers pay it:
+writes *append* a pair to a plain list, and the ordered readers (peel
+back, recent-update lists) put the list in order — in C, over plain
+``(time, site, sequence)`` tuples — before iterating.  What a reader
+pays is proportional to how far back the out-of-order appends reach,
+not to the size of the index: a replica fed by gossip from several
+sites sees stamps a little out of order all the time, and re-sorts
+only the newest few pairs; only a shuffled bulk load sorts everything.
 
 The index maps each key to its *current* entry timestamp.  Stale pairs
 (left behind when a key is overwritten or dropped) are skipped during
@@ -15,21 +20,45 @@ iteration amortized O(1) per yielded item.
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left, insort
+from operator import itemgetter
 from typing import Hashable, Iterable, Iterator, Tuple
 
 from repro.core.timestamps import Timestamp
 
+_order = itemgetter(0)
+
+# Sorting a region costs a key extraction and a comparison per pair;
+# inserting one pair costs a bisect and a memmove of the same region,
+# about 1/400 of that per pair (measured at 200 k and 1 M pairs).  Well
+# inside that ratio, so the insert path is never the slower one.
+_INSERT_RATIO = 64
+
 
 class TimestampIndex:
-    """Sorted ``(timestamp, key)`` pairs with lazy deletion."""
+    """Append-only ``(order, key, timestamp)`` pairs, sorted on read.
 
-    __slots__ = ("_pairs", "_current", "_stale")
+    ``order`` is the timestamp's ``(time, site, sequence)`` as a plain
+    tuple: comparing those never leaves C, where comparing
+    :class:`Timestamp` objects calls their Python-level ``__lt__``.  A
+    pair is live when its timestamp *is* the object recorded for its
+    key, so liveness is an identity test.  Pairs with equal timestamps
+    keep the order they were set in (the sort is stable).
+
+    ``_pairs[:_sorted_len]`` is in order; ``_low`` is the smallest order
+    appended behind a larger one since (``None`` while the whole list is
+    in order), which bounds how much of the sorted prefix a reader has
+    to touch.
+    """
+
+    __slots__ = ("_pairs", "_current", "_stale", "_sorted_len", "_low")
 
     def __init__(self) -> None:
-        self._pairs: list[Tuple[Timestamp, Hashable]] = []
+        self._pairs: list[Tuple[tuple, Hashable, Timestamp]] = []
         self._current: dict[Hashable, Timestamp] = {}
         self._stale = 0
+        self._sorted_len = 0
+        self._low: tuple | None = None
 
     def __len__(self) -> int:
         """Number of live keys in the index."""
@@ -45,12 +74,22 @@ class TimestampIndex:
         """Insert or move ``key`` to ``timestamp``."""
         old = self._current.get(key)
         if old is not None:
-            if old == timestamp:
+            if old is timestamp or old == timestamp:
                 return
             self._stale += 1
         self._current[key] = timestamp
-        bisect.insort(self._pairs, (timestamp, _OrderedKey(key)))
-        self._maybe_compact()
+        order = (timestamp.time, timestamp.site, timestamp.sequence)
+        pairs = self._pairs
+        if pairs and order < pairs[-1][0]:
+            low = self._low
+            if low is None:
+                self._sorted_len = len(pairs)
+                self._low = order
+            elif order < low:
+                self._low = order
+        pairs.append((order, key, timestamp))
+        if old is not None:
+            self._maybe_compact()
 
     def discard(self, key: Hashable) -> None:
         """Remove ``key`` from the index if present."""
@@ -58,6 +97,37 @@ class TimestampIndex:
             del self._current[key]
             self._stale += 1
             self._maybe_compact()
+
+    def _ordered_pairs(self) -> list:
+        """The pair list, oldest first.
+
+        Every pair appended since the list was last in order is at least
+        ``_low``, so the sorted prefix below ``_low`` is already in
+        place: only the pairs from there up are sorted (one presorted
+        run plus the appended tail, which timsort merges rather than
+        sorts).  A few stragglers reaching far back are cheaper to
+        insert one by one — a ``memmove`` each — than a pass over
+        everything newer than the oldest of them.
+
+        A walker a caller still holds is undisturbed as long as the sets
+        made since are no older than the pairs it has left to yield —
+        peel back's case, which applies a peer's update at the timestamp
+        its own walk has reached.
+        """
+        low = self._low
+        if low is not None:
+            pairs = self._pairs
+            prefix = self._sorted_len
+            start = bisect_left(pairs, low, 0, prefix, key=_order)
+            if (len(pairs) - prefix) * _INSERT_RATIO < prefix - start:
+                tail = pairs[prefix:]
+                del pairs[prefix:]
+                for pair in tail:  # in arrival order: equal stamps stay stable
+                    insort(pairs, pair, key=_order)
+            else:
+                pairs[start:] = sorted(pairs[start:], key=_order)
+            self._low = None
+        return self._pairs
 
     def newest_first(self) -> Iterator[Tuple[Hashable, Timestamp]]:
         """Yield live ``(key, timestamp)`` pairs, newest first.
@@ -68,13 +138,10 @@ class TimestampIndex:
         materialize the prefix they need first.
         """
         seen: set[Hashable] = set()
-        for timestamp, okey in reversed(self._pairs):
-            key = okey.key
-            if key in seen:
-                continue
-            current = self._current.get(key)
-            if current is None or current != timestamp:
-                continue  # stale pair
+        current = self._current
+        for __, key, timestamp in reversed(self._ordered_pairs()):
+            if current.get(key) is not timestamp or key in seen:
+                continue  # stale pair, or a key set back to the same stamp
             seen.add(key)
             yield key, timestamp
 
@@ -110,40 +177,37 @@ class TimestampIndex:
 
     def oldest(self) -> Tuple[Hashable, Timestamp] | None:
         """Return the live pair with the smallest timestamp, if any."""
-        for timestamp, okey in self._pairs:
-            key = okey.key
-            current = self._current.get(key)
-            if current is not None and current == timestamp:
+        current = self._current
+        for __, key, timestamp in self._ordered_pairs():
+            if current.get(key) is timestamp:
                 return key, timestamp
         return None
 
     def _maybe_compact(self) -> None:
         if self._stale <= len(self._current) or self._stale < 64:
             return
-        live = [
-            (ts, okey)
-            for ts, okey in self._pairs
-            if self._current.get(okey.key) == ts
-        ]
-        # Deduplicate equal (ts, key) pairs that can accumulate when a key
-        # oscillates between two timestamps.
-        deduped: list[Tuple[Timestamp, _OrderedKey]] = []
+        # Keep each key's newest live pair: a key that moved away from a
+        # timestamp and back to the same object holds two.  The pass is
+        # O(n) whatever the order, so it leaves the new list in order.
+        current = self._current
+        kept: list = []
         seen: set[Hashable] = set()
-        for ts, okey in reversed(live):
-            if okey.key in seen:
-                continue
-            seen.add(okey.key)
-            deduped.append((ts, okey))
-        deduped.reverse()
-        self._pairs = deduped
+        for pair in reversed(self._ordered_pairs()):
+            key = pair[1]
+            if current.get(key) is pair[2] and key not in seen:
+                seen.add(key)
+                kept.append(pair)
+        kept.reverse()
+        self._pairs = kept
         self._stale = 0
 
 
 class _OrderedKey:
     """Wrap keys so heterogeneous key types never break pair comparison.
 
-    ``bisect.insort`` compares tuples element-wise; when two timestamps
-    are equal the comparison falls through to the key.  Keys of mixed
+    :meth:`TimestampIndex.newest_first_in` sorts ``(timestamp, key)``
+    tuples of an unordered key set; when two timestamps are equal the
+    comparison falls through to the key.  Keys of mixed
     types (e.g. ``int`` and ``str``) are not mutually orderable, so we
     compare their ``repr`` instead — a stable, total order is all the
     index needs.

@@ -36,6 +36,7 @@ from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from repro.core.serialize import (
     SerializeError,
+    encode_batch,
     encode_timestamp,
     encode_updates,
 )
@@ -54,6 +55,7 @@ from repro.obs.spans import (
 )
 from repro.net.wire import (
     BASE_VERSION,
+    BINARY_WIRE_VERSION,
     MAX_FRAME_BYTES,
     Message,
     MessageType,
@@ -64,9 +66,8 @@ from repro.net.wire import (
     encode_message,
     negotiated_version,
     payload_bucket_list,
-    payload_span_contexts,
     payload_tree_nodes,
-    payload_updates,
+    payload_update_list,
     read_message,
 )
 from repro.protocols.base import ExchangeMode
@@ -143,6 +144,9 @@ _SCALAR_COUNTERS = {
         "repro_hunts_total", "Extra partner draws after refusals or failures"),
     "peer_failures": (
         "repro_peer_failures_total", "Conversations dead after all retries"),
+    "inbound_errors": (
+        "repro_inbound_errors_total",
+        "Inbound connections dropped on a malformed frame or a broken socket"),
 }
 
 
@@ -270,6 +274,10 @@ class GossipNode:
         self._hot: Dict[Hashable, _HotRumor] = {}
         self._inbound_active = 0
         self._server: Optional[asyncio.base_events.Server] = None
+        # Writers of the inbound connections _serve is answering; stop()
+        # closes them so no peer keeps talking to a stopped node.
+        self._inbound_writers: set = set()
+        self._accepting = False
         self._tasks: List[asyncio.Task] = []
         self._started_at = time.time()
         self.stats = NodeStats()
@@ -296,6 +304,7 @@ class GossipNode:
         socket) and start the gossip loops."""
         if self._server is not None:
             raise RuntimeError(f"node {self.node_id} is already running")
+        self._accepting = True
         if sock is not None:
             self._server = await asyncio.start_server(self._serve, sock=sock)
         else:
@@ -332,6 +341,14 @@ class GossipNode:
         self._tasks = []
         if self._server is not None:
             self._server.close()
+            # Accepted connections outlive the listening socket: without
+            # this a peer's cached connection would go on being answered
+            # by this stopped node and its old store.  Closed before
+            # wait_closed(), which from 3.12 waits for them to finish;
+            # one whose _serve task has yet to run closes itself.
+            self._accepting = False
+            for writer in self._inbound_writers:
+                writer.close()
             await self._server.wait_closed()
             self._server = None
         for peer in self.peers.values():
@@ -511,13 +528,13 @@ class GossipNode:
         request_type = (
             MessageType.PUSH if mode.pushes else MessageType.PULL_REQUEST
         )
-        payload = {"mode": mode.value, "updates": encode_updates(offered)}
+        fields = {"mode": mode.value, "updates": offered}
         if scope_buckets is not None:
-            payload["buckets"] = scope_buckets
-            payload["bits"] = self.store.bucket_bits
+            fields["buckets"] = scope_buckets
+            fields["bits"] = self.store.bucket_bits
             self.stats.entries_avoided += max(0, len(self.store) - len(offered))
-        if mode.pushes and self.wire_version(peer.node_id) >= TRACE_WIRE_VERSION:
-            payload["spans"] = self._span_contexts(offered, time.time())
+        # A pull-only offer is read as a digest, never applied: untraced.
+        payload = self._update_payload(fields, peer.node_id, traced=mode.pushes)
         reply = await self._call(
             peer,
             Message(type=request_type, sender=self.node_id, payload=payload),
@@ -528,13 +545,12 @@ class GossipNode:
         self.stats.updates_shipped += sent
         shipped += sent
         if reply.type is MessageType.PULL_REPLY:
-            incoming = payload_updates(reply.payload)
-            ctxs = payload_span_contexts(reply.payload, len(incoming))
+            incoming, hops, sent_at = payload_update_list(reply.payload)
             received += len(incoming)
             with self.profiler.phase("merge"):
                 applied = session.absorb_with_results(incoming)
             now = time.time()
-            self._record_deliveries(applied, src=peer.node_id, ctxs=ctxs, now=now)
+            self._record_deliveries(applied, peer.node_id, hops, sent_at, now)
             absorbed = [update for update, result in applied if result.was_news]
             self.stats.updates_absorbed += len(absorbed)
             self._note_news(absorbed, now=now)
@@ -576,14 +592,16 @@ class GossipNode:
         or ``None`` when the partner refused the conversation.
         """
         recent = self.store.recent_updates(self.config.tau) if mode.pushes else []
-        payload = {
-            "mode": mode.value,
-            "checksum": self.store.checksum,
-            "tau": self.config.tau,
-            "updates": encode_updates(recent),
-        }
-        if recent and self.wire_version(peer.node_id) >= TRACE_WIRE_VERSION:
-            payload["spans"] = self._span_contexts(recent, time.time())
+        payload = self._update_payload(
+            {
+                "mode": mode.value,
+                "checksum": self.store.checksum,
+                "tau": self.config.tau,
+                "updates": recent,
+            },
+            peer.node_id,
+            traced=bool(recent),
+        )
         reply = await self._call(
             peer,
             Message(type=MessageType.CHECKSUM, sender=self.node_id, payload=payload),
@@ -594,12 +612,11 @@ class GossipNode:
             raise WireError(f"expected CHECKSUM reply, got {reply.type.value}")
         self.stats.updates_shipped += len(recent)
         session = ExchangeSession(self.store, mode)
-        incoming = payload_updates(reply.payload)
-        ctxs = payload_span_contexts(reply.payload, len(incoming))
+        incoming, hops, sent_at = payload_update_list(reply.payload)
         with self.profiler.phase("merge"):
             applied = session.absorb_with_results(incoming)
         now = time.time()
-        self._record_deliveries(applied, src=peer.node_id, ctxs=ctxs, now=now)
+        self._record_deliveries(applied, peer.node_id, hops, sent_at, now)
         absorbed = [update for update, result in applied if result.was_news]
         self.stats.updates_absorbed += len(absorbed)
         self._note_news(absorbed, now=now)
@@ -669,9 +686,7 @@ class GossipNode:
         with self.profiler.phase("partner-selection"):
             partner_id = self._selector.choose(self.node_id, self._rng)
         peer = self.peers[partner_id]
-        payload = {"updates": encode_updates(updates)}
-        if self.wire_version(partner_id) >= TRACE_WIRE_VERSION:
-            payload["spans"] = self._span_contexts(updates, time.time())
+        payload = self._update_payload({"updates": updates}, partner_id)
         try:
             async with self._budget:
                 with self.profiler.phase("exchange"):
@@ -737,6 +752,12 @@ class GossipNode:
     async def _serve(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        if not self._accepting:
+            # Accepted just before stop() closed the server, first run
+            # after it: stop() could not see this writer to close it.
+            writer.close()
+            return
+        self._inbound_writers.add(writer)
         try:
             while True:
                 message = await read_message(reader, self.config.max_frame)
@@ -748,9 +769,18 @@ class GossipNode:
                     self.stats.count_sent(reply.type)
                     writer.write(encode_message(reply))
                     await writer.drain()
-        except (WireError, OSError, asyncio.IncompleteReadError):
-            pass  # a broken peer conversation only affects that peer
+        except (WireError, OSError, asyncio.IncompleteReadError) as error:
+            # A broken peer conversation only affects that peer, but it
+            # is counted: silence here hid garbage frames and resets.
+            self.stats.inbound_errors += 1
+            self.bus.emit(
+                EventKind.INBOUND_ERROR,
+                node=self.node_id,
+                error=type(error).__name__,
+                detail=str(error),
+            )
         finally:
+            self._inbound_writers.discard(writer)
             # No wait_closed() here: awaiting it can raise a spurious
             # CancelledError when the whole node is being torn down.
             writer.close()
@@ -812,36 +842,36 @@ class GossipNode:
 
     def _handle_exchange(self, message: Message) -> Message:
         mode = _decode_mode(message.payload)
-        offered = payload_updates(message.payload)
+        offered, hops, sent_at = payload_update_list(message.payload)
         if message.type is MessageType.PULL_REQUEST:
             # The offer is a digest only: never apply, only serve back.
             mode = ExchangeMode.PULL
         scope = self._exchange_scope(message.payload)
-        ctxs = payload_span_contexts(message.payload, len(offered))
-        # Keyed by trace id, not bare key: a frame carrying two versions
-        # of one key must not hand version A's context to version B.
-        ctx_by_trace = {trace_id_of(u): ctx for u, ctx in zip(offered, ctxs)}
         session = ExchangeSession(self.store, mode)
         with self.profiler.phase("merge"):
             reply = session.respond(offered, scope=scope)
         now = time.time()
+        if hops is not None:
+            # ``reply.applied`` holds the offered objects themselves, so
+            # identity pairs each applied version with its own hop — a
+            # frame carrying two versions of one key must not hand
+            # version A's context to version B.
+            hop_of = {id(u): hop for u, hop in zip(offered, hops)}
+            hops = [hop_of[id(u)] for u in reply.applied]
         self._record_deliveries(
             list(zip(reply.applied, reply.applied_results)),
-            src=message.sender,
-            ctxs=[ctx_by_trace.get(trace_id_of(u)) for u in reply.applied],
-            now=now,
+            message.sender, hops, sent_at, now,
         )
         self._note_news(reply.applied, now=now)
         self.stats.updates_absorbed += len(reply.applied)
         if mode.pulls:
             self.stats.updates_shipped += len(reply.send_back)
-            payload = {"updates": encode_updates(reply.send_back)}
-            if self.wire_version(message.sender) >= TRACE_WIRE_VERSION:
-                payload["spans"] = self._span_contexts(reply.send_back, now)
             return Message(
                 type=MessageType.PULL_REPLY,
                 sender=self.node_id,
-                payload=payload,
+                payload=self._update_payload(
+                    {"updates": reply.send_back}, message.sender, now
+                ),
             )
         return self._ack({"applied": len(reply.applied)})
 
@@ -850,12 +880,11 @@ class GossipNode:
             return self._ack(self._probe_payload())
         mode = _decode_mode(message.payload)
         session = ExchangeSession(self.store, mode)
-        incoming = payload_updates(message.payload)
-        ctxs = payload_span_contexts(message.payload, len(incoming))
+        incoming, hops, sent_at = payload_update_list(message.payload)
         with self.profiler.phase("merge"):
             applied = session.absorb_with_results(incoming)
         now = time.time()
-        self._record_deliveries(applied, src=message.sender, ctxs=ctxs, now=now)
+        self._record_deliveries(applied, message.sender, hops, sent_at, now)
         absorbed = [update for update, result in applied if result.was_news]
         self._note_news(absorbed, now=now)
         self.stats.updates_absorbed += len(absorbed)
@@ -864,16 +893,14 @@ class GossipNode:
             raise WireError(f"bad tau {tau!r}")
         recent = self.store.recent_updates(float(tau)) if mode.pulls else []
         self.stats.updates_shipped += len(recent)
-        payload = {
-            "checksum": self.store.checksum,
-            "updates": encode_updates(recent),
-        }
-        if self.wire_version(message.sender) >= TRACE_WIRE_VERSION:
-            payload["spans"] = self._span_contexts(recent, now)
         return Message(
             type=MessageType.CHECKSUM,
             sender=self.node_id,
-            payload=payload,
+            payload=self._update_payload(
+                {"checksum": self.store.checksum, "updates": recent},
+                message.sender,
+                now,
+            ),
         )
 
     def _exchange_scope(self, payload: Dict[str, Any]):
@@ -937,12 +964,11 @@ class GossipNode:
         )
 
     def _handle_rumor(self, message: Message) -> Message:
-        updates = payload_updates(message.payload)
-        ctxs = payload_span_contexts(message.payload, len(updates))
+        updates, hops, sent_at = payload_update_list(message.payload)
         with self.profiler.phase("merge"):
             applied = [(u, self.store.apply_update(u)) for u in updates]
         now = time.time()
-        self._record_deliveries(applied, src=message.sender, ctxs=ctxs, now=now)
+        self._record_deliveries(applied, message.sender, hops, sent_at, now)
         news: List[bool] = []
         for update, result in applied:
             news.append(result.was_news)
@@ -981,12 +1007,11 @@ class GossipNode:
             return self._ack(
                 {"applied": True, "timestamp": encode_timestamp(update.timestamp)}
             )
-        updates = payload_updates(payload)
-        ctxs = payload_span_contexts(payload, len(updates))
+        updates, hops, sent_at = payload_update_list(payload)
         with self.profiler.phase("merge"):
             applied = [(u, self.store.apply_update(u)) for u in updates]
         now = time.time()
-        self._record_deliveries(applied, src=message.sender, ctxs=ctxs, now=now)
+        self._record_deliveries(applied, message.sender, hops, sent_at, now)
         news: List[bool] = []
         for update, result in applied:
             news.append(result.was_news)
@@ -1081,10 +1106,54 @@ class GossipNode:
         """The wire version negotiated with ``peer_id`` so far."""
         return self._peer_versions.get(peer_id, BASE_VERSION)
 
+    def _update_payload(
+        self,
+        fields: Dict[str, Any],
+        peer_id: int,
+        now: Optional[float] = None,
+        traced: bool = True,
+    ) -> Dict[str, Any]:
+        """The payload for ``fields``, whose ``"updates"`` is a list of
+        store updates, in the shape ``peer_id`` negotiated.
+
+        ``traced`` says whether the trace context — this node's known
+        hops, the send time — goes along.  A v4 peer gets one columnar
+        batch with the context inside it; anyone else gets the row form,
+        with the context in an aligned ``spans`` field after every other
+        field once it has advertised v2.
+        """
+        updates = fields["updates"]
+        version = self.wire_version(peer_id)
+        if traced and now is None:
+            now = time.time()
+        payload = dict(fields)
+        if version >= BINARY_WIRE_VERSION:
+            if traced:
+                payload["updates"] = encode_batch(
+                    updates, self._known_hops(updates), now
+                )
+            else:
+                payload["updates"] = encode_batch(updates)
+        else:
+            payload["updates"] = encode_updates(updates)
+            if traced and version >= TRACE_WIRE_VERSION:
+                payload["spans"] = self._span_contexts(updates, now)
+        return payload
+
+    def _known_hops(self, updates: List[StoreUpdate]) -> Optional[List[Optional[int]]]:
+        """This node's hop distance from each update's origin, or
+        ``None`` when it knows none of them — then no trace id is even
+        formatted, which is what a bulk transfer of old entries sees."""
+        if not len(self._span_hops):
+            return None
+        known = self._span_hops.get
+        hops = [known(trace_id_of(update)) for update in updates]
+        return None if hops.count(None) == len(hops) else hops
+
     def _span_contexts(
         self, updates: List[StoreUpdate], now: float
     ) -> List[Dict[str, Any]]:
-        """The ``spans`` payload field for an outbound update list."""
+        """The row form's ``spans`` field for an outbound update list."""
         contexts = []
         for update in updates:
             trace = trace_id_of(update)
@@ -1099,30 +1168,32 @@ class GossipNode:
         self,
         pairs: List[Tuple[StoreUpdate, ApplyResult]],
         src: int,
-        ctxs: Optional[List[Optional[SpanContext]]] = None,
-        now: Optional[float] = None,
+        hops: Optional[List[Optional[int]]],
+        sent_at: Optional[float],
+        now: float,
     ) -> None:
         """Account one batch of deliveries from peer ``src``.
 
         Learns this node's hop distance from each update's origin (the
-        sender's hop + 1, when the sender sent a trace context) and
-        emits one delivery span per update.  The trace id is always
-        derived locally from the update itself — the wire context only
-        contributes hop and send-time, so a garbled context cannot
-        reroute a span into another update's tree.
+        sender's hop + 1; ``hops`` is aligned with ``pairs``, or ``None``
+        when the sender knew none) and emits one delivery span per
+        update.  The trace id is always derived locally from the update
+        itself — the wire context only contributes hop and send-time, so
+        a garbled context cannot reroute a span into another update's
+        tree — and only for an update that has a hop to record or a sink
+        to be reported to.
         """
-        if not pairs:
-            return
-        if now is None:
-            now = time.time()
         has_sinks = self.bus.has_sinks
+        if not pairs or (hops is None and not has_sinks):
+            return
         with self.profiler.phase("emit"):
             for index, (update, result) in enumerate(pairs):
-                ctx = ctxs[index] if ctxs is not None and index < len(ctxs) else None
+                hop = None if hops is None else hops[index]
+                if hop is not None:
+                    hop += 1
+                elif not has_sinks:
+                    continue
                 trace = trace_id_of(update)
-                hop = None
-                if ctx is not None and ctx.hop is not None:
-                    hop = ctx.hop + 1
                 if result.was_news and hop is not None:
                     self._span_hops.setdefault(trace, hop)
                 if has_sinks:
@@ -1134,7 +1205,7 @@ class GossipNode:
                         trace=trace,
                         src=src,
                         hop=hop,
-                        sent_at=None if ctx is None else ctx.sent_at,
+                        sent_at=sent_at,
                         first=result.was_news,
                         time=now,
                     )

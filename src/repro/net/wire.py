@@ -24,12 +24,15 @@ v2 changes nothing else: every v1 field keeps its meaning.  v3 adds the
 ``buckets``/``bits`` fields on ``PUSH`` payloads that scope an offer to
 a set of hash buckets; a node never sends either to a peer that has not
 advertised v3, falling back to the v1/v2 exchange instead, so v1 and v2
-peers see exactly the traffic they always did.  v4 changes the *body
-encoding* only: the same messages travel as MessagePack behind a
-one-byte magic (:mod:`repro.net.binwire`) instead of JSON text.  The
-first body byte (0xC1, impossible in JSON) discriminates, so a v4 node
-decodes both formats and — as with every prior version — writes v4
-bodies only to peers that advertised v4.
+peers see exactly the traffic they always did.  v4 changes *encodings*
+only: the same messages travel as MessagePack behind a one-byte magic
+(:mod:`repro.net.binwire`) instead of JSON text, and an update list —
+``updates`` plus its ``spans`` — travels as one columnar batch object
+(:func:`repro.core.serialize.encode_batch`) instead of an array of
+nested rows.  The first body byte (0xC1, impossible in JSON)
+discriminates the body format and the ``updates`` field's type the list
+shape, so a v4 node decodes both and — as with every prior version —
+writes the v4 forms only to peers that advertised v4.
 
 Message types map onto the paper's mechanisms:
 
@@ -75,7 +78,12 @@ import json
 import struct
 from typing import Any, Dict, Optional
 
-from repro.core.serialize import SerializeError
+from repro.core.serialize import (
+    SerializeError,
+    batch_trace_context,
+    decode_batch,
+    decode_updates,
+)
 
 #: Highest wire version this build speaks.
 PROTOCOL_VERSION = 4
@@ -298,14 +306,16 @@ async def read_message(
 def payload_updates(payload: Dict[str, Any], field: str = "updates"):
     """Decode a list of store updates out of a message payload.
 
+    The field's type says which shape the sender used: an array is the
+    row form every version understands, an object the columnar batch
+    (:func:`repro.core.serialize.encode_batch`) v4 peers send each other.
     Wraps :class:`repro.core.serialize.SerializeError` into
     :class:`WireError` so transport code has a single failure type for
     "the peer sent garbage".
     """
-    from repro.core.serialize import decode_updates
-
+    blob = payload.get(field, [])
     try:
-        return decode_updates(payload.get(field, []))
+        return decode_batch(blob) if isinstance(blob, dict) else decode_updates(blob)
     except SerializeError as error:
         raise WireError(f"bad {field!r} in payload: {error}") from None
 
@@ -327,6 +337,33 @@ def payload_span_contexts(
     if not isinstance(blobs, list) or len(blobs) != count:
         return [None] * count
     return [SpanContext.from_wire(blob) for blob in blobs]
+
+
+def payload_update_list(payload: Dict[str, Any], field: str = "updates") -> tuple:
+    """An inbound update list with its trace context, whichever shape
+    the sender used: ``(updates, hops, sent_at)``.
+
+    ``hops`` is the sender's hop distance per update, or ``None`` instead
+    of a list when it sent none; ``sent_at`` its clock at send time.  A
+    v4 batch carries both inside itself; the row form carries them in
+    the aligned ``spans`` field, where every context of one list was
+    stamped with one send time.  The updates are decoded strictly, the
+    context leniently (see :func:`payload_span_contexts`).
+    """
+    updates = payload_updates(payload, field)
+    blob = payload.get(field)
+    if isinstance(blob, dict):
+        hops, sent_at = batch_trace_context(blob, len(updates))
+    else:
+        contexts = payload_span_contexts(payload, len(updates))
+        hops = [None if ctx is None else ctx.hop for ctx in contexts]
+        sent_at = next(
+            (ctx.sent_at for ctx in contexts if ctx is not None and ctx.sent_at is not None),
+            None,
+        )
+    if hops is not None and hops.count(None) == len(hops):
+        hops = None
+    return updates, hops, sent_at
 
 
 def payload_tree_nodes(

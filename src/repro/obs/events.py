@@ -65,6 +65,7 @@ class EventKind(enum.Enum):
     REJECTION = "rejection"
     PEER_RETRY = "peer-retry"
     PEER_FAILURE = "peer-failure"
+    INBOUND_ERROR = "inbound-error"
     # Workload (repro.workload): staleness-sampling reads and the
     # per-window steady-state summaries behind the curve outputs.
     READ_SAMPLED = "read-sampled"

@@ -1,5 +1,6 @@
 """Database checksums: order independence, incrementality (Section 1.3)."""
 
+import json
 import os
 import subprocess
 import sys
@@ -84,6 +85,23 @@ class TestEncodeKey:
         theirs = eval(result.stdout.strip())  # noqa: S307 - our own output
         ours = [(key_digest(k), entry_digest(k, b"payload")) for k in keys]
         assert theirs == ours
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "key-0001234", "", "uni\u00e7ode \"quoted\" \\ \n", 0, -17, 2**80,
+            2.5, 1e300, float("inf"), True, False,
+            ("site", 7), ("a", ("b", 2.0), True), (),
+        ],
+        ids=repr,
+    )
+    def test_shared_encoder_matches_json_dumps_bytes(self, key):
+        """``encode_key`` reuses one ``JSONEncoder``; its bytes are the
+        digest's input on every replica, so they must stay exactly what
+        the per-call ``json.dumps`` spelling produced."""
+        assert encode_key(key) == json.dumps(
+            key, separators=(",", ":"), sort_keys=True, ensure_ascii=False
+        ).encode("utf-8")
 
 
 class TestChecksumTree:

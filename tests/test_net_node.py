@@ -16,7 +16,13 @@ from repro.core.serialize import encode_updates
 from repro.net.membership import Membership
 from repro.net.node import GossipNode, NodeConfig
 from repro.net.peer import Peer, RetryPolicy
-from repro.net.wire import Message, MessageType
+from repro.net.wire import (
+    Message,
+    MessageType,
+    decode_body,
+    encode_message,
+    read_message,
+)
 from repro.obs.events import EventKind, RingBufferSink
 from repro.obs.spans import SpanContext, trace_id_of
 from repro.protocols.base import ExchangeMode
@@ -393,3 +399,140 @@ class TestSpanContextMapping:
         t1, t2, hops = asyncio.run(scenario())
         assert hops[t1] == 6  # u1's own context (5) + 1, never u2's
         assert hops[t2] == 1
+
+
+class TestStopClosesInboundConnections:
+    def test_cached_peer_reaches_the_restarted_node_not_the_dead_one(self):
+        """``stop()`` used to close only the listening socket: a
+        survivor's cached connection stayed open and was still answered
+        by the dead node's handler out of its old store."""
+        from repro.net.runner import LiveCluster
+
+        async def scenario():
+            config = NodeConfig(**{**QUIET, "retry": RetryPolicy(
+                connect_timeout=0.5, io_timeout=1.0, attempts=2, backoff_base=0.01)})
+            live = await LiveCluster.launch(2, config)
+            try:
+                survivor, doomed = live.nodes[0], live.nodes[1]
+                doomed.store.update("only-on-the-dead-node", 1)
+                cached = survivor.peers[1]
+                probe = Message(MessageType.CHECKSUM, sender=0, payload={"probe": True})
+                before = (await cached.call(probe)).payload["entries"]
+                assert cached.connected
+                await live.kill(1)
+                restarted = await live.restart(1)
+                after = (await cached.call(probe)).payload["entries"]
+                # ... and a whole conversation lands in the new store.
+                survivor.store.update("fresh", 2)
+                assert await survivor.run_anti_entropy_once()
+                return before, after, restarted.store.get("fresh"), len(doomed.store)
+            finally:
+                await live.stop()
+
+        before, after, fresh, dead_entries = asyncio.run(scenario())
+        assert before == 1
+        assert after == 0          # the restarted node's empty store answered
+        assert fresh == 2
+        assert dead_entries == 1   # nothing reached the old store
+
+    def test_stop_with_an_open_inbound_connection_does_not_hang(self):
+        async def scenario():
+            async with cluster(1) as (node,):
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", node.membership.get(0).port
+                )
+                try:
+                    writer.write(encode_message(Message(MessageType.STATUS, sender=-1)))
+                    await writer.drain()
+                    assert (await read_message(reader)).type is MessageType.STATUS
+                    assert len(node._inbound_writers) == 1
+                    await asyncio.wait_for(node.stop(), timeout=5.0)
+                    # The server side hung up: EOF, not a live handler.
+                    return await asyncio.wait_for(reader.read(), timeout=5.0)
+                finally:
+                    writer.close()
+
+        assert asyncio.run(scenario()) == b""
+
+    def test_connection_accepted_as_the_node_stops_is_hung_up_on(self):
+        """A connection accepted in the loop iteration that runs
+        ``stop()`` has its ``_serve`` task created but not started, so
+        ``stop()`` finds no writer to close; the task must hang up when
+        it does run instead of serving the stopped node's store."""
+
+        class Writer:
+            closed = False
+
+            def close(self):
+                self.closed = True
+
+        async def scenario():
+            async with cluster(1) as (node,):
+                await node.stop()
+                late = Writer()
+                # reader=None: touching it at all would raise
+                await node._serve(None, late)
+                return late.closed, len(node._inbound_writers), node.stats.inbound_errors
+
+        assert asyncio.run(scenario()) == (True, 0, 0)
+
+
+class TestInboundErrors:
+    """``_serve`` used to swallow broken conversations silently."""
+
+    @staticmethod
+    async def _send_raw(node, blob: bytes) -> bytes:
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", node.membership.get(0).port
+        )
+        try:
+            writer.write(blob)
+            await writer.drain()
+            writer.write_eof()
+            return await asyncio.wait_for(reader.read(), timeout=5.0)
+        finally:
+            writer.close()
+
+    @pytest.mark.parametrize(
+        "blob, error",
+        [
+            (b"\x00\x00\x00\x05hello", "not valid JSON"),
+            (b"\x00\x00\x00\x00", "zero-length"),
+            (b"\x00\x00\x01\x00{\"v\":1", "mid-frame"),
+            (b"\x00\x00", "mid-header"),
+        ],
+        ids=["garbage-frame", "zero-length", "mid-frame-disconnect", "mid-header-disconnect"],
+    )
+    def test_broken_conversation_is_counted_and_announced(self, blob, error):
+        async def scenario():
+            async with cluster(1) as (node,):
+                sink = node.bus.add_sink(RingBufferSink())
+                answer = await self._send_raw(node, blob)
+                # The node keeps serving, and says what it dropped.
+                status = await self._send_raw(
+                    node, encode_message(Message(MessageType.STATUS, sender=-1))
+                )
+                return (
+                    answer, node.stats.inbound_errors,
+                    sink.of_kind(EventKind.INBOUND_ERROR), decode_body(status[4:]),
+                )
+
+        answer, counted, events, status = asyncio.run(scenario())
+        assert answer == b""
+        assert counted == 1
+        (event,) = events
+        assert event.payload["error"] == "WireError"
+        assert error in event.payload["detail"]
+        family = status.payload["metrics"]["repro_inbound_errors_total"]
+        assert family["type"] == "counter"
+        assert [series["value"] for series in family["series"]] == [1]
+
+    def test_clean_disconnect_is_not_an_error(self):
+        async def scenario():
+            async with cluster(1) as (node,):
+                frame = encode_message(Message(MessageType.STATUS, sender=-1))
+                assert await self._send_raw(node, frame)
+                assert await self._send_raw(node, b"") == b""
+                return node.stats.inbound_errors
+
+        assert asyncio.run(scenario()) == 0

@@ -233,6 +233,49 @@ class TestOrderedViews:
         recent = store.recent_updates(tau=100.0)
         assert recent[0].entry.is_deletion
 
+    def test_ordered_views_do_not_depend_on_arrival_order(self):
+        """A bulk transfer delivers entries in the sender's table order,
+        not timestamp order; the append-only index must still give the
+        recent-update list, the newest-first stream and peel back exactly
+        what an in-order load gives."""
+        import random
+
+        from repro.protocols.base import ExchangeMode
+        from repro.protocols.exchange import PeelBack
+
+        source = make_store(0)
+        updates = [source.update(f"k{i}", i) for i in range(300)]
+        updates += [source.delete(f"k{i}") for i in range(0, 300, 7)]
+        updates += [source.update(f"k{i}", -i) for i in range(0, 300, 5)]
+        shuffled = list(updates)
+        random.Random(13).shuffle(shuffled)
+
+        def loaded(arrivals):
+            store = make_store(1, start=420.0)  # a little after the last write
+            for update in arrivals:
+                store.apply_entry(update.key, update.entry)
+            return store
+
+        ordered, bulk = loaded(updates), loaded(shuffled)
+        assert bulk.checksum == ordered.checksum
+        assert list(bulk.updates_newest_first()) == list(ordered.updates_newest_first())
+        recent = bulk.recent_updates(tau=40.0)
+        assert 0 < len(recent) < len(bulk)
+        assert recent == ordered.recent_updates(tau=40.0)
+
+        reports = []
+        for store in (ordered, bulk):
+            behind = make_store(2)
+            for update in updates[:250]:
+                behind.apply_entry(update.key, update.entry)
+            report = PeelBack().exchange(store, behind, ExchangeMode.PUSH_PULL)
+            assert behind.agrees_with(source)
+            reports.append(
+                (report.sent_ab, report.sent_ba, report.entries_examined,
+                 report.checksum_rounds)
+            )
+        assert reports[0] == reports[1]
+
 
 class TestAgreement:
     def test_agrees_with_self_copy(self):
