@@ -238,36 +238,6 @@ def cmd_hierarchy(args) -> None:
     print()
 
 
-def cmd_bench(args) -> None:
-    """Run the benchmark suite and record BENCH_<date>.json."""
-    from repro.experiments.bench import (
-        compare_reports,
-        load_report,
-        run_bench,
-        summary_lines,
-        write_report,
-    )
-
-    report = run_bench(
-        quick=args.quick,
-        jobs=args.jobs,
-        progress=lambda message: print(message, file=sys.stderr),
-    )
-    path = write_report(report, args.bench_output)
-    print("\n".join(summary_lines(report)))
-    print(f"report written to {path}")
-    if args.compare:
-        baseline = load_report(args.compare)
-        regressions = compare_reports(
-            report, baseline, max_regression=args.max_regression
-        )
-        if regressions:
-            for line in regressions:
-                print(f"regression: {line}", file=sys.stderr)
-            raise SystemExit(1)
-        print(f"no regressions vs {args.compare} (limit {args.max_regression:g}x)")
-
-
 def cmd_trace(args) -> None:
     """``trace analyze <trace.jsonl>``: infection trees from a trace."""
     import json
@@ -461,11 +431,10 @@ LIVE_COMMANDS: Dict[str, Callable] = {
 }
 
 #: Meta commands: aggregates and tooling, also excluded from ``all``
-#: ('tables' would duplicate table1-3; 'bench' writes report files;
-#: 'trace' analyzes an existing trace file).
+#: ('tables' would duplicate table1-3; 'trace' analyzes an existing
+#: trace file).
 META_COMMANDS: Dict[str, Callable] = {
     "tables": cmd_tables,
-    "bench": cmd_bench,
     "trace": cmd_trace,
 }
 
@@ -503,26 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=None, metavar="N",
         help="worker processes for trial batches (default: all CPU cores; "
         "1 = serial; results are identical either way)",
-    )
-    bench = parser.add_argument_group("benchmark (bench)")
-    bench.add_argument(
-        "--quick", action="store_true",
-        help="bench: shrink every scenario for a CI smoke run",
-    )
-    bench.add_argument(
-        "--bench-output", "--output", dest="bench_output",
-        default=None, metavar="PATH",
-        help="bench: report path (default BENCH_<date>.json in the CWD; "
-        "an existing same-day report falls back to BENCH_<date>-2.json)",
-    )
-    bench.add_argument(
-        "--compare", default=None, metavar="BASELINE",
-        help="bench: fail when a scenario regresses vs this baseline report",
-    )
-    bench.add_argument(
-        "--max-regression", type=float, default=2.0, metavar="FACTOR",
-        help="bench: allowed wall-clock growth factor for --compare "
-        "(default 2.0)",
     )
     work = parser.add_argument_group("workload (steady-state traffic)")
     work.add_argument(

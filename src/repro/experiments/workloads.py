@@ -1,4 +1,4 @@
-"""The steady-state checksum study (and the workload shim behind it).
+"""The steady-state checksum study: choosing tau under sustained load.
 
 The paper's tables track one update at a time; a deployed
 Clearinghouse sees a continuous stream.  Sustained load is what makes
@@ -8,11 +8,9 @@ time or "checksum comparisons will usually fail and network traffic
 will rise to a level slightly higher than what would be produced by
 anti-entropy without checksums".
 
-Workload generation itself now lives in :mod:`repro.workload` — true
+Workload generation itself lives in :mod:`repro.workload` — true
 Poisson arrivals, Zipf popularity, read/delete mixes, open- and
-closed-loop modes.  :class:`WorkloadConfig` and :class:`WorkloadDriver`
-are re-exported here for compatibility; existing callers (and the tau
-study below) run unchanged on the new machinery.
+closed-loop modes; the tau study below drives a cluster with it.
 """
 
 from __future__ import annotations
@@ -30,8 +28,6 @@ from repro.workload.driver import WorkloadDriver
 from repro.workload.generators import WorkloadConfig
 
 __all__ = [
-    "WorkloadConfig",
-    "WorkloadDriver",
     "SteadyStateResult",
     "run_tau_point",
     "checksum_tau_experiment",

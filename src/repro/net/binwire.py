@@ -20,14 +20,11 @@ travel as ext type :data:`EXT_BIGINT` holding the minimal big-endian
 two's-complement bytes, so they round-trip exactly like JSON's
 arbitrary-precision ints.
 
-The packer/unpacker here is a self-contained pure-python implementation
+The packer/unpacker here is the codec: a self-contained implementation
 of the MessagePack subset the payloads need (nil, bool, int, float,
-str, bytes, array, map, ext).  When the real ``msgpack`` library is
-importable — it is optional, exactly like numpy for the batched
-simulator core — it is used for the heavy lifting instead; set
-``REPRO_PURE_PYTHON=1`` (:mod:`repro.sim.arrays`) to force the pure
-path.  Both produce spec-valid MessagePack and accept each other's
-output.
+str, bytes, array, map, ext), with no dependency outside the standard
+library.  Its output is spec-valid MessagePack, so any conforming
+decoder that knows :data:`EXT_BIGINT` can read a body.
 
 Encoding reuses one per-encoder ``bytearray`` so hot frames (PUSH
 offers, RUMOR batches, MAIL, TREE frontiers) do not reallocate a
@@ -39,8 +36,6 @@ from __future__ import annotations
 
 import struct
 from typing import Any, List, Tuple
-
-from repro.sim.arrays import pure_python_forced
 
 #: The first body byte of every v4 binary frame.
 BINARY_MAGIC = 0xC1
@@ -67,15 +62,14 @@ class BinWireError(Exception):
 
 
 def msgpack_available() -> bool:
+    """Whether the ``msgpack`` library is importable here.  A plain fact
+    about the host for the benchmark's environment block; this codec
+    never uses the library."""
     try:
         import msgpack  # noqa: F401
     except ImportError:
         return False
     return True
-
-
-def _use_msgpack() -> bool:
-    return not pure_python_forced() and msgpack_available()
 
 
 # ----------------------------------------------------------------------
@@ -94,7 +88,7 @@ def _bigint_from_bytes(data: bytes) -> int:
 
 
 # ----------------------------------------------------------------------
-# Pure-python packer
+# Packer
 # ----------------------------------------------------------------------
 
 
@@ -257,7 +251,7 @@ def _pack_ext(out: bytearray, code: int, data: bytes) -> None:
 
 
 # ----------------------------------------------------------------------
-# Pure-python unpacker
+# Unpacker
 # ----------------------------------------------------------------------
 
 
@@ -366,23 +360,12 @@ _MARKERS = {
 
 
 # ----------------------------------------------------------------------
-# Public pack/unpack (accelerated when msgpack is importable)
+# Public pack/unpack
 # ----------------------------------------------------------------------
 
 
 def pack_value(value: Any) -> bytes:
     """MessagePack-encode one value (bigints via :data:`EXT_BIGINT`)."""
-    if _use_msgpack():
-        import msgpack
-
-        try:
-            return msgpack.packb(value, use_bin_type=True, default=_msgpack_default)
-        except OverflowError:
-            # msgpack-python rejects >64-bit ints before consulting
-            # ``default``; the pure packer handles them via the ext type.
-            pass
-        except (TypeError, ValueError) as error:
-            raise BinWireError(str(error)) from None
     out = bytearray()
     _pack_into(out, value)
     return bytes(out)
@@ -390,15 +373,6 @@ def pack_value(value: Any) -> bytes:
 
 def unpack_value(data: bytes) -> Any:
     """Decode one MessagePack value; trailing bytes are an error."""
-    if _use_msgpack():
-        import msgpack
-
-        try:
-            return msgpack.unpackb(
-                data, raw=False, strict_map_key=False, ext_hook=_msgpack_ext_hook
-            )
-        except Exception as error:  # noqa: BLE001 - msgpack's zoo of errors
-            raise BinWireError(f"bad MessagePack body: {error}") from None
     unpacker = _Unpacker(data)
     value = unpacker.unpack()
     if unpacker.pos != len(data):
@@ -406,22 +380,6 @@ def unpack_value(data: bytes) -> Any:
             f"{len(data) - unpacker.pos} trailing bytes after MessagePack value"
         )
     return value
-
-
-def _msgpack_default(value: Any) -> Any:
-    import msgpack
-
-    if isinstance(value, int):
-        return msgpack.ExtType(EXT_BIGINT, _bigint_to_bytes(value))
-    if isinstance(value, tuple):
-        return list(value)
-    raise TypeError(f"cannot pack {type(value).__name__}")
-
-
-def _msgpack_ext_hook(code: int, data: bytes) -> Any:
-    if code == EXT_BIGINT:
-        return _bigint_from_bytes(data)
-    raise BinWireError(f"unknown extension type {code}")
 
 
 # ----------------------------------------------------------------------
@@ -462,10 +420,7 @@ class FrameEncoder:
             self._busy = True
         try:
             out += _PRELUDE.pack(BINARY_MAGIC, version, max_version, type_code)
-            if _use_msgpack():
-                out += pack_value([sender, payload])
-            else:
-                _pack_into(out, [sender, payload])
+            _pack_into(out, [sender, payload])
             return bytes(out)
         finally:
             if out is self._buffer:

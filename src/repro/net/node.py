@@ -290,9 +290,11 @@ class GossipNode:
         # LRU-bounded: hop data only matters while a trace circulates,
         # and an unbounded map would grow with every update ever seen.
         self._span_hops = TraceHopLru()
-        # peer id -> highest wire version that peer has advertised.
+        # roster peer id -> highest wire version that peer has advertised.
         # Until a peer advertises v2 it is assumed to be a v1 node and
-        # gets v1 frames with no trace-context fields.
+        # gets v1 frames with no trace-context fields.  Only ids in
+        # ``self.peers`` are ever keys: a sender field is whatever the
+        # connecting socket wrote, and must not grow state.
         self._peer_versions: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
@@ -534,7 +536,9 @@ class GossipNode:
             fields["bits"] = self.store.bucket_bits
             self.stats.entries_avoided += max(0, len(self.store) - len(offered))
         # A pull-only offer is read as a digest, never applied: untraced.
-        payload = self._update_payload(fields, peer.node_id, traced=mode.pushes)
+        payload = self._update_payload(
+            fields, self.wire_version(peer.node_id), traced=mode.pushes
+        )
         reply = await self._call(
             peer,
             Message(type=request_type, sender=self.node_id, payload=payload),
@@ -599,7 +603,7 @@ class GossipNode:
                 "tau": self.config.tau,
                 "updates": recent,
             },
-            peer.node_id,
+            self.wire_version(peer.node_id),
             traced=bool(recent),
         )
         reply = await self._call(
@@ -686,7 +690,9 @@ class GossipNode:
         with self.profiler.phase("partner-selection"):
             partner_id = self._selector.choose(self.node_id, self._rng)
         peer = self.peers[partner_id]
-        payload = self._update_payload({"updates": updates}, partner_id)
+        payload = self._update_payload(
+            {"updates": updates}, self.wire_version(partner_id)
+        )
         try:
             async with self._budget:
                 with self.profiler.phase("exchange"):
@@ -788,13 +794,16 @@ class GossipNode:
     def _handle(self, message: Message) -> Optional[Message]:
         """Handle one inbound frame; returns the reply frame.
 
-        Wraps :meth:`_dispatch` with version negotiation: the sender's
-        ``max`` advert is remembered, and the reply is stamped with the
-        negotiated version — a v1 peer gets a pure v1 frame back, a v2
-        peer a v2 frame whose payload may carry trace contexts.
+        Wraps :meth:`_dispatch` with version negotiation: a roster
+        peer's ``max`` advert is remembered for the requests this node
+        sends it, and the reply to any sender is stamped with the
+        version negotiated in this frame — a v1 peer gets a pure v1
+        frame back, a v2 peer a v2 frame whose payload may carry trace
+        contexts.
         """
         version = negotiated_version(message)
-        self._peer_versions[message.sender] = version
+        if message.sender in self.peers:
+            self._peer_versions[message.sender] = version
         reply = self._dispatch(message)
         if reply is None or reply.version == version:
             return reply
@@ -870,7 +879,7 @@ class GossipNode:
                 type=MessageType.PULL_REPLY,
                 sender=self.node_id,
                 payload=self._update_payload(
-                    {"updates": reply.send_back}, message.sender, now
+                    {"updates": reply.send_back}, negotiated_version(message), now
                 ),
             )
         return self._ack({"applied": len(reply.applied)})
@@ -898,7 +907,7 @@ class GossipNode:
             sender=self.node_id,
             payload=self._update_payload(
                 {"checksum": self.store.checksum, "updates": recent},
-                message.sender,
+                negotiated_version(message),
                 now,
             ),
         )
@@ -1099,7 +1108,7 @@ class GossipNode:
         self.stats.count_sent(message.type)
         reply = await peer.call(message)
         self.stats.count_received(reply.type)
-        self._peer_versions[reply.sender] = negotiated_version(reply)
+        self._peer_versions[peer.node_id] = negotiated_version(reply)
         return reply
 
     def wire_version(self, peer_id: int) -> int:
@@ -1109,12 +1118,14 @@ class GossipNode:
     def _update_payload(
         self,
         fields: Dict[str, Any],
-        peer_id: int,
+        version: int,
         now: Optional[float] = None,
         traced: bool = True,
     ) -> Dict[str, Any]:
         """The payload for ``fields``, whose ``"updates"`` is a list of
-        store updates, in the shape ``peer_id`` negotiated.
+        store updates, in the shape of wire ``version``: what the peer
+        has negotiated so far (:meth:`wire_version`) for a request, what
+        the inbound frame negotiated for its reply.
 
         ``traced`` says whether the trace context — this node's known
         hops, the send time — goes along.  A v4 peer gets one columnar
@@ -1123,7 +1134,6 @@ class GossipNode:
         field once it has advertised v2.
         """
         updates = fields["updates"]
-        version = self.wire_version(peer_id)
         if traced and now is None:
             now = time.time()
         payload = dict(fields)

@@ -167,7 +167,7 @@ class ExchangeSession:
         to_apply: List[StoreUpdate] = []
         examined = 0
         # Bound-method hoists: this loop runs once per offered entry in
-        # every conversation, the bench's exchange_hot_path measurement.
+        # every conversation (perfbench's session_us_per_entry).
         probe = store.entry
         note_offered = offered_keys.add
         for update in offered:

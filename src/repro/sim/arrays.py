@@ -1,41 +1,25 @@
-"""Vector backends for the batched simulator core (:mod:`repro.sim.batch`).
+"""Population-wide primitives for the batched simulator core
+(:mod:`repro.sim.batch`).
 
 The batched trial engine expresses its per-cycle bookkeeping through the
-small set of primitives below: completing a population of uniform
+small set of operations below: completing a population of uniform
 partner draws, gathering infection flags at partner indices, masking,
-counting and compressing.  Two interchangeable implementations exist:
-
-* :class:`NumpyBackend` — vectorizes every primitive over the whole
-  site population with numpy arrays (used automatically when numpy is
-  importable);
-* :class:`PythonBackend` — the same operations over plain lists, so the
-  engine runs unchanged on an interpreter without numpy.
-
-Both backends carry integers and booleans only — no floating point —
-so trial results cannot depend on which one ran; the golden
-batched-vs-reference tests exercise both.
-
-Set ``REPRO_PURE_PYTHON=1`` to force the pure-python backend (and the
-pure-python wire codec, see :mod:`repro.net.binwire`) even when the
-accelerator libraries are installed; CI uses this to prove the
-fallbacks.
+counting and compressing.  They run over plain lists, bytes and
+bytearrays and carry integers and booleans only — no floating point, no
+optional library — so a trial's result cannot depend on what is
+installed.  Plain lists on purpose: the engine's state lives in lists
+and bytearrays, and at the paper's population sizes converting them to
+numpy arrays and back costs more than the vector arithmetic saves
+(measured; see docs/performance.md).
 """
 
 from __future__ import annotations
 
-import os
 from typing import List, Sequence
-
-#: Environment variable disabling every optional accelerator library.
-FORCE_PURE_ENV = "REPRO_PURE_PYTHON"
-
-
-def pure_python_forced() -> bool:
-    return os.environ.get(FORCE_PURE_ENV, "").strip() not in ("", "0")
 
 
 class PythonBackend:
-    """The list-based reference implementation of the primitives."""
+    """The list-based implementation of the primitives."""
 
     name = "python"
 
@@ -98,67 +82,10 @@ class PythonBackend:
         return [value for value, keep in zip(values, mask) if keep]
 
 
-class NumpyBackend:
-    """Numpy-vectorized primitives; import guarded by :func:`get_backend`."""
-
-    name = "numpy"
-
-    @staticmethod
-    def adjusted_partners(picks: Sequence[int]):
-        import numpy
-
-        arr = numpy.fromiter(picks, dtype=numpy.intp, count=len(picks))
-        own = numpy.arange(len(arr), dtype=numpy.intp)
-        return arr + (arr >= own)
-
-    @staticmethod
-    def adjusted_partners_at(picks: Sequence[int], owners: Sequence[int]):
-        import numpy
-
-        arr = numpy.fromiter(picks, dtype=numpy.intp, count=len(picks))
-        own = numpy.fromiter(owners, dtype=numpy.intp, count=len(arr))
-        return arr + (arr >= own)
-
-    @staticmethod
-    def snapshot(flags: bytearray):
-        import numpy
-
-        return numpy.frombuffer(bytes(flags), dtype=numpy.uint8) != 0
-
-    @staticmethod
-    def push_news(targets, infected) -> List[bool]:
-        import numpy
-
-        t = numpy.asarray(targets)
-        fresh = numpy.logical_not(numpy.asarray(infected)[t])
-        first = numpy.zeros(len(t), dtype=bool)
-        first[numpy.unique(t, return_index=True)[1]] = True
-        return numpy.logical_and(fresh, first).tolist()
-
-    @staticmethod
-    def take(flags, idx):
-        return flags[idx]
-
-    @staticmethod
-    def and_not(a, b):
-        import numpy
-
-        return numpy.logical_and(a, numpy.logical_not(b))
-
-    @staticmethod
-    def count(mask) -> int:
-        import numpy
-
-        return int(numpy.count_nonzero(mask))
-
-    @staticmethod
-    def compress(values, mask) -> List[int]:
-        import numpy
-
-        return numpy.asarray(values)[numpy.asarray(mask)].tolist()
-
-
 def numpy_available() -> bool:
+    """Whether numpy is importable here.  A plain fact about the host
+    for the benchmark's environment block; nothing in the simulator
+    uses numpy."""
     try:
         import numpy  # noqa: F401
     except ImportError:
@@ -167,7 +94,6 @@ def numpy_available() -> bool:
 
 
 def get_backend():
-    """The best available backend, honoring ``REPRO_PURE_PYTHON``."""
-    if not pure_python_forced() and numpy_available():
-        return NumpyBackend
+    """The primitives the batched engine runs on (``.name == "python"``);
+    read by the benchmark's environment block."""
     return PythonBackend

@@ -1,9 +1,9 @@
 """Batched single-update epidemic trials — the simulator's fast path.
 
-The experiment tables and the bench suite run thousands of independent
-trials of one shape: inject a single tracked update into a uniformly
-mixed population and drive one epidemic protocol to completion or
-quiescence, recording residue / traffic / delay.  The general
+The experiment tables run thousands of independent trials of one
+shape: inject a single tracked update into a uniformly mixed population
+and drive one epidemic protocol to completion or quiescence, recording
+residue / traffic / delay.  The general
 :class:`~repro.cluster.cluster.Cluster` machinery pays for flexibility
 on every conversation of every cycle — per-site stores, entry objects,
 event-bus guards, protocol dispatch — none of which can affect the
@@ -12,8 +12,7 @@ metrics of that trial shape.
 This module runs the same epidemics over dense integer site indices
 and flat per-site state arrays instead.  Population-wide bookkeeping
 (completing partner draws, susceptible/infective set updates) goes
-through the vector backend (:mod:`repro.sim.arrays`): numpy when
-available, plain lists otherwise, with identical results either way.
+through the list primitives of :mod:`repro.sim.arrays`.
 
 **Bit-for-bit identity is the contract.**  Every random draw is taken
 from the same per-site ``random.Random`` streams the cluster would
@@ -27,13 +26,12 @@ configurations; ``engine="reference"`` in
 :mod:`repro.experiments.tables` keeps the scalar path selectable.
 
 Scope: one tracked update, every site up, no topology routing, no WAN
-model.  The table and bench trial functions dispatch here through
+model.  The table trial functions dispatch here through
 ``engine="auto"``; anything richer stays on the cluster path.
 """
 
 from __future__ import annotations
 
-import os
 import struct
 from collections import OrderedDict
 from typing import Dict, List, Optional
@@ -43,15 +41,12 @@ try:  # the C core type seeds once; random.Random(seed) seeds twice
 except ImportError:  # pragma: no cover - non-CPython interpreters
     from random import Random as _CoreRandom
 
-from repro.sim.arrays import get_backend
+from repro.sim.arrays import PythonBackend as backend
 from repro.sim.metrics import EpidemicMetrics
 from repro.sim.rng import SiteSeeder
 from repro.sim.transport import hunt_for_partner
 
-#: Set to ``0`` to disable the per-process word-replay cache.
-TRIAL_CACHE_ENV = "REPRO_TRIAL_CACHE"
-
-# Replaying a trial with a master seed seen before (golden tests, bench
+# Replaying a trial with a master seed seen before (golden tests, benchmark
 # repetitions, bisection) skips Mersenne-Twister seeding entirely: the
 # raw 32-bit words each site consumed are a pure function of
 # (master_seed, site_id, draw index), so they are memoized per process.
@@ -70,10 +65,8 @@ def clear_word_cache() -> None:
     _WORD_CACHE.clear()
 
 
-def _seed_bucket(master_seed: int) -> Optional[Dict[int, List[int]]]:
-    """The word-list store for one master seed (None if caching is off)."""
-    if os.environ.get(TRIAL_CACHE_ENV, "").strip() == "0":
-        return None
+def _seed_bucket(master_seed: int) -> Dict[int, List[int]]:
+    """The word-list store for one master seed."""
     bucket = _WORD_CACHE.get(master_seed)
     if bucket is None:
         bucket = _WORD_CACHE[master_seed] = {}
@@ -100,10 +93,10 @@ class SiteDraws:
 
     __slots__ = ("seeder", "site", "words", "pos", "rng")
 
-    def __init__(self, seeder: SiteSeeder, site: int, words: Optional[List[int]]):
+    def __init__(self, seeder: SiteSeeder, site: int, words: List[int]):
         self.seeder = seeder
         self.site = site
-        self.words = [] if words is None else words
+        self.words = words
         self.pos = 0
         self.rng = None
 
@@ -162,9 +155,9 @@ class _TrialDraws:
     def site(self, i: int) -> SiteDraws:
         sd = self.sites[i]
         if sd is None:
-            bucket = self.bucket
-            words = None if bucket is None else bucket.setdefault(i, [])
-            sd = self.sites[i] = SiteDraws(self.seeder, i, words)
+            sd = self.sites[i] = SiteDraws(
+                self.seeder, i, self.bucket.setdefault(i, [])
+            )
         return sd
 
 
@@ -217,7 +210,6 @@ def rumor_trial(
     draws = _TrialDraws(seed, n)
     sites = draws.sites
     get_site = draws.site
-    backend = get_backend()
     n1 = n - 1
     shift = 32 - n1.bit_length()
     update_sends = 0
@@ -298,7 +290,7 @@ def rumor_trial(
         else:
             # pull and push-pull: every site solicits each cycle.  With
             # no connection limit the whole population's partner draws
-            # complete in one vectorized pass.
+            # complete in one pass.
             initiators = range(n)
             if unlimited:
                 partners = backend.adjusted_partners(
@@ -447,9 +439,9 @@ def anti_entropy_trial(
 
     Every up site initiates one exchange per period cycle; transmission
     decisions are made on start-of-cycle state (the paper's synchronous
-    model), so each cycle's susceptible/infective update vectorizes
+    model), so each cycle's susceptible/infective update batches
     fully: one partner draw per site, then set arithmetic over the
-    whole population through the vector backend.  Bit-identical to the
+    whole population (:mod:`repro.sim.arrays`).  Bit-identical to the
     cluster run :func:`repro.experiments.tables.run_anti_entropy_trial`
     performs with ``engine="reference"``.
     """
@@ -466,7 +458,6 @@ def anti_entropy_trial(
 
     draws = _TrialDraws(seed, n)
     all_sites = [draws.site(i) for i in range(n)]
-    backend = get_backend()
     n1 = n - 1
     shift = 32 - n1.bit_length()
     own_ids = list(range(n))

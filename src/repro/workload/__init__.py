@@ -18,9 +18,8 @@ The pieces, bottom-up:
 * :mod:`repro.workload.live` — the live-runtime load generator
   (imported lazily here: it pulls in asyncio networking).
 
-``repro.experiments.workloads`` remains as a compatibility shim
-re-exporting :class:`WorkloadConfig` / :class:`WorkloadDriver` plus the
-Section 1.3 tau study built on them.
+The Section 1.3 tau study built on :class:`WorkloadConfig` and
+:class:`WorkloadDriver` is :mod:`repro.experiments.workloads`.
 """
 
 from repro.workload.driver import WorkloadDriver

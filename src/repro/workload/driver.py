@@ -16,10 +16,9 @@ by cycle:
   some other site has written counts as a ``read_miss`` instead (there
   is no local timestamp to subtract).
 
-The driver is the successor of the old
-``repro.experiments.workloads.WorkloadDriver`` and keeps its public
-surface (``inject_one_cycle``, ``run``, ``operations``, ``deletes``)
-so the Section 1.3 tau study runs unchanged on top of it.
+The Section 1.3 tau study (:mod:`repro.experiments.workloads`) runs on
+the driver's ``inject_one_cycle`` / ``run`` / ``operations`` /
+``deletes`` surface.
 """
 
 from __future__ import annotations

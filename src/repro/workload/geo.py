@@ -112,7 +112,7 @@ def three_datacenters(
     sites_per_dc: Sequence[int] = (10, 10, 10),
     capacity: Optional[float] = 64.0,
 ) -> WanConfig:
-    """The stock 3-datacenter deployment used by the bench and CLI:
+    """The stock 3-datacenter deployment used by the CLI:
     a US/EU/AP triangle with asymmetric latencies and capped links."""
     if len(sites_per_dc) != 3:
         raise ValueError("three_datacenters needs exactly three site counts")

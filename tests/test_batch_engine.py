@@ -5,9 +5,13 @@ same epidemics as the event-driven :class:`~repro.cluster.cluster.Cluster`
 path — same per-site RNG streams, same draw order, same metrics.  These
 tests hold that promise across the Table 1-3 configurations, the rumor
 variants (push-pull, minimization, blind/coin, pull footnote semantics,
-connection limits with hunting), both anti-entropy directions, and both
-array backends, over a seed sweep.
+connection limits with hunting) and both anti-entropy directions, over
+a seed sweep.
 """
+
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -15,7 +19,6 @@ from repro.experiments.tables import run_anti_entropy_trial, run_rumor_trial
 from repro.protocols.base import ExchangeMode
 from repro.protocols.rumor import RumorConfig
 from repro.sim import batch
-from repro.sim.arrays import FORCE_PURE_ENV, PythonBackend, get_backend
 from repro.sim.rng import SiteSeeder, site_seed
 from repro.sim.transport import ConnectionPolicy
 
@@ -101,27 +104,43 @@ def test_anti_entropy_period_offset_golden():
     assert _fingerprint(batched) == _fingerprint(reference)
 
 
-def test_pure_python_backend_matches_numpy(monkeypatch):
-    """The fallback backend runs the same batched code path, same bits."""
-    config = CONFIGS["pushpull"]
-    default = _fingerprint(run_rumor_trial(N, config, 3, engine="batched"))
-    monkeypatch.setenv(FORCE_PURE_ENV, "1")
-    assert get_backend() is PythonBackend
-    forced = _fingerprint(run_rumor_trial(N, config, 3, engine="batched"))
-    assert forced == default
-
-
-def test_word_cache_replay_matches_fresh(monkeypatch):
-    """A trial replayed from the word cache equals a cache-cold trial."""
+def test_word_cache_replay_matches_fresh():
+    """Cold (cleared cache) and warm (word replay) runs of one seed both
+    equal the scalar engine, which never touches the cache."""
     config = CONFIGS["t1-push-fb-counter"]
-    monkeypatch.setenv(batch.TRIAL_CACHE_ENV, "0")
-    cold = _fingerprint(batch.rumor_trial(N, config, 11))
-    monkeypatch.delenv(batch.TRIAL_CACHE_ENV)
+    reference = _fingerprint(run_rumor_trial(N, config, 11, engine="reference"))
     batch.clear_word_cache()
-    first = _fingerprint(batch.rumor_trial(N, config, 11))   # fills the cache
-    warm = _fingerprint(batch.rumor_trial(N, config, 11))    # replays it
-    assert first == cold
-    assert warm == cold
+    cold = _fingerprint(batch.rumor_trial(N, config, 11))   # fills the cache
+    assert 11 in batch._WORD_CACHE
+    warm = _fingerprint(batch.rumor_trial(N, config, 11))   # replays it
+    assert cold == reference
+    assert warm == reference
+
+
+def test_hot_paths_load_no_optional_library():
+    """A batched rumor trial, a batched anti-entropy trial and a v4
+    frame round trip import neither numpy nor msgpack, installed or not:
+    what the simulator and the codec compute cannot depend on the host."""
+    program = (
+        "import sys\n"
+        "from repro.net.wire import Message, MessageType, decode_body, encode_message\n"
+        "from repro.protocols.base import ExchangeMode\n"
+        "from repro.protocols.rumor import RumorConfig\n"
+        "from repro.sim import batch\n"
+        "batch.rumor_trial(60, RumorConfig(mode=ExchangeMode.PUSH_PULL), 1)\n"
+        "batch.anti_entropy_trial(60, ExchangeMode.PUSH_PULL, 1)\n"
+        "sent = Message(MessageType.MAIL, 0, {'key': 'k', 'value': 2**100}, version=4)\n"
+        "assert decode_body(encode_message(sent)[4:]).payload == sent.payload\n"
+        "print(sorted({'numpy', 'msgpack'} & set(sys.modules)))\n"
+    )
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.path.abspath(src)
+    result = subprocess.run(
+        [sys.executable, "-c", program],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def test_site_seeder_matches_site_seed():

@@ -13,14 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net import binwire
 from repro.net.binwire import (
     BINARY_MAGIC,
     BinWireError,
     FrameEncoder,
     decode_binary_body,
     encode_binary_body,
-    msgpack_available,
     pack_value,
     unpack_value,
 )
@@ -33,7 +31,6 @@ from repro.net.wire import (
     decode_body,
     encode_message,
 )
-from repro.sim.arrays import FORCE_PURE_ENV
 
 # JSON-compatible scalars plus the binary-only extras (bytes, big ints).
 SCALARS = st.one_of(
@@ -231,23 +228,3 @@ def test_frame_encoder_reuse_and_reentrancy():
     third = encoder.encode_body(4, 4, 1, 2, {"b": [1, 2, 3]})
     assert first == encode_binary_body(4, 4, 0, 1, {"a": 1})
     assert decode_binary_body(third)[4] == {"b": [1, 2, 3]}
-
-
-def test_pure_python_env_forces_pure_codec(monkeypatch):
-    monkeypatch.setenv(FORCE_PURE_ENV, "1")
-    assert binwire._use_msgpack() is False
-    value = {"k": [2**127, "s", b"b"], "f": 1.5}
-    assert unpack_value(pack_value(value)) == value
-
-
-@pytest.mark.skipif(not msgpack_available(), reason="msgpack not installed")
-def test_msgpack_and_pure_cross_decode(monkeypatch):
-    """Frames from either packer decode on the other."""
-    value = {"k": [2**127, -5, "s", b"b", None, True], "f": 1.5}
-    accelerated = pack_value(value)
-    monkeypatch.setenv(FORCE_PURE_ENV, "1")
-    pure = pack_value(value)
-    assert unpack_value(accelerated) == value
-    assert unpack_value(pure) == value
-    monkeypatch.delenv(FORCE_PURE_ENV)
-    assert unpack_value(pure) == value

@@ -66,7 +66,11 @@ def pin_to_v3(node: GossipNode) -> None:
     original_wire_version = node.wire_version
 
     def handle(message):
-        reply = original_handle(message)
+        # A v3 build negotiates min(3, advert): it shapes a reply's
+        # payload for v3 whatever the sender says it could speak.
+        reply = original_handle(
+            dataclasses.replace(message, max_version=min(message.max_version, 3))
+        )
         if reply is None:
             return None
         return dataclasses.replace(

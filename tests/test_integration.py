@@ -10,7 +10,6 @@ resurrection, bounded traffic.
 import pytest
 
 from repro.cluster.cluster import Cluster
-from repro.experiments.workloads import WorkloadConfig, WorkloadDriver
 from repro.protocols.anti_entropy import AntiEntropyConfig, AntiEntropyProtocol
 from repro.protocols.backup import AntiEntropyBackup, RecoveryStrategy
 from repro.protocols.base import ExchangeMode
@@ -23,6 +22,7 @@ from repro.topology import builders
 from repro.topology.cin import CinParameters, build_cin_like_topology
 from repro.topology.distance import SiteDistances
 from repro.topology.spatial import SortedListSelector
+from repro.workload import WorkloadConfig, WorkloadDriver
 
 
 @pytest.fixture(scope="module")

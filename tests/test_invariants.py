@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.invariants import InvariantChecker, InvariantViolation
-from repro.experiments.workloads import WorkloadConfig, WorkloadDriver
 from repro.protocols.anti_entropy import AntiEntropyConfig, AntiEntropyProtocol
 from repro.protocols.base import ExchangeMode
 from repro.protocols.deathcerts import CertificatePolicy, DeathCertificateManager
@@ -15,6 +14,7 @@ from repro.protocols.direct_mail import DirectMailProtocol
 from repro.protocols.hotlist import HotListProtocol
 from repro.protocols.rumor import RumorConfig, RumorMongeringProtocol
 from repro.sim.faults import RandomChurn
+from repro.workload import WorkloadConfig, WorkloadDriver
 
 
 class TestChecker:

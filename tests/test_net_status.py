@@ -7,6 +7,7 @@ import json
 from repro.net.node import NodeConfig
 from repro.net.peer import RetryPolicy
 from repro.net.runner import LiveCluster, live_demo, query_status
+from repro.net.wire import Message, MessageType, encode_message, read_message
 from repro.obs.convergence import ConvergenceTracker
 from repro.obs.events import EventKind, RingBufferSink, read_trace
 
@@ -62,6 +63,49 @@ class TestStatusOverTheWire:
         assert payload["node"] == 1
         assert KEY in payload["received"]
         assert payload["config"]["mode"] == FAST.mode.value
+
+
+    def test_bogus_senders_leave_no_state(self):
+        """``sender`` is whatever the connecting socket wrote: a
+        thousand distinct made-up ids must not grow the node, nor show
+        up in what STATUS reports."""
+
+        async def scenario():
+            cluster = await LiveCluster.launch(3, FAST)
+            try:
+                await cluster.inject(0, KEY, "x")
+                await cluster.wait_converged(KEY, timeout=BOUND_SECONDS)
+                node = cluster.nodes[0]
+                before = (await cluster.status(0))["wire"]["peers"]
+                info = cluster.membership.get(0)
+                reader, writer = await asyncio.open_connection(info.host, info.port)
+                try:
+                    for bogus in range(1000, 2000):
+                        kind, payload = (
+                            (MessageType.MAIL, {"read": KEY})
+                            if bogus % 2
+                            else (MessageType.STATUS, {})
+                        )
+                        writer.write(
+                            encode_message(
+                                Message(type=kind, sender=bogus, payload=payload)
+                            )
+                        )
+                        await writer.drain()
+                        reply = await asyncio.wait_for(read_message(reader), 5.0)
+                        assert reply is not None and reply.sender == 0
+                finally:
+                    writer.close()
+                after = (await cluster.status(0))["wire"]["peers"]
+                return before, after, set(node._peer_versions), set(node.peers)
+            finally:
+                await cluster.stop()
+
+        before, after, remembered, roster = asyncio.run(scenario())
+        # Real gossip goes on meanwhile, so a roster peer may be learned
+        # between the two snapshots; a made-up id never is.
+        assert before and set(before) <= set(after) <= {"1", "2"}
+        assert remembered <= roster
 
 
 class TestEventDrivenReport:

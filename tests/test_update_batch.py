@@ -32,7 +32,7 @@ from repro.core.timestamps import Timestamp
 from repro.net.binwire import pack_value, unpack_value
 from repro.net.node import NodeConfig
 from repro.net.peer import RetryPolicy
-from repro.net.runner import LiveCluster
+from repro.net.runner import CLIENT_ID, LiveCluster
 from repro.net.wire import (
     HEADER_BYTES,
     Message,
@@ -47,7 +47,7 @@ from repro.obs.events import EventKind, RingBufferSink
 from repro.obs.spans import SpanContext, trace_id_of
 from repro.protocols.base import ExchangeMode
 
-from test_binwire_interop import cluster, pin_to_v3
+from test_binwire_interop import cluster, pin_to_v3, raw_round_trip
 
 _keys = st.one_of(
     st.text(max_size=8),
@@ -288,11 +288,10 @@ class TestNegotiatedShape:
                 cold = a.store.apply_entry  # an entry with no known hop
                 cold("k3", VersionedValue(3, Timestamp(1.0, 9, 0)))
                 u3 = StoreUpdate("k3", a.store.entry("k3"))
-                a._peer_versions[b.node_id] = 3
                 built = a._update_payload(
                     {"mode": "push-pull", "updates": [u1, u2, u3],
                      "buckets": [4], "bits": 6},
-                    b.node_id, now=77.5,
+                    3, now=77.5,
                 )
                 expected = {
                     "mode": "push-pull",
@@ -309,10 +308,9 @@ class TestNegotiatedShape:
                     encode_message(Message(MessageType.PUSH, 0, payload, version=3))
                     for payload in (built, expected)
                 ]
-                a._peer_versions[b.node_id] = 1
                 fields = {"updates": [u1]}
-                plain = a._update_payload(fields, b.node_id)
-                untraced = a._update_payload(fields, b.node_id, traced=False)
+                plain = a._update_payload(fields, 1)
+                untraced = a._update_payload(fields, 1, traced=False)
                 assert fields == {"updates": [u1]}  # the argument is not touched
                 return frames, plain, untraced, encode_updates([u1])
 
@@ -330,10 +328,9 @@ class TestNegotiatedShape:
                 update = a.inject("k", "v")  # a known hop (0) to leave out
                 payloads = {}
                 for version in (3, 4):
-                    a._peer_versions[b.node_id] = version
                     for traced in (True, False):
                         payloads[version, traced] = a._update_payload(
-                            {"updates": [update]}, b.node_id, now=5.0, traced=traced
+                            {"updates": [update]}, version, now=5.0, traced=traced
                         )
                 return payloads, encode_batch([update])
 
@@ -341,6 +338,37 @@ class TestNegotiatedShape:
         assert "spans" in payloads[3, True] and "spans" not in payloads[3, False]
         assert payloads[4, True]["updates"] == {**bare, "hops": [0], "sent_at": 5.0}
         assert payloads[4, False] == {"updates": bare}
+
+    def test_a_client_off_the_roster_is_answered_at_its_own_advert(self):
+        """A reply is shaped by the advert in the frame it answers, so a
+        client gets its negotiated shape without the node remembering
+        it — and claiming ``max: 1`` from outside leaves nothing behind
+        that would change what the node sends anyone."""
+
+        async def scenario():
+            async with cluster(2) as (node, other):
+                node.inject("k", "v")
+                port = node.membership.get(node.node_id).port
+                replies = {}
+                for advert in (4, 3, 1):
+                    request = Message(
+                        MessageType.PULL_REQUEST, CLIENT_ID,
+                        {"mode": "pull", "updates": []},
+                        version=1, max_version=advert,
+                    )
+                    __, replies[advert] = await raw_round_trip(port, request)
+                return replies, dict(node._peer_versions)
+
+        replies, remembered = asyncio.run(scenario())
+        assert {advert: reply.version for advert, reply in replies.items()} == {
+            4: 4, 3: 3, 1: 1,
+        }
+        assert isinstance(replies[4].payload["updates"], dict)
+        assert isinstance(replies[3].payload["updates"], list)
+        assert len(replies[3].payload["spans"]) == 1
+        assert isinstance(replies[1].payload["updates"], list)
+        assert "spans" not in replies[1].payload
+        assert remembered == {}
 
     def test_v3_pinned_peer_only_ever_sees_rows(self):
         async def scenario():
@@ -451,7 +479,7 @@ class TestTraceContextInBatches:
                 trace = trace_id_of(update)
                 for sender, receiver in ((a, b), (b, c)):
                     payload = sender._update_payload(
-                        {"updates": [update]}, receiver.node_id
+                        {"updates": [update]}, sender.wire_version(receiver.node_id)
                     )
                     assert isinstance(payload["updates"], dict)
                     reply = await sender._call(

@@ -3,13 +3,10 @@
 import pytest
 
 from repro.cluster.cluster import Cluster
-from repro.experiments.workloads import (
-    WorkloadConfig,
-    WorkloadDriver,
-    checksum_tau_experiment,
-)
+from repro.experiments.workloads import checksum_tau_experiment
 from repro.protocols.anti_entropy import AntiEntropyConfig, AntiEntropyProtocol
 from repro.protocols.base import ExchangeMode
+from repro.workload import WorkloadConfig, WorkloadDriver
 
 
 class TestWorkloadConfig:
