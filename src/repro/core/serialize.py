@@ -19,13 +19,13 @@ malformed — unknown ``kind``, missing or ill-typed fields — raises
 peer-supplied bytes.
 
 An update list has two encodings.  The **row form**
-(:func:`encode_updates`) nests one dict per update and is what
-checkpoints and every wire version read.  The **batch**
-(:func:`encode_batch`) holds the same updates as one list per field;
-it exists because a bulk anti-entropy transfer moves tens of thousands
-of entries in one frame, where the nested form costs the frame codec
-~24 objects per update and the columnar one 5 scalars.  Both decode to
-the same :class:`StoreUpdate` lists under the same strictness.
+(:func:`encode_updates`) nests one dict per update and is what a
+checkpoint holds.  The **batch** (:func:`encode_batch`) holds the same
+updates as one list per field and is what crosses the wire: a bulk
+anti-entropy transfer moves tens of thousands of entries in one frame,
+where the nested form costs the frame codec ~24 objects per update and
+the columnar one 5 scalars.  Both decode to the same
+:class:`StoreUpdate` lists under the same strictness.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 from typing import Any, Dict, Hashable, Iterable, List, Sequence, Tuple
 
 from repro.core.checksum import encode_key as encode_key  # canonical key codec
-from repro.core.items import DeathCertificate, Entry, VersionedValue
+from repro.core.items import DeathCertificate, Entry, VersionedValue, validate_key
 from repro.core.store import ReplicaStore, StoreUpdate
 from repro.core.timestamps import Timestamp
 
@@ -131,11 +131,31 @@ def encode_update(update: StoreUpdate) -> Dict[str, Any]:
     return {"key": update.key, "entry": encode_entry(update.entry)}
 
 
+def _tuple_of(items: list) -> tuple:
+    return tuple(_tuple_of(item) if type(item) is list else item for item in items)
+
+
+def decode_key(key: Any) -> Hashable:
+    """A database key as it came off JSON or MessagePack.
+
+    Tuple keys travel as arrays and come back lists, so arrays are
+    restored to tuples (recursively); the result must then be a key
+    :func:`repro.core.items.validate_key` accepts, so a peer or client
+    can no more plant an unhashable or ``None`` key than a local caller.
+    """
+    if type(key) is list:
+        key = _tuple_of(key)
+    try:
+        return validate_key(key)
+    except (TypeError, ValueError) as error:
+        raise SerializeError(f"bad key {key!r}: {error}") from None
+
+
 def decode_update(payload: Dict[str, Any]) -> StoreUpdate:
-    key = _require(payload, "key", "update")
-    if key is None:
-        raise SerializeError("update: key must not be null")
-    return StoreUpdate(key=key, entry=decode_entry(_require(payload, "entry", "update")))
+    return StoreUpdate(
+        key=decode_key(_require(payload, "key", "update")),
+        entry=decode_entry(_require(payload, "entry", "update")),
+    )
 
 
 def encode_updates(updates: Iterable[StoreUpdate]) -> List[Dict[str, Any]]:
@@ -155,7 +175,7 @@ def encode_batch(
     hops: List[int | None] | None = None,
     sent_at: float | None = None,
 ) -> Dict[str, Any]:
-    """An update list as columns — the shape v4 peers exchange.
+    """An update list as columns — the shape every wire frame carries.
 
     ``{"n", "keys", "values", "times", "sites", "seqs", "certs",
     "hops", "sent_at"}``: one plain list per field instead of one nested
@@ -200,6 +220,7 @@ def encode_batch(
 
 _NUMBER_TYPES = frozenset({int, float})
 _INT_TYPES = frozenset({int})
+_SCALAR_KEY_TYPES = frozenset({str, int, float, bool})
 
 
 def _column(batch: Dict[str, Any], field: str, count: int, types=None) -> list:
@@ -222,8 +243,11 @@ def decode_batch(batch: Any) -> List[StoreUpdate]:
     if type(count) is not int or count < 0:
         raise SerializeError(f"update batch: n must be a count, got {count!r}")
     keys = _column(batch, "keys", count)
-    if None in keys:
-        raise SerializeError("update batch: key must not be null")
+    # Scalar keys need no restoring and are all valid; the per-key
+    # decode runs only for a column holding an array (a tuple key) or
+    # something that is no key at all.
+    if not _SCALAR_KEY_TYPES.issuperset(map(type, keys)):
+        keys = list(map(decode_key, keys))
     stamps = list(
         map(
             Timestamp,

@@ -20,9 +20,12 @@ already in flight (the refusal is an ``ACK {"rejected": true}``), and a
 refused initiator *hunts* — redraws partners up to ``hunt_limit`` more
 times.
 
-Nothing here re-implements merge semantics: entries are applied through
-``ReplicaStore.apply_entry`` via ``ExchangeSession``, so the live
-runtime and the simulator cannot drift apart.
+Nothing here re-implements merge semantics: offers are resolved by the
+simulator's ``ExchangeSession`` and entries applied through
+``ReplicaStore.apply_update``, so the live runtime and the simulator
+cannot drift apart.  Update lists leave through one function
+(:meth:`GossipNode._update_payload`) and, outside an offer being
+resolved, come in through one (:meth:`GossipNode._absorb`).
 """
 
 from __future__ import annotations
@@ -32,13 +35,14 @@ import dataclasses
 import random
 import socket
 import time
+import traceback
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from repro.core.serialize import (
     SerializeError,
+    decode_key,
     encode_batch,
     encode_timestamp,
-    encode_updates,
 )
 from repro.core.store import ApplyResult, ReplicaStore, StoreUpdate
 from repro.core.timestamps import SimClock
@@ -47,24 +51,14 @@ from repro.net.peer import InFlightBudget, Peer, PeerError, RetryPolicy
 from repro.obs.events import EventBus, EventKind
 from repro.obs.metrics import MetricsRegistry, linear_buckets
 from repro.obs.profiling import Profiler
-from repro.obs.spans import (
-    SpanContext,
-    TraceHopLru,
-    emit_delivery_span,
-    trace_id_of,
-)
+from repro.obs.spans import TraceHopLru, emit_delivery_span, trace_id_of
 from repro.net.wire import (
-    BASE_VERSION,
-    BINARY_WIRE_VERSION,
     MAX_FRAME_BYTES,
     Message,
     MessageType,
     PROTOCOL_VERSION,
-    TRACE_WIRE_VERSION,
-    TREE_WIRE_VERSION,
     WireError,
     encode_message,
-    negotiated_version,
     payload_bucket_list,
     payload_tree_nodes,
     payload_update_list,
@@ -146,7 +140,8 @@ _SCALAR_COUNTERS = {
         "repro_peer_failures_total", "Conversations dead after all retries"),
     "inbound_errors": (
         "repro_inbound_errors_total",
-        "Inbound connections dropped on a malformed frame or a broken socket"),
+        "Inbound connections dropped on a malformed frame, a broken socket "
+        "or a handler bug"),
 }
 
 
@@ -290,12 +285,6 @@ class GossipNode:
         # LRU-bounded: hop data only matters while a trace circulates,
         # and an unbounded map would grow with every update ever seen.
         self._span_hops = TraceHopLru()
-        # roster peer id -> highest wire version that peer has advertised.
-        # Until a peer advertises v2 it is assumed to be a v1 node and
-        # gets v1 frames with no trace-context fields.  Only ids in
-        # ``self.peers`` are ever keys: a sender field is whatever the
-        # connecting socket wrote, and must not grow state.
-        self._peer_versions: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -495,14 +484,7 @@ class GossipNode:
                 return True
             # Checksums still disagree: fall through to a full exchange.
             via = "checksum+full"
-        elif (
-            self.config.strategy == "hierarchical"
-            and self.wire_version(peer.node_id) >= TREE_WIRE_VERSION
-        ):
-            # A peer that has not yet advertised v3 (including every
-            # peer before its first conversation) takes the plain full
-            # exchange below — v1/v2 nodes never see TREE frames or
-            # bucket-scoped payloads.
+        elif self.config.strategy == "hierarchical":
             walk = await self._tree_phase(peer, mode)
             if walk is None:
                 return False  # refused
@@ -536,9 +518,7 @@ class GossipNode:
             fields["bits"] = self.store.bucket_bits
             self.stats.entries_avoided += max(0, len(self.store) - len(offered))
         # A pull-only offer is read as a digest, never applied: untraced.
-        payload = self._update_payload(
-            fields, self.wire_version(peer.node_id), traced=mode.pushes
-        )
+        payload = self._update_payload(fields, traced=mode.pushes)
         reply = await self._call(
             peer,
             Message(type=request_type, sender=self.node_id, payload=payload),
@@ -549,15 +529,7 @@ class GossipNode:
         self.stats.updates_shipped += sent
         shipped += sent
         if reply.type is MessageType.PULL_REPLY:
-            incoming, hops, sent_at = payload_update_list(reply.payload)
-            received += len(incoming)
-            with self.profiler.phase("merge"):
-                applied = session.absorb_with_results(incoming)
-            now = time.time()
-            self._record_deliveries(applied, peer.node_id, hops, sent_at, now)
-            absorbed = [update for update, result in applied if result.was_news]
-            self.stats.updates_absorbed += len(absorbed)
-            self._note_news(absorbed, now=now)
+            received += len(self._absorb(reply.payload, peer.node_id))
         if via == "tree":
             # Resolved through the tree without a full comparison: the
             # same success the checksum strategy counts, achieved with
@@ -603,7 +575,6 @@ class GossipNode:
                 "tau": self.config.tau,
                 "updates": recent,
             },
-            self.wire_version(peer.node_id),
             traced=bool(recent),
         )
         reply = await self._call(
@@ -615,15 +586,7 @@ class GossipNode:
         if reply.type is not MessageType.CHECKSUM:
             raise WireError(f"expected CHECKSUM reply, got {reply.type.value}")
         self.stats.updates_shipped += len(recent)
-        session = ExchangeSession(self.store, mode)
-        incoming, hops, sent_at = payload_update_list(reply.payload)
-        with self.profiler.phase("merge"):
-            applied = session.absorb_with_results(incoming)
-        now = time.time()
-        self._record_deliveries(applied, peer.node_id, hops, sent_at, now)
-        absorbed = [update for update, result in applied if result.was_news]
-        self.stats.updates_absorbed += len(absorbed)
-        self._note_news(absorbed, now=now)
+        incoming = self._absorb(reply.payload, peer.node_id)
         theirs = reply.payload.get("checksum")
         settled = isinstance(theirs, int) and theirs == self.store.checksum
         self.bus.emit(
@@ -690,9 +653,7 @@ class GossipNode:
         with self.profiler.phase("partner-selection"):
             partner_id = self._selector.choose(self.node_id, self._rng)
         peer = self.peers[partner_id]
-        payload = self._update_payload(
-            {"updates": updates}, self.wire_version(partner_id)
-        )
+        payload = self._update_payload({"updates": updates})
         try:
             async with self._budget:
                 with self.profiler.phase("exchange"):
@@ -770,44 +731,29 @@ class GossipNode:
                 if message is None:
                     break
                 self.stats.count_received(message.type)
-                reply = self._handle(message)
+                reply = self._dispatch(message)
                 if reply is not None:
                     self.stats.count_sent(reply.type)
                     writer.write(encode_message(reply))
                     await writer.drain()
-        except (WireError, OSError, asyncio.IncompleteReadError) as error:
-            # A broken peer conversation only affects that peer, but it
-            # is counted: silence here hid garbage frames and resets.
+        except Exception as error:
+            # The boundary no exception may cross: a garbage frame, a
+            # reset socket or a bug in a handler costs this connection
+            # only, and is counted — silence here hid all three.  A bug
+            # is reported with its traceback.
+            peer_fault = isinstance(error, (WireError, OSError))
             self.stats.inbound_errors += 1
             self.bus.emit(
                 EventKind.INBOUND_ERROR,
                 node=self.node_id,
                 error=type(error).__name__,
-                detail=str(error),
+                detail=str(error) if peer_fault else traceback.format_exc(),
             )
         finally:
             self._inbound_writers.discard(writer)
             # No wait_closed() here: awaiting it can raise a spurious
             # CancelledError when the whole node is being torn down.
             writer.close()
-
-    def _handle(self, message: Message) -> Optional[Message]:
-        """Handle one inbound frame; returns the reply frame.
-
-        Wraps :meth:`_dispatch` with version negotiation: a roster
-        peer's ``max`` advert is remembered for the requests this node
-        sends it, and the reply to any sender is stamped with the
-        version negotiated in this frame — a v1 peer gets a pure v1
-        frame back, a v2 peer a v2 frame whose payload may carry trace
-        contexts.
-        """
-        version = negotiated_version(message)
-        if message.sender in self.peers:
-            self._peer_versions[message.sender] = version
-        reply = self._dispatch(message)
-        if reply is None or reply.version == version:
-            return reply
-        return dataclasses.replace(reply, version=version)
 
     def _dispatch(self, message: Message) -> Optional[Message]:
         """Dispatch one inbound frame; returns the reply frame."""
@@ -859,7 +805,6 @@ class GossipNode:
         session = ExchangeSession(self.store, mode)
         with self.profiler.phase("merge"):
             reply = session.respond(offered, scope=scope)
-        now = time.time()
         if hops is not None:
             # ``reply.applied`` holds the offered objects themselves, so
             # identity pairs each applied version with its own hop — a
@@ -867,20 +812,16 @@ class GossipNode:
             # version A's context to version B.
             hop_of = {id(u): hop for u, hop in zip(offered, hops)}
             hops = [hop_of[id(u)] for u in reply.applied]
-        self._record_deliveries(
+        now = self._account(
             list(zip(reply.applied, reply.applied_results)),
-            message.sender, hops, sent_at, now,
+            message.sender, hops, sent_at,
         )
-        self._note_news(reply.applied, now=now)
-        self.stats.updates_absorbed += len(reply.applied)
         if mode.pulls:
             self.stats.updates_shipped += len(reply.send_back)
             return Message(
                 type=MessageType.PULL_REPLY,
                 sender=self.node_id,
-                payload=self._update_payload(
-                    {"updates": reply.send_back}, negotiated_version(message), now
-                ),
+                payload=self._update_payload({"updates": reply.send_back}, now),
             )
         return self._ack({"applied": len(reply.applied)})
 
@@ -888,15 +829,7 @@ class GossipNode:
         if message.payload.get("probe"):
             return self._ack(self._probe_payload())
         mode = _decode_mode(message.payload)
-        session = ExchangeSession(self.store, mode)
-        incoming, hops, sent_at = payload_update_list(message.payload)
-        with self.profiler.phase("merge"):
-            applied = session.absorb_with_results(incoming)
-        now = time.time()
-        self._record_deliveries(applied, message.sender, hops, sent_at, now)
-        absorbed = [update for update, result in applied if result.was_news]
-        self._note_news(absorbed, now=now)
-        self.stats.updates_absorbed += len(absorbed)
+        self._absorb(message.payload, message.sender)
         tau = message.payload.get("tau", self.config.tau)
         if not isinstance(tau, (int, float)) or isinstance(tau, bool) or tau <= 0:
             raise WireError(f"bad tau {tau!r}")
@@ -906,16 +839,14 @@ class GossipNode:
             type=MessageType.CHECKSUM,
             sender=self.node_id,
             payload=self._update_payload(
-                {"checksum": self.store.checksum, "updates": recent},
-                negotiated_version(message),
-                now,
+                {"checksum": self.store.checksum, "updates": recent}
             ),
         )
 
     def _exchange_scope(self, payload: Dict[str, Any]):
         """The local ``(key, entry)`` scope of a bucket-limited offer.
 
-        A v3 initiator that resolved differences through a TREE
+        An initiator that resolved differences through a TREE
         drill-down scopes its PUSH to the dirty buckets; the responder
         must then only send back entries from *those* buckets, or the
         reply would ship (nearly) its whole table.  Returns ``None`` —
@@ -936,7 +867,7 @@ class GossipNode:
         ]
 
     def _handle_tree(self, message: Message) -> Message:
-        """One level of a hierarchical-checksum drill-down (v3).
+        """One level of a hierarchical-checksum drill-down.
 
         The initiator sends ``(node_id, checksum)`` pairs from its tree;
         for each that differs from ours we answer with our children's
@@ -973,20 +904,11 @@ class GossipNode:
         )
 
     def _handle_rumor(self, message: Message) -> Message:
-        updates, hops, sent_at = payload_update_list(message.payload)
-        with self.profiler.phase("merge"):
-            applied = [(u, self.store.apply_update(u)) for u in updates]
-        now = time.time()
-        self._record_deliveries(applied, message.sender, hops, sent_at, now)
-        news: List[bool] = []
+        applied = self._absorb(message.payload, message.sender)
         for update, result in applied:
-            news.append(result.was_news)
             if result.was_news:
-                self._note_news([update], now=now)
-                self._note_reactivation(update, result)
                 self._make_hot(update)  # infection: the rumor spreads here too
-        self.stats.updates_absorbed += sum(news)
-        return self._ack({"news": news})
+        return self._ack({"news": [result.was_news for __, result in applied]})
 
     def _handle_mail(self, message: Message) -> Message:
         payload = message.payload
@@ -994,7 +916,7 @@ class GossipNode:
             # Client read: this replica's current view of one key, with
             # the entry's timestamp so a load generator can measure how
             # far behind the globally latest write this node is.
-            entry = self.store.entry(payload["read"])
+            entry = self.store.entry(decode_key(payload["read"]))
             if entry is None:
                 return self._ack({"found": False, "timestamp": None})
             return self._ack(
@@ -1009,26 +931,16 @@ class GossipNode:
             # Client injection: stamp with this node's clock and start
             # spreading (the paper's "update at the originating site").
             # ``delete`` issues a death certificate instead of a write.
+            key = decode_key(payload["key"])
             if payload.get("delete"):
-                update = self.delete(payload["key"])
+                update = self.delete(key)
             else:
-                update = self.inject(payload["key"], payload.get("value"))
+                update = self.inject(key, payload.get("value"))
             return self._ack(
                 {"applied": True, "timestamp": encode_timestamp(update.timestamp)}
             )
-        updates, hops, sent_at = payload_update_list(payload)
-        with self.profiler.phase("merge"):
-            applied = [(u, self.store.apply_update(u)) for u in updates]
-        now = time.time()
-        self._record_deliveries(applied, message.sender, hops, sent_at, now)
-        news: List[bool] = []
-        for update, result in applied:
-            news.append(result.was_news)
-            if result.was_news:
-                self._note_news([update], now=now)
-                self._note_reactivation(update, result)
-        self.stats.updates_absorbed += sum(news)
-        return self._ack({"news": news})
+        applied = self._absorb(payload, message.sender)
+        return self._ack({"news": [result.was_news for __, result in applied]})
 
     def _probe_payload(self) -> Dict[str, Any]:
         """Status snapshot for the measurement harness."""
@@ -1083,13 +995,7 @@ class GossipNode:
                 "anti_entropy_interval": self.config.anti_entropy_interval,
                 "rumor_interval": self.config.rumor_interval,
             },
-            "wire": {
-                "version": PROTOCOL_VERSION,
-                "peers": {
-                    str(peer_id): version
-                    for peer_id, version in sorted(self._peer_versions.items())
-                },
-            },
+            "wire": {"version": PROTOCOL_VERSION},
             "metrics": self.stats.registry.snapshot(),
         }
 
@@ -1098,57 +1004,79 @@ class GossipNode:
     # ------------------------------------------------------------------
 
     async def _call(self, peer: Peer, message: Message) -> Message:
-        # Requests ride at the version negotiated with this peer so far
-        # (BASE_VERSION before the first reply): once a peer has
-        # advertised v4, every subsequent request to it is a binary
-        # frame, not just our replies.
-        version = self.wire_version(peer.node_id)
-        if version > message.version:
-            message = dataclasses.replace(message, version=version)
         self.stats.count_sent(message.type)
         reply = await peer.call(message)
         self.stats.count_received(reply.type)
-        self._peer_versions[peer.node_id] = negotiated_version(reply)
         return reply
 
     def wire_version(self, peer_id: int) -> int:
-        """The wire version negotiated with ``peer_id`` so far."""
-        return self._peer_versions.get(peer_id, BASE_VERSION)
+        """The wire version spoken with ``peer_id``: the one this build
+        writes to everyone, from the first frame.  (Per peer only in
+        signature — perfbench reports it peer by peer.)"""
+        return PROTOCOL_VERSION
 
     def _update_payload(
         self,
         fields: Dict[str, Any],
-        version: int,
         now: Optional[float] = None,
         traced: bool = True,
     ) -> Dict[str, Any]:
-        """The payload for ``fields``, whose ``"updates"`` is a list of
-        store updates, in the shape of wire ``version``: what the peer
-        has negotiated so far (:meth:`wire_version`) for a request, what
-        the inbound frame negotiated for its reply.
+        """The one way out: the payload for ``fields``, whose
+        ``"updates"`` list of store updates becomes a columnar batch.
 
         ``traced`` says whether the trace context — this node's known
-        hops, the send time — goes along.  A v4 peer gets one columnar
-        batch with the context inside it; anyone else gets the row form,
-        with the context in an aligned ``spans`` field after every other
-        field once it has advertised v2.
+        hops, the send time ``now`` — rides inside the batch; an offer
+        the partner only reads as a digest goes without.
         """
         updates = fields["updates"]
-        if traced and now is None:
-            now = time.time()
-        payload = dict(fields)
-        if version >= BINARY_WIRE_VERSION:
-            if traced:
-                payload["updates"] = encode_batch(
-                    updates, self._known_hops(updates), now
-                )
-            else:
-                payload["updates"] = encode_batch(updates)
+        if traced:
+            batch = encode_batch(
+                updates, self._known_hops(updates), time.time() if now is None else now
+            )
         else:
-            payload["updates"] = encode_updates(updates)
-            if traced and version >= TRACE_WIRE_VERSION:
-                payload["spans"] = self._span_contexts(updates, now)
-        return payload
+            batch = encode_batch(updates)
+        return {**fields, "updates": batch}
+
+    def _absorb(
+        self, payload: Dict[str, Any], src: int
+    ) -> List[Tuple[StoreUpdate, ApplyResult]]:
+        """The one way in: apply the update list ``payload`` carries
+        from node ``src`` and account for it.  Returns every
+        ``(update, result)`` pair, news or not."""
+        updates, hops, sent_at = payload_update_list(payload)
+        with self.profiler.phase("merge"):
+            applied = [(update, self.store.apply_update(update)) for update in updates]
+        self._account(applied, src, hops, sent_at)
+        return applied
+
+    def _account(
+        self,
+        applied: List[Tuple[StoreUpdate, ApplyResult]],
+        src: int,
+        hops: Optional[List[Optional[int]]],
+        sent_at: Optional[float],
+    ) -> float:
+        """Account for entries just applied from node ``src``: delivery
+        spans, receipt times, reactivated death certificates, the
+        absorbed counter.  Returns the receipt time it stamped."""
+        now = time.time()
+        self._record_deliveries(applied, src, hops, sent_at, now)
+        news = []
+        for update, result in applied:
+            if result.was_news:
+                news.append(update)
+                if result is ApplyResult.RESURRECTION_BLOCKED:
+                    # A dormant death certificate met obsolete data and
+                    # woke up (Section 2's antibody); the same event the
+                    # simulator emits.
+                    self.bus.emit(
+                        EventKind.DEATH_CERT_ACTIVATED,
+                        node=self.node_id,
+                        key=str(update.key),
+                    )
+        self._note_news(news, now=now)
+        self.stats.updates_absorbed += len(news)
+        return now
 
     def _known_hops(self, updates: List[StoreUpdate]) -> Optional[List[Optional[int]]]:
         """This node's hop distance from each update's origin, or
@@ -1159,20 +1087,6 @@ class GossipNode:
         known = self._span_hops.get
         hops = [known(trace_id_of(update)) for update in updates]
         return None if hops.count(None) == len(hops) else hops
-
-    def _span_contexts(
-        self, updates: List[StoreUpdate], now: float
-    ) -> List[Dict[str, Any]]:
-        """The row form's ``spans`` field for an outbound update list."""
-        contexts = []
-        for update in updates:
-            trace = trace_id_of(update)
-            contexts.append(
-                SpanContext(
-                    trace=trace, hop=self._span_hops.get(trace), sent_at=now
-                ).to_wire()
-            )
-        return contexts
 
     def _record_deliveries(
         self,
@@ -1237,16 +1151,6 @@ class GossipNode:
                     time=now,
                     key=str(update.key),
                 )
-
-    def _note_reactivation(self, update: StoreUpdate, result: ApplyResult) -> None:
-        if result is ApplyResult.RESURRECTION_BLOCKED:
-            # A dormant death certificate met obsolete data and woke up
-            # (Section 2's antibody); the same event the simulator emits.
-            self.bus.emit(
-                EventKind.DEATH_CERT_ACTIVATED,
-                node=self.node_id,
-                key=str(update.key),
-            )
 
     def _peer_event(
         self, kind: str, info: PeerInfo, attempt: int, error: BaseException

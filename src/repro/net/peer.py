@@ -80,9 +80,7 @@ class Peer:
     paper's model of a conversation as an exclusive connection.
 
     ``bytes_sent`` / ``frames_sent`` count outbound request traffic
-    (framing prefix included) so callers can compare wire formats —
-    the same conversation shrinks when the peer negotiates the binary
-    v4 codec instead of JSON.
+    (framing prefix included).
     """
 
     def __init__(

@@ -3,36 +3,30 @@
 A frame is a 4-byte big-endian length prefix followed by a UTF-8 JSON
 body::
 
-    {"v": 1, "max": 2, "type": "push", "sender": 3, "payload": {...}}
+    {"v": 3, "max": 3, "type": "push", "sender": 3, "payload": {...}}
 
-The versioned header lets incompatible future formats be rejected
-cleanly instead of misparsed.  Bodies reuse the checkpoint codec of
-:mod:`repro.core.serialize` for entries, so anything that crosses the
-wire is exactly what a checkpoint would contain — death certificates
-with activation timestamps and retention lists included.
+There is **one wire form**.  Every frame a node writes — request or
+reply, to a peer or to a client — is this JSON body stamped ``v=3``,
+and every update list in a payload is one columnar batch object
+(:func:`repro.core.serialize.encode_batch`) with its trace context
+(``hops``, ``sent_at``) inside it.  Anything that crosses the wire is
+what a checkpoint would contain — death certificates with activation
+timestamps and retention lists included.
 
-**Version negotiation.**  ``v`` is the version this frame is written
-in; ``max`` advertises the highest version the sender understands.
-Decoders (including the original v1 decoder) ignore unknown top-level
-and payload keys, so the advert is backward compatible: a v1 peer sees
-a plain v1 frame and never learns about ``max``.  A node replies at
-``min(own max, peer's advertised max)`` — see :func:`negotiated_version`
-— and only attaches v2-only payload fields (the per-update trace
-contexts of :mod:`repro.obs.spans`) once the peer has advertised v2.
-v2 changes nothing else: every v1 field keeps its meaning.  v3 adds the
-``TREE`` message type (hierarchical-checksum drill-down) and the
-``buckets``/``bits`` fields on ``PUSH`` payloads that scope an offer to
-a set of hash buckets; a node never sends either to a peer that has not
-advertised v3, falling back to the v1/v2 exchange instead, so v1 and v2
-peers see exactly the traffic they always did.  v4 changes *encodings*
-only: the same messages travel as MessagePack behind a one-byte magic
-(:mod:`repro.net.binwire`) instead of JSON text, and an update list —
-``updates`` plus its ``spans`` — travels as one columnar batch object
-(:func:`repro.core.serialize.encode_batch`) instead of an array of
-nested rows.  The first body byte (0xC1, impossible in JSON)
-discriminates the body format and the ``updates`` field's type the list
-shape, so a v4 node decodes both and — as with every prior version —
-writes the v4 forms only to peers that advertised v4.
+**Versions.**  ``v`` is the version the frame is written in and ``max``
+the highest version its sender writes; the header is the negotiation
+mechanism, kept so an incompatible future format is rejected cleanly
+instead of misparsed.  A frame whose ``v`` this build does not read is
+refused (:data:`SUPPORTED_VERSIONS`): the connection is dropped and the
+drop counted, never half-understood.  That includes the retired v1/v2
+forms; a v3 frame carrying the retired row-form update list (an array
+of ``{"key", "entry"}`` objects) is answered with an error ``ACK``.
+
+A body opening with the byte 0xC1 (impossible in JSON) is the binary
+v4 encoding of the same message (:mod:`repro.net.binwire`).  It is
+still *read* — and answered in JSON — but no node writes it: against a
+JSON body carrying the same batch it lost at every frame size
+(docs/performance.md).
 
 Message types map onto the paper's mechanisms:
 
@@ -58,7 +52,7 @@ Message types map onto the paper's mechanisms:
                           reply is a ``STATUS`` frame and is served even when
                           the node is refusing gossip conversations
 ``ACK``                   generic reply: feedback, probe results, rejections
-``TREE``                  (v3) one level of a hierarchical-checksum
+``TREE``                  one level of a hierarchical-checksum
                           drill-down: the initiator sends checksum-tree
                           nodes, the responder answers with the children
                           that differ and the dirty buckets reached
@@ -78,26 +72,13 @@ import json
 import struct
 from typing import Any, Dict, Optional
 
-from repro.core.serialize import (
-    SerializeError,
-    batch_trace_context,
-    decode_batch,
-    decode_updates,
-)
+from repro.core.serialize import SerializeError, batch_trace_context, decode_batch
 
-#: Highest wire version this build speaks.
-PROTOCOL_VERSION = 4
-#: The version frames are stamped with by default — the floor every
-#: peer understands.
-BASE_VERSION = 1
+#: The version every frame this build writes is stamped with.
+PROTOCOL_VERSION = 3
 #: Versions this decoder accepts.
-SUPPORTED_VERSIONS = frozenset({1, 2, 3, 4})
-#: First version whose payloads may carry per-update trace contexts.
-TRACE_WIRE_VERSION = 2
-#: First version that understands ``TREE`` drill-down frames and
-#: bucket-scoped ``PUSH`` payloads.
-TREE_WIRE_VERSION = 3
-#: First version whose bodies are binary (MessagePack behind a magic
+SUPPORTED_VERSIONS = frozenset({3, 4})
+#: The version whose bodies are binary (MessagePack behind a magic
 #: byte, :mod:`repro.net.binwire`) instead of UTF-8 JSON.  Semantically
 #: identical to v3: same message types, same payload fields.
 BINARY_WIRE_VERSION = 4
@@ -136,20 +117,14 @@ class Message:
 
     ``version`` is the version the frame is (or was) written in;
     ``max_version`` is the sender's advertised ceiling.  Inbound, a
-    frame without a ``max`` key (a v1 peer) decodes with
-    ``max_version == version``.
+    frame without a ``max`` key decodes with ``max_version == version``.
     """
 
     type: MessageType
     sender: int
     payload: Dict[str, Any] = dataclasses.field(default_factory=dict)
-    version: int = BASE_VERSION
+    version: int = PROTOCOL_VERSION
     max_version: int = PROTOCOL_VERSION
-
-
-def negotiated_version(message: Message, ours: int = PROTOCOL_VERSION) -> int:
-    """The highest version both we and ``message``'s sender speak."""
-    return min(ours, message.max_version)
 
 
 #: Stable small codes for the binary body's type byte.  Append-only:
@@ -171,9 +146,9 @@ _TYPES_BY_CODE = {code: t for t, code in TYPE_CODES.items()}
 def encode_message(message: Message, max_frame: int = MAX_FRAME_BYTES) -> bytes:
     """Encode ``message`` as one length-prefixed frame.
 
-    Frames stamped at :data:`BINARY_WIRE_VERSION` or later get the
-    binary body; earlier versions keep the UTF-8 JSON body, byte for
-    byte what a v1-v3 build would write.
+    A message stamped :data:`BINARY_WIRE_VERSION` gets the binary
+    body; everything a node sends is stamped :data:`PROTOCOL_VERSION`
+    and gets the UTF-8 JSON body.
     """
     if message.version >= BINARY_WIRE_VERSION:
         from repro.net.binwire import BinWireError, encode_binary_body
@@ -210,7 +185,7 @@ def decode_body(body: bytes) -> Message:
     """Decode one frame body (everything after the length prefix).
 
     The first byte discriminates the format: 0xC1 opens a v4 binary
-    body, anything else is parsed as the JSON object of v1-v3.
+    body, anything else is parsed as a JSON object.
     """
     if body[:1] == b"\xc1":
         return _decode_binary_body(body)
@@ -224,7 +199,7 @@ def decode_body(body: bytes) -> Message:
     if version not in SUPPORTED_VERSIONS:
         raise WireError(
             f"unsupported wire version {version!r} "
-            f"(this node speaks up to {PROTOCOL_VERSION})"
+            f"(this node reads {sorted(SUPPORTED_VERSIONS)})"
         )
     max_version = blob.get("max", version)
     if not isinstance(max_version, int) or isinstance(max_version, bool):
@@ -256,11 +231,8 @@ def _decode_binary_body(body: bytes) -> Message:
         version, max_version, type_code, sender, payload = decode_binary_body(body)
     except BinWireError as error:
         raise WireError(f"bad binary frame: {error}") from None
-    if version not in SUPPORTED_VERSIONS or version < BINARY_WIRE_VERSION:
-        raise WireError(
-            f"unsupported wire version {version!r} "
-            f"(this node speaks up to {PROTOCOL_VERSION})"
-        )
+    if version != BINARY_WIRE_VERSION:
+        raise WireError(f"unsupported binary wire version {version!r}")
     message_type = _TYPES_BY_CODE.get(type_code)
     if message_type is None:
         raise WireError(f"unknown message type code {type_code}")
@@ -303,64 +275,27 @@ async def read_message(
     return decode_body(body)
 
 
-def payload_updates(payload: Dict[str, Any], field: str = "updates"):
-    """Decode a list of store updates out of a message payload.
+def payload_update_list(payload: Dict[str, Any], field: str = "updates") -> tuple:
+    """An inbound update list with its trace context:
+    ``(updates, hops, sent_at)``.
 
-    The field's type says which shape the sender used: an array is the
-    row form every version understands, an object the columnar batch
-    (:func:`repro.core.serialize.encode_batch`) v4 peers send each other.
-    Wraps :class:`repro.core.serialize.SerializeError` into
-    :class:`WireError` so transport code has a single failure type for
-    "the peer sent garbage".
+    The list is one columnar batch (:func:`repro.core.serialize.encode_batch`);
+    an absent field is an empty list.  ``hops`` is the sender's hop
+    distance per update, or ``None`` instead of a list when it sent
+    none; ``sent_at`` its clock at send time.  The updates are decoded
+    strictly — :class:`repro.core.serialize.SerializeError` becomes
+    :class:`WireError`, so transport code has a single failure type for
+    "the peer sent garbage", the retired row form included — the context
+    leniently (:func:`repro.core.serialize.batch_trace_context`).
     """
-    blob = payload.get(field, [])
+    batch = payload.get(field)
+    if batch is None:
+        return [], None, None
     try:
-        return decode_batch(blob) if isinstance(blob, dict) else decode_updates(blob)
+        updates = decode_batch(batch)
     except SerializeError as error:
         raise WireError(f"bad {field!r} in payload: {error}") from None
-
-
-def payload_span_contexts(
-    payload: Dict[str, Any], count: int, field: str = "spans"
-) -> list:
-    """Decode the per-update trace contexts riding beside an update list.
-
-    Returns one ``Optional[SpanContext]`` per update.  Trace contexts
-    are observability, not data: anything missing or malformed — absent
-    field (a v1 peer), wrong length, wrong types — degrades to ``None``
-    entries instead of raising, so a bad span annotation can never
-    poison an otherwise valid exchange.
-    """
-    from repro.obs.spans import SpanContext
-
-    blobs = payload.get(field)
-    if not isinstance(blobs, list) or len(blobs) != count:
-        return [None] * count
-    return [SpanContext.from_wire(blob) for blob in blobs]
-
-
-def payload_update_list(payload: Dict[str, Any], field: str = "updates") -> tuple:
-    """An inbound update list with its trace context, whichever shape
-    the sender used: ``(updates, hops, sent_at)``.
-
-    ``hops`` is the sender's hop distance per update, or ``None`` instead
-    of a list when it sent none; ``sent_at`` its clock at send time.  A
-    v4 batch carries both inside itself; the row form carries them in
-    the aligned ``spans`` field, where every context of one list was
-    stamped with one send time.  The updates are decoded strictly, the
-    context leniently (see :func:`payload_span_contexts`).
-    """
-    updates = payload_updates(payload, field)
-    blob = payload.get(field)
-    if isinstance(blob, dict):
-        hops, sent_at = batch_trace_context(blob, len(updates))
-    else:
-        contexts = payload_span_contexts(payload, len(updates))
-        hops = [None if ctx is None else ctx.hop for ctx in contexts]
-        sent_at = next(
-            (ctx.sent_at for ctx in contexts if ctx is not None and ctx.sent_at is not None),
-            None,
-        )
+    hops, sent_at = batch_trace_context(batch, len(updates))
     if hops is not None and hops.count(None) == len(hops):
         hops = None
     return updates, hops, sent_at
@@ -371,7 +306,7 @@ def payload_tree_nodes(
 ) -> list[tuple[int, int]]:
     """Decode a ``[[node_id, checksum], ...]`` list from a TREE payload.
 
-    Unlike span contexts, tree nodes are *data*: a malformed list means
+    Unlike trace context, tree nodes are *data*: a malformed list means
     the drill-down cannot proceed, so garbage raises :class:`WireError`
     rather than degrading.  Node ids must be positive and checksums
     non-negative integers (JSON carries Python's arbitrary-precision

@@ -85,7 +85,7 @@ class InfectionTree:
 
         Prefers the hop recorded on the span (carried over the wire or
         computed by the emitting runtime); falls back to walking the
-        tree, so v1-peer traces without wire hop counts still resolve.
+        tree, so traces without wire hop counts still resolve.
         """
         span = self.first_delivery.get(node)
         if span is None:

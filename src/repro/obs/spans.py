@@ -19,9 +19,10 @@ timestamps are globally unique ``(time, site, sequence)`` triples, so
 ``trace_id_of`` needs no coordination and both runtimes — the simulator
 and the live TCP nodes — agree on the id without anything crossing the
 wire.  The *parent* of a span is the delivering exchange: ``src`` is
-known locally at every receive; ``hop`` and ``sent_at`` ride along as
-an optional negotiated wire field (:class:`SpanContext`,
-``repro.net.wire``) so old peers interoperate unchanged.
+known locally at every receive; ``hop`` and ``sent_at`` ride inside
+every update batch on the wire
+(:func:`repro.core.serialize.encode_batch`), as columns a receiver
+reads leniently.
 
 :mod:`repro.obs.lineage` consumes the span stream and reconstructs the
 infection tree of each trace; ``python -m repro trace analyze`` renders
@@ -110,12 +111,14 @@ class TraceHopLru:
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class SpanContext:
-    """The trace context one update carries across the live wire.
+    """The trace context of one update, as a record.
 
     ``hop`` is the *sender's* distance from the origin (the receiver is
     at ``hop + 1``); ``sent_at`` is the sender's wall clock at send
     time, letting the analyzer attribute per-link network latency.
-    Both are optional: a v1 peer simply never sends them.
+    The wire carries the same two facts as the ``hops`` column and
+    ``sent_at`` field of an update batch; this per-update form is what
+    perfbench's row-form codec probes still serialize.
     """
 
     trace: str
@@ -124,24 +127,6 @@ class SpanContext:
 
     def to_wire(self) -> Dict[str, Any]:
         return {"trace": self.trace, "hop": self.hop, "sent_at": self.sent_at}
-
-    @classmethod
-    def from_wire(cls, blob: Any) -> Optional["SpanContext"]:
-        """Lenient decode: anything malformed is treated as absent."""
-        if not isinstance(blob, dict):
-            return None
-        trace = blob.get("trace")
-        if not isinstance(trace, str) or not trace:
-            return None
-        hop = blob.get("hop")
-        if not isinstance(hop, int) or isinstance(hop, bool) or hop < 0:
-            hop = None
-        sent_at = blob.get("sent_at")
-        if not isinstance(sent_at, (int, float)) or isinstance(sent_at, bool):
-            sent_at = None
-        else:
-            sent_at = float(sent_at)
-        return cls(trace=trace, hop=hop, sent_at=sent_at)
 
 
 def emit_delivery_span(

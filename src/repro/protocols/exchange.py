@@ -193,22 +193,10 @@ class ExchangeSession:
             reply.applied_results.append(result)
         return reply
 
-    def absorb_with_results(
-        self, updates: Iterable[StoreUpdate]
-    ) -> List[Tuple[StoreUpdate, ApplyResult]]:
-        """Apply the responder's reply at the initiator.
-
-        Returns every (update, result) pair — including non-news
-        deliveries, which span accounting counts as redundant traffic.
-        """
-        return [(update, self.store.apply_update(update)) for update in updates]
-
     def absorb(self, updates: Iterable[StoreUpdate]) -> List[StoreUpdate]:
         """Apply the responder's reply at the initiator; returns the news."""
         return [
-            update
-            for update, result in self.absorb_with_results(updates)
-            if result.was_news
+            update for update in updates if self.store.apply_update(update).was_news
         ]
 
 

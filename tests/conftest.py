@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import logging
+
 import pytest
 
 from repro.core.store import ReplicaStore
@@ -20,3 +23,29 @@ def make_store(site_id: int, start: float = 0.0) -> ReplicaStore:
 
 def ts(time: float, site: int = 0, seq: int = 0) -> Timestamp:
     return Timestamp(time=time, site=site, sequence=seq)
+
+
+@pytest.fixture(autouse=True)
+def no_asyncio_errors():
+    """Fail any test during which the ``asyncio`` logger records an
+    ERROR: an unhandled exception in a server callback, a task exception
+    nobody retrieved.  Such damage is silent — the loop logs and carries
+    on — so without this a suite can be green over a crashing server."""
+    records = []
+    handler = logging.Handler(level=logging.ERROR)
+    handler.emit = records.append
+    logger = logging.getLogger("asyncio")
+    logger.addHandler(handler)
+    try:
+        yield
+        # A dropped task reports its exception when collected; one made
+        # by this test is young, and a full collection per test would
+        # double the suite's run time.
+        gc.collect(1)
+    finally:
+        logger.removeHandler(handler)
+    if records:
+        pytest.fail(
+            "asyncio logged errors during this test:\n"
+            + "\n".join(record.getMessage() for record in records)
+        )

@@ -12,7 +12,7 @@ from typing import List
 
 import pytest
 
-from repro.core.serialize import encode_updates
+from repro.core.serialize import encode_batch
 from repro.net.membership import Membership
 from repro.net.node import GossipNode, NodeConfig
 from repro.net.peer import Peer, RetryPolicy
@@ -24,7 +24,7 @@ from repro.net.wire import (
     read_message,
 )
 from repro.obs.events import EventKind, RingBufferSink
-from repro.obs.spans import SpanContext, trace_id_of
+from repro.obs.spans import trace_id_of
 from repro.protocols.base import ExchangeMode
 
 #: Loops effectively disabled; fast failure detection.
@@ -383,13 +383,9 @@ class TestSpanContextMapping:
                 sink = b.bus.add_sink(RingBufferSink())
                 payload = {
                     "mode": ExchangeMode.PUSH.value,
-                    "updates": encode_updates([u1, u2]),
-                    "spans": [
-                        SpanContext(trace=trace_id_of(u1), hop=5).to_wire(),
-                        SpanContext(trace=trace_id_of(u2), hop=0).to_wire(),
-                    ],
+                    "updates": encode_batch([u1, u2], hops=[5, 0], sent_at=1.0),
                 }
-                b._handle(Message(MessageType.PUSH, sender=0, payload=payload))
+                b._dispatch(Message(MessageType.PUSH, sender=0, payload=payload))
                 hops = {
                     event.payload["trace"]: event.payload["hop"]
                     for event in sink.of_kind(EventKind.DELIVERY_SPAN)

@@ -7,7 +7,13 @@ import json
 from repro.net.node import NodeConfig
 from repro.net.peer import RetryPolicy
 from repro.net.runner import LiveCluster, live_demo, query_status
-from repro.net.wire import Message, MessageType, encode_message, read_message
+from repro.net.wire import (
+    PROTOCOL_VERSION,
+    Message,
+    MessageType,
+    encode_message,
+    read_message,
+)
 from repro.obs.convergence import ConvergenceTracker
 from repro.obs.events import EventKind, RingBufferSink, read_trace
 
@@ -67,16 +73,25 @@ class TestStatusOverTheWire:
 
     def test_bogus_senders_leave_no_state(self):
         """``sender`` is whatever the connecting socket wrote: a
-        thousand distinct made-up ids must not grow the node, nor show
-        up in what STATUS reports."""
+        thousand distinct made-up ids grow no attribute of the node,
+        and STATUS has no per-peer wire state to report at all."""
+
+        def sizes(node):
+            return {
+                name: len(value)
+                for name, value in vars(node).items()
+                if hasattr(value, "__len__")
+            }
 
         async def scenario():
-            cluster = await LiveCluster.launch(3, FAST)
+            # Timers parked: nothing but the bogus frames touches node 0.
+            parked = NodeConfig(anti_entropy_interval=3600.0, rumor_interval=3600.0)
+            cluster = await LiveCluster.launch(3, parked)
             try:
                 await cluster.inject(0, KEY, "x")
-                await cluster.wait_converged(KEY, timeout=BOUND_SECONDS)
                 node = cluster.nodes[0]
-                before = (await cluster.status(0))["wire"]["peers"]
+                wire = (await cluster.status(0))["wire"]
+                before = sizes(node)
                 info = cluster.membership.get(0)
                 reader, writer = await asyncio.open_connection(info.host, info.port)
                 try:
@@ -94,18 +109,18 @@ class TestStatusOverTheWire:
                         await writer.drain()
                         reply = await asyncio.wait_for(read_message(reader), 5.0)
                         assert reply is not None and reply.sender == 0
+                    during = sizes(node)
                 finally:
                     writer.close()
-                after = (await cluster.status(0))["wire"]["peers"]
-                return before, after, set(node._peer_versions), set(node.peers)
+                return wire, before, during
             finally:
                 await cluster.stop()
 
-        before, after, remembered, roster = asyncio.run(scenario())
-        # Real gossip goes on meanwhile, so a roster peer may be learned
-        # between the two snapshots; a made-up id never is.
-        assert before and set(before) <= set(after) <= {"1", "2"}
-        assert remembered <= roster
+        wire, before, during = asyncio.run(scenario())
+        assert wire == {"version": PROTOCOL_VERSION}
+        assert before["peers"] == 2 and before["_hot"] == 1
+        # The one difference: the connection the frames arrived on.
+        assert during == {**before, "_inbound_writers": before["_inbound_writers"] + 1}
 
 
 class TestEventDrivenReport:

@@ -114,7 +114,12 @@ class TestAcceptThenStall:
             async def stall(reader, writer):
                 nonlocal accepted
                 accepted += 1
-                await asyncio.sleep(10)  # never reply
+                # Never reply: swallow the request until the peer gives
+                # up and hangs up, so this handler ends before the loop
+                # does — one cancelled at loop shutdown is logged by
+                # asyncio as an error in a server callback.
+                await reader.read()
+                writer.close()
 
             server = await asyncio.start_server(stall, "127.0.0.1", 0)
             port = server.sockets[0].getsockname()[1]

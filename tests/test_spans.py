@@ -1,9 +1,12 @@
 """Delivery spans: trace ids, wire contexts, and the sim's span stream."""
 
+import json
+
 import pytest
 
 from repro.cluster.cluster import Cluster
 from repro.core.items import VersionedValue
+from repro.core.serialize import batch_trace_context, encode_batch
 from repro.core.store import ReplicaStore, StoreUpdate
 from repro.core.timestamps import Timestamp
 from repro.obs.events import (
@@ -48,31 +51,49 @@ class TestTraceId:
         assert trace_id_of(first) != trace_id_of(second)
 
 
+def batch_on_the_wire(**context) -> dict:
+    """A one-update batch as a receiver sees it, through real JSON."""
+    return json.loads(json.dumps(encode_batch([update_of()], **context)))
+
+
 class TestSpanContext:
+    """The trace context an update carries across the live wire: its
+    slot in the batch's ``hops`` column plus the batch's ``sent_at``,
+    read leniently — a bad annotation is an absent one, never an error."""
+
     def test_wire_round_trip(self):
-        ctx = SpanContext(trace="k@1#0.0", hop=3, sent_at=12.5)
-        assert SpanContext.from_wire(ctx.to_wire()) == ctx
+        assert batch_trace_context(batch_on_the_wire(hops=[3], sent_at=12.5), 1) == (
+            [3], 12.5,
+        )
+        # The per-update record names the same two facts.
+        assert SpanContext("k@1#0.0", hop=3, sent_at=12.5).to_wire() == {
+            "trace": "k@1#0.0", "hop": 3, "sent_at": 12.5,
+        }
 
     def test_optional_fields_round_trip_as_none(self):
-        ctx = SpanContext(trace="k@1#0.0")
-        assert SpanContext.from_wire(ctx.to_wire()) == ctx
+        assert batch_trace_context(batch_on_the_wire(), 1) == (None, None)
+        assert SpanContext(trace="k@1#0.0").to_wire() == {
+            "trace": "k@1#0.0", "hop": None, "sent_at": None,
+        }
 
     @pytest.mark.parametrize(
         "blob",
         [None, 17, "ctx", [], {}, {"trace": ""}, {"trace": 5}, {"hop": 1}],
     )
     def test_malformed_blob_decodes_to_none(self, blob):
-        assert SpanContext.from_wire(blob) is None
+        """Anything but an array of the batch's length is no column."""
+        batch = {**batch_on_the_wire(sent_at=1.0), "hops": blob}
+        assert batch_trace_context(batch, 1) == (None, 1.0)
 
     @pytest.mark.parametrize("hop", ["2", -1, True, 1.5, None])
     def test_bad_hop_degrades_to_none(self, hop):
-        ctx = SpanContext.from_wire({"trace": "t", "hop": hop, "sent_at": 1.0})
-        assert ctx == SpanContext(trace="t", hop=None, sent_at=1.0)
+        batch = {**batch_on_the_wire(sent_at=1.0), "hops": [hop]}
+        assert batch_trace_context(batch, 1) == ([None], 1.0)
 
     @pytest.mark.parametrize("sent_at", ["soon", True, None])
     def test_bad_sent_at_degrades_to_none(self, sent_at):
-        ctx = SpanContext.from_wire({"trace": "t", "hop": 2, "sent_at": sent_at})
-        assert ctx == SpanContext(trace="t", hop=2, sent_at=None)
+        batch = {**batch_on_the_wire(hops=[2]), "sent_at": sent_at}
+        assert batch_trace_context(batch, 1) == ([2], None)
 
 
 class TestTraceHopLru:

@@ -1,9 +1,8 @@
-"""Hierarchical-checksum wire interop (protocol v3).
+"""Hierarchical checksums over real sockets.
 
-Three guarantees, each over real sockets: old v1/v2 peers keep working
-against a hierarchical node (and are never shown TREE frames or
-bucket-scoped payloads), two v3 nodes drill down the checksum tree and
-ship only dirty buckets, and the live runtime's merge result is
+Two nodes drill down the checksum tree from their very first
+conversation and ship only dirty buckets, hand-written TREE frames get
+the documented answers, and the live runtime's merge result is
 byte-for-byte the same database the simulator's
 ``HierarchicalChecksum`` produces from identical starting states.
 """
@@ -18,7 +17,7 @@ from repro.core.timestamps import SequenceClock, Timestamp
 from repro.net.node import NodeConfig
 from repro.net.peer import RetryPolicy
 from repro.net.runner import LiveCluster
-from repro.net.wire import HEADER_BYTES, PROTOCOL_VERSION
+from repro.net.wire import HEADER_BYTES
 from repro.protocols.base import ExchangeMode
 from repro.protocols.exchange import HierarchicalChecksum
 
@@ -54,76 +53,35 @@ def seed(node, items) -> None:
         node.store.apply_entry(key, make_entry(value, stamp))
 
 
-class TestOldPeerInterop:
-    def test_v1_and_v2_peers_pull_from_a_hierarchical_node(self):
-        """Strict v1 and v2 frames get plain replies: real updates, the
-        stamped version respected, and no v3 fields anywhere."""
-
-        async def scenario():
-            cluster = await LiveCluster.launch(2, MANUAL)
-            try:
-                seed(cluster.nodes[0], [("printer:bldg-35", "up", ts(1.0))])
-                info = cluster.membership.get(0)
-                replies = []
-                for version, body_max in ((1, None), (2, 2)):
-                    body = {
-                        "v": 1,
-                        "type": "pull-request",
-                        "sender": 90 + version,
-                        "payload": {"mode": "pull"},
-                    }
-                    if body_max is not None:
-                        body["max"] = body_max
-                    replies.append(await raw_call(info.host, info.port, body))
-            finally:
-                await cluster.stop()
-            return replies
-
-        v1, v2 = asyncio.run(scenario())
-        for reply, version in ((v1, 1), (v2, 2)):
-            assert reply["type"] == "pull-reply"
-            assert reply["v"] == version
-            assert len(reply["payload"]["updates"]) == 1
-            assert "buckets" not in reply["payload"]
-            assert "bits" not in reply["payload"]
-            assert "frontier" not in reply["payload"]
-
-    def test_first_conversation_with_an_unknown_peer_avoids_the_tree(self):
-        """Peers are assumed v1 until their advert is learned, so the
-        very first exchange a hierarchical node initiates must run the
-        classic path — only the second may drill down."""
+class TestFirstContact:
+    def test_first_conversation_walks_the_tree(self):
+        """No version to learn first: the first exchange a hierarchical
+        node ever initiates drills down, and ships the one dirty bucket
+        rather than its table."""
 
         async def scenario():
             cluster = await LiveCluster.launch(2, MANUAL)
             n0, n1 = cluster.nodes[0], cluster.nodes[1]
             try:
-                seed(n0, [("only-at-0", "x", ts(2.0))])
-                assert await n0.run_anti_entropy_once()
-                first_rounds = n0.stats.tree_rounds
-                first_agrees = n0.store.agrees_with(n1.store)
-                learned = n0.wire_version(1)
-
-                seed(n0, [("later-at-0", "y", ts(3.0))])
+                shared = [(f"key-{i}", i, ts(float(i), site=2)) for i in range(200)]
+                seed(n0, shared)
+                seed(n1, shared)
+                seed(n0, [("only-at-0", "x", ts(500.0))])
                 assert await n0.run_anti_entropy_once()
                 return (
-                    first_rounds,
-                    first_agrees,
-                    learned,
                     n0.stats.tree_rounds,
                     n1.stats.tree_rounds,
+                    n0.stats.updates_shipped,
+                    n0.stats.frames_sent,
                     n0.store.agrees_with(n1.store),
                 )
             finally:
                 await cluster.stop()
 
-        first_rounds, first_agrees, learned, rounds0, rounds1, agrees = (
-            asyncio.run(scenario())
-        )
-        assert first_rounds == 0          # classic path: no TREE frames
-        assert first_agrees               # ... but it still converged
-        assert learned == PROTOCOL_VERSION
-        assert rounds0 >= 1               # second exchange walked the tree
-        assert rounds1 >= 1               # responder counted its side too
+        rounds0, rounds1, shipped, frames, agrees = asyncio.run(scenario())
+        assert rounds0 >= 1 and rounds1 >= 1  # both sides counted the walk
+        assert frames["tree"] == rounds0 and frames["push"] == 1
+        assert 1 <= shipped <= 20             # one bucket of ~200/64, not 201 entries
         assert agrees
 
 
@@ -225,9 +183,6 @@ class TestSimLiveEquivalence:
             cluster = await LiveCluster.launch(2, MANUAL)
             n0, n1 = cluster.nodes[0], cluster.nodes[1]
             try:
-                # An empty first exchange teaches each side the other's
-                # protocol ceiling without moving any data.
-                assert await n0.run_anti_entropy_once()
                 seed(n0, shared)
                 seed(n1, shared)
                 seed(n0, only_a)

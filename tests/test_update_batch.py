@@ -1,12 +1,12 @@
 """The columnar update batch: codec properties, then real sockets.
 
-v4 peers exchange an update list as one object of columns
-(``repro.core.serialize.encode_batch``) instead of an array of nested
+An update list crosses the wire as one object of columns
+(``repro.core.serialize.encode_batch``), never as an array of nested
 rows.  The codec half of this file holds the batch to the row form's
-standard — lossless, type-preserving, strict; the socket half holds the
-negotiation: batches only between peers that both advertised v4, the
-row form byte for byte for everyone else, and the trace context (hops,
-send time) surviving inside the batch.
+standard — lossless, type-preserving, strict; the socket half holds
+that every update-carrying frame type is a batch from the first
+conversation on, and that the trace context (hops, send time) survives
+inside it.
 """
 
 import asyncio
@@ -32,7 +32,7 @@ from repro.core.timestamps import Timestamp
 from repro.net.binwire import pack_value, unpack_value
 from repro.net.node import NodeConfig
 from repro.net.peer import RetryPolicy
-from repro.net.runner import CLIENT_ID, LiveCluster
+from repro.net.runner import LiveCluster
 from repro.net.wire import (
     HEADER_BYTES,
     Message,
@@ -41,13 +41,12 @@ from repro.net.wire import (
     decode_body,
     encode_message,
     payload_update_list,
-    payload_updates,
 )
 from repro.obs.events import EventKind, RingBufferSink
-from repro.obs.spans import SpanContext, trace_id_of
+from repro.obs.spans import trace_id_of
 from repro.protocols.base import ExchangeMode
 
-from test_binwire_interop import cluster, pin_to_v3, raw_round_trip
+from test_binwire_interop import cluster, raw_round_trip
 
 _keys = st.one_of(
     st.text(max_size=8),
@@ -114,7 +113,6 @@ class TestBatchCodec:
         rows = json.loads(json.dumps(encode_updates(updates)))
         batch = json.loads(json.dumps(encode_batch(updates)))
         assert decode_batch(batch) == decode_updates(rows)
-        assert payload_updates({"updates": batch}) == payload_updates({"updates": rows})
 
     @settings(max_examples=40, deadline=None)
     @given(updates=_updates, seed=st.integers(0, 99))
@@ -206,7 +204,7 @@ class TestStrictDecoding:
             decode_batch(batch)
         # ... which the transport sees as its one "peer sent garbage" type.
         with pytest.raises(WireError, match="updates"):
-            payload_updates({"updates": batch})
+            payload_update_list({"updates": batch})
 
     def test_only_an_object_is_a_batch(self):
         assert [u.key for u in decode_batch(_good_batch())] == ["a", "b", "c"]
@@ -236,163 +234,49 @@ class TestStrictDecoding:
         batch = _mutated(lambda b: b.update(sent_at=sent_at))
         assert batch_trace_context(batch, 3) == ([1, 2, 3], None)
 
-    def test_update_list_reader_reads_both_shapes_alike(self):
-        updates = decode_batch(_good_batch())
-        rows = {
-            "updates": encode_updates(updates),
-            "spans": [
-                SpanContext(trace_id_of(u), hop=hop, sent_at=5.0).to_wire()
-                for u, hop in zip(updates, (1, 2, 3))
-            ],
-        }
-        assert payload_update_list(rows) == (updates, [1, 2, 3], 5.0)
-        assert payload_update_list({"updates": _good_batch()}) == (updates, [1, 2, 3], 5.0)
-        # No context at all — a v1 peer, or a batch of cold entries —
-        # reads as "no hop known", not as a list of Nones.
-        assert payload_update_list({"updates": rows["updates"]}) == (updates, None, None)
-        assert payload_update_list({"updates": encode_batch(updates)}) == (updates, None, None)
-
 
 def _captured_frames(node):
-    """Record every frame ``node`` writes from here on, as
-    ``(direction, wire version, message)``."""
+    """Record every message ``node`` sends from here on, as
+    ``(direction, message)``."""
     frames = []
-    original_call, original_handle = node._call, node._handle
+    original_call, original_dispatch = node._call, node._dispatch
 
     async def call(peer, message):
-        # Re-derive what _call puts on the wire: the version it stamps.
-        version = max(node.wire_version(peer.node_id), message.version)
-        frames.append(("request", version, message))
+        frames.append(("request", message))
         return await original_call(peer, message)
 
-    def handle(message):
-        reply = original_handle(message)
+    def dispatch(message):
+        reply = original_dispatch(message)
         if reply is not None:
-            frames.append(("reply", reply.version, reply))
+            frames.append(("reply", reply))
         return reply
 
-    node._call, node._handle = call, handle
+    node._call, node._dispatch = call, dispatch
     return frames
 
 
 class TestNegotiatedShape:
-    def test_rows_for_a_v3_peer_are_byte_identical_to_the_old_frames(self):
-        """Below v4 nothing may change: same fields, same order, same
-        bytes as ``encode_updates`` + ``SpanContext.to_wire`` inlined at
-        the call site used to produce."""
+    """Nothing is negotiated: the shape is the batch, for everyone."""
 
-        async def scenario():
-            async with cluster(2) as (a, b):
-                u1 = a.inject("k1", "v")
-                u2 = a.delete("k2")
-                cold = a.store.apply_entry  # an entry with no known hop
-                cold("k3", VersionedValue(3, Timestamp(1.0, 9, 0)))
-                u3 = StoreUpdate("k3", a.store.entry("k3"))
-                built = a._update_payload(
-                    {"mode": "push-pull", "updates": [u1, u2, u3],
-                     "buckets": [4], "bits": 6},
-                    3, now=77.5,
-                )
-                expected = {
-                    "mode": "push-pull",
-                    "updates": encode_updates([u1, u2, u3]),
-                    "buckets": [4],
-                    "bits": 6,
-                    "spans": [
-                        SpanContext(trace_id_of(u1), hop=0, sent_at=77.5).to_wire(),
-                        SpanContext(trace_id_of(u2), hop=0, sent_at=77.5).to_wire(),
-                        SpanContext(trace_id_of(u3), hop=None, sent_at=77.5).to_wire(),
-                    ],
-                }
-                frames = [
-                    encode_message(Message(MessageType.PUSH, 0, payload, version=3))
-                    for payload in (built, expected)
-                ]
-                fields = {"updates": [u1]}
-                plain = a._update_payload(fields, 1)
-                untraced = a._update_payload(fields, 1, traced=False)
-                assert fields == {"updates": [u1]}  # the argument is not touched
-                return frames, plain, untraced, encode_updates([u1])
-
-        frames, plain, untraced, rows = asyncio.run(scenario())
-        assert frames[0] == frames[1]
-        assert plain == untraced == {"updates": rows}
-
-    def test_untraced_means_no_context_in_either_shape(self):
+    def test_untraced_means_no_context_in_the_batch(self):
         """A pull-only offer is a digest the partner never applies: no
-        ``spans`` below v4, and no ``hops``/``sent_at`` in a v4 batch —
-        the flag means the same whichever shape the peer negotiated."""
+        ``hops``/``sent_at`` goes along, and the caller's fields are
+        not touched either way."""
 
         async def scenario():
             async with cluster(2) as (a, b):
                 update = a.inject("k", "v")  # a known hop (0) to leave out
-                payloads = {}
-                for version in (3, 4):
-                    for traced in (True, False):
-                        payloads[version, traced] = a._update_payload(
-                            {"updates": [update]}, version, now=5.0, traced=traced
-                        )
-                return payloads, encode_batch([update])
+                fields = {"mode": "pull", "updates": [update]}
+                traced = a._update_payload(fields, now=5.0)
+                untraced = a._update_payload(fields, now=5.0, traced=False)
+                assert fields == {"mode": "pull", "updates": [update]}
+                return traced, untraced, encode_batch([update])
 
-        payloads, bare = asyncio.run(scenario())
-        assert "spans" in payloads[3, True] and "spans" not in payloads[3, False]
-        assert payloads[4, True]["updates"] == {**bare, "hops": [0], "sent_at": 5.0}
-        assert payloads[4, False] == {"updates": bare}
+        traced, untraced, bare = asyncio.run(scenario())
+        assert traced == {"mode": "pull", "updates": {**bare, "hops": [0], "sent_at": 5.0}}
+        assert untraced == {"mode": "pull", "updates": bare}
 
-    def test_a_client_off_the_roster_is_answered_at_its_own_advert(self):
-        """A reply is shaped by the advert in the frame it answers, so a
-        client gets its negotiated shape without the node remembering
-        it — and claiming ``max: 1`` from outside leaves nothing behind
-        that would change what the node sends anyone."""
-
-        async def scenario():
-            async with cluster(2) as (node, other):
-                node.inject("k", "v")
-                port = node.membership.get(node.node_id).port
-                replies = {}
-                for advert in (4, 3, 1):
-                    request = Message(
-                        MessageType.PULL_REQUEST, CLIENT_ID,
-                        {"mode": "pull", "updates": []},
-                        version=1, max_version=advert,
-                    )
-                    __, replies[advert] = await raw_round_trip(port, request)
-                return replies, dict(node._peer_versions)
-
-        replies, remembered = asyncio.run(scenario())
-        assert {advert: reply.version for advert, reply in replies.items()} == {
-            4: 4, 3: 3, 1: 1,
-        }
-        assert isinstance(replies[4].payload["updates"], dict)
-        assert isinstance(replies[3].payload["updates"], list)
-        assert len(replies[3].payload["spans"]) == 1
-        assert isinstance(replies[1].payload["updates"], list)
-        assert "spans" not in replies[1].payload
-        assert remembered == {}
-
-    def test_v3_pinned_peer_only_ever_sees_rows(self):
-        async def scenario():
-            async with cluster(2) as (legacy, modern):
-                pin_to_v3(legacy)
-                frames = _captured_frames(modern)
-                legacy.inject("from-legacy", 1)
-                modern.inject("from-modern", 2)
-                for __ in range(2):
-                    assert await legacy.run_anti_entropy_once()
-                    assert await modern.run_anti_entropy_once()
-                    assert await modern.run_rumor_once()
-                return frames, legacy.store.agrees_with(modern.store)
-
-        frames, agrees = asyncio.run(scenario())
-        assert agrees
-        carrying = [m for __, __, m in frames if "updates" in m.payload]
-        assert carrying
-        for __, version, message in frames:
-            assert version <= 3
-            if "updates" in message.payload:
-                assert isinstance(message.payload["updates"], list)
-
-    def test_v4_nodes_converge_on_batches(self):
+    def test_every_update_frame_is_a_batch_from_the_first(self):
         async def scenario():
             async with cluster(2, strategy="checksum") as (a, b):
                 frames_a = _captured_frames(a)
@@ -400,8 +284,6 @@ class TestNegotiatedShape:
                 a.inject("from-a", 1)
                 b.inject("from-b", 2)
                 b.delete("gone")
-                assert await a.run_anti_entropy_once()   # negotiates on rows
-                a.inject("later", 3)
                 assert await a.run_anti_entropy_once()   # CHECKSUM both ways
                 assert await b.run_rumor_once()          # RUMOR
                 a.config = dataclasses.replace(a.config, strategy="full")
@@ -410,18 +292,17 @@ class TestNegotiatedShape:
                 return frames_a + frames_b, a.store.agrees_with(b.store), len(a.store)
 
         frames, agrees, entries = asyncio.run(scenario())
-        assert agrees and entries == 5
-        shapes = {}
-        for __, version, message in frames:
-            blob = message.payload.get("updates")
-            if blob is None:
-                continue
-            assert isinstance(blob, dict) == (version >= 4)
-            shapes.setdefault(message.type, set()).add(type(blob))
-        # Every update-carrying frame type went out as a batch at least once.
-        for kind in (MessageType.PUSH, MessageType.PULL_REPLY,
-                     MessageType.CHECKSUM, MessageType.RUMOR):
-            assert dict in shapes[kind], kind
+        assert agrees and entries == 4
+        carrying = set()
+        for __, message in frames:
+            assert message.version == 3
+            if "updates" in message.payload:
+                assert isinstance(message.payload["updates"], dict)
+                carrying.add(message.type)
+        assert carrying == {
+            MessageType.PUSH, MessageType.PULL_REPLY,
+            MessageType.CHECKSUM, MessageType.RUMOR,
+        }
 
     def test_restarted_empty_node_catches_up_in_one_conversation(self):
         async def scenario():
@@ -440,7 +321,7 @@ class TestNegotiatedShape:
                 frames = _captured_frames(survivor)
                 assert len(node.store) == 0
                 ran = await node.run_anti_entropy_once()
-                replies = [m for kind, __, m in frames if kind == "reply"]
+                replies = [m for kind, m in frames if kind == "reply"]
                 return (
                     ran, len(node.store), node.store.checksum == survivor.store.checksum,
                     node.store.agrees_with(survivor.store), node.stats.exchanges, replies,
@@ -452,7 +333,7 @@ class TestNegotiatedShape:
         assert ran and exchanges == 1
         assert entries == 2000 and same_checksum and agrees
         (reply,) = replies
-        assert reply.type is MessageType.PULL_REPLY and reply.version == 4
+        assert reply.type is MessageType.PULL_REPLY and reply.version == 3
         assert reply.payload["updates"]["n"] == 2000
         assert len(reply.payload["updates"]["certs"]) == len(range(0, 2000, 97))
         # The whole point: five scalars per update on the wire, not a
@@ -464,24 +345,18 @@ class TestNegotiatedShape:
 
 class TestTraceContextInBatches:
     def test_hops_and_send_time_survive(self):
-        """Three hops down a chain of v4 nodes: each delivery span
-        carries the right hop and the sender's clock."""
+        """Three hops down a chain of freshly started nodes: each
+        delivery span carries the right hop and the sender's clock."""
 
         async def scenario():
             async with cluster(3) as (a, b, c):
                 sink = a.bus.add_sink(RingBufferSink())
                 b.bus.add_sink(sink)
                 c.bus.add_sink(sink)
-                # Negotiate first so the data moves in batches.
-                for node, peer in ((a, b), (b, c)):
-                    node._peer_versions[peer.node_id] = 4
                 update = a.inject("k", "v")
                 trace = trace_id_of(update)
                 for sender, receiver in ((a, b), (b, c)):
-                    payload = sender._update_payload(
-                        {"updates": [update]}, sender.wire_version(receiver.node_id)
-                    )
-                    assert isinstance(payload["updates"], dict)
+                    payload = sender._update_payload({"updates": [update]})
                     reply = await sender._call(
                         sender.peers[receiver.node_id],
                         Message(MessageType.RUMOR, sender.node_id, payload),
@@ -503,7 +378,7 @@ class TestTraceContextInBatches:
             assert 0.0 <= event.time - event.payload["sent_at"] < 5.0
 
     def test_duplicate_key_batch_attributes_hops_per_version(self):
-        """The batch twin of the duplicate-key PUSH regression: two
+        """The duplicate-key PUSH regression over a real socket: two
         versions of one key in one frame each keep their own hop."""
 
         async def scenario():
@@ -515,7 +390,11 @@ class TestTraceContextInBatches:
                     "mode": ExchangeMode.PUSH.value,
                     "updates": encode_batch([u1, u2], hops=[5, 0], sent_at=1.0),
                 }
-                b._handle(Message(MessageType.PUSH, sender=0, payload=payload, version=4))
+                __, reply = await raw_round_trip(
+                    b.membership.get(b.node_id).port,
+                    Message(MessageType.PUSH, sender=0, payload=payload),
+                )
+                assert reply.payload == {"applied": 2}
                 hops = {
                     event.payload["trace"]: event.payload["hop"]
                     for event in sink.of_kind(EventKind.DELIVERY_SPAN)
@@ -532,10 +411,7 @@ class TestTraceContextInBatches:
 
         async def scenario():
             async with cluster(2) as (a, b):
-                for index in range(50):
-                    a.store.update(f"key-{index}", index)
-                assert await b.run_anti_entropy_once()  # rows, negotiates
-                for index in range(50, 100):
+                for index in range(100):
                     a.store.update(f"key-{index}", index)
                 import repro.net.node as node_module
 
@@ -545,10 +421,9 @@ class TestTraceContextInBatches:
                     lambda update: calls.append(update) or real(update),
                 )
                 assert await b.run_anti_entropy_once()
-                return len(b.store), b.wire_version(a.node_id)
+                return len(b.store)
 
-        entries, version = asyncio.run(scenario())
-        assert entries == 100 and version == 4
+        assert asyncio.run(scenario()) == 100
         assert calls == []
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.items import DeathCertificate, VersionedValue
 from repro.core.store import StoreUpdate
-from repro.core.serialize import encode_updates
+from repro.core.serialize import encode_batch, encode_updates
 from repro.net.wire import (
     HEADER_BYTES,
     MAX_FRAME_BYTES,
@@ -20,7 +20,7 @@ from repro.net.wire import (
     encode_message,
     payload_bucket_list,
     payload_tree_nodes,
-    payload_updates,
+    payload_update_list,
     read_message,
 )
 
@@ -120,8 +120,12 @@ class TestBodyValidation:
             decode_body(b"[1,2,3]")
 
     def test_version_mismatch(self):
-        with pytest.raises(WireError, match="version"):
-            decode_body(self.body(v=99))
+        """Only what this build reads: the retired v1/v2 forms are
+        refused like a version from the future."""
+        for version in (1, 2, 99, "3", True, None):
+            with pytest.raises(WireError, match="unsupported wire version"):
+                decode_body(self.body(v=version))
+        assert decode_body(self.body(v=3)).version == 3
 
     def test_missing_version(self):
         with pytest.raises(WireError, match="version"):
@@ -156,18 +160,33 @@ class TestPayloadUpdates:
                 DeathCertificate(ts(2.0), ts(2.0), retention_sites=(1, 4)).reactivated(9.0),
             ),
         ]
-        payload = {"updates": encode_updates(updates)}
+        payload = {"updates": encode_batch(updates, hops=[2, None], sent_at=9.5)}
         # Through real JSON, as the wire would carry it.
-        assert payload_updates(json.loads(json.dumps(payload))) == updates
+        assert payload_update_list(json.loads(json.dumps(payload))) == (
+            updates, [2, None], 9.5,
+        )
+        # No context at all — a batch of cold entries — reads as "no
+        # hop known", not as a list of Nones.
+        assert payload_update_list({"updates": encode_batch(updates)}) == (
+            updates, None, None,
+        )
 
     def test_missing_field_defaults_empty(self):
-        assert payload_updates({}) == []
+        assert payload_update_list({}) == ([], None, None)
 
     def test_garbage_becomes_wire_error(self):
         with pytest.raises(WireError, match="updates"):
-            payload_updates({"updates": [{"key": "k", "entry": {"kind": "mystery"}}]})
+            payload_update_list({"updates": {"n": 1, "keys": ["k"]}})
         with pytest.raises(WireError, match="updates"):
-            payload_updates({"updates": "not-a-list"})
+            payload_update_list({"updates": "not-a-batch"})
+
+    def test_row_form_is_refused_not_half_understood(self):
+        """The retired array-of-rows shape, even a well-formed one."""
+        rows = encode_updates([StoreUpdate("a", VersionedValue("v", ts(1.0)))])
+        with pytest.raises(WireError, match="expected an object, got list"):
+            payload_update_list({"updates": rows})
+        with pytest.raises(WireError, match="expected an object, got list"):
+            payload_update_list({"updates": []})
 
 
 class TestPayloadTreeNodes:
