@@ -77,7 +77,7 @@ def test_storage_comparison_with_a_down_site(benchmark):
             cluster.sites[s].store.dormant_count() for s in cluster.up_site_ids()
         )
         rows.append(
-            (f"dormant r=3, one site down", _count_certs(cluster), dormant)
+            ("dormant r=3, one site down", _count_certs(cluster), dormant)
         )
         return rows
 

@@ -5,8 +5,6 @@ achieves p_{i+1} ~ p_i / e.  And a push simple epidemic from a single
 seed takes ~ log2(n) + ln(n) cycles.
 """
 
-import math
-
 import pytest
 
 from conftest import run_once

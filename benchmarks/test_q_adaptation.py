@@ -10,8 +10,6 @@ distributions travel across topologies, and ``1/Q^2`` outperforms
 ``1/(d Q)``.
 """
 
-import pytest
-
 from conftest import run_once
 from repro.experiments.report import format_table
 from repro.experiments.spatial import run_anti_entropy_trial

@@ -15,7 +15,6 @@ from repro.experiments.report import format_table
 from repro.experiments.spatial import (
     line_scaling,
     spatial_table,
-    standard_selectors,
 )
 from repro.topology.cin import build_cin_like_topology
 from repro.topology.distance import SiteDistances

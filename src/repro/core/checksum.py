@@ -104,11 +104,13 @@ def entry_digest_with(kd: int, encoded_entry: bytes) -> int:
     also needs it for bucket assignment) and folds both entry digests of
     a replace from it.
     """
-    h = hashlib.blake2b(digest_size=_DIGEST_BYTES)
-    h.update(kd.to_bytes(_DIGEST_BYTES, "big"))
-    h.update(b"\x00")
-    h.update(encoded_entry)
-    return int.from_bytes(h.digest(), "big")
+    return int.from_bytes(
+        hashlib.blake2b(
+            kd.to_bytes(_DIGEST_BYTES, "big") + b"\x00" + encoded_entry,
+            digest_size=_DIGEST_BYTES,
+        ).digest(),
+        "big",
+    )
 
 
 def entry_digest(key: Hashable, encoded_entry: bytes) -> int:

@@ -155,6 +155,13 @@ def newer(a: Entry | None, b: Entry | None) -> Entry | None:
 #: ``int`` subclass but encodes distinctly.
 _CANONICAL_KEY_TYPES = (str, int, float)
 
+#: The exact types of the keys :func:`validate_key` accepts without
+#: looking inside them: ``type(key) in SCALAR_KEY_TYPES`` validates one
+#: key, ``SCALAR_KEY_TYPES.issuperset(map(type, keys))`` a whole column
+#: at C speed.  Only a tuple (or something that is no key at all) needs
+#: the full check.
+SCALAR_KEY_TYPES = frozenset({str, int, float, bool})
+
 
 def _has_canonical_encoding(key: Hashable) -> bool:
     if isinstance(key, _CANONICAL_KEY_TYPES):

@@ -33,7 +33,13 @@ from __future__ import annotations
 from typing import Any, Dict, Hashable, Iterable, List, Sequence, Tuple
 
 from repro.core.checksum import encode_key as encode_key  # canonical key codec
-from repro.core.items import DeathCertificate, Entry, VersionedValue, validate_key
+from repro.core.items import (
+    SCALAR_KEY_TYPES,
+    DeathCertificate,
+    Entry,
+    VersionedValue,
+    validate_key,
+)
 from repro.core.store import ReplicaStore, StoreUpdate
 from repro.core.timestamps import Timestamp
 
@@ -220,7 +226,6 @@ def encode_batch(
 
 _NUMBER_TYPES = frozenset({int, float})
 _INT_TYPES = frozenset({int})
-_SCALAR_KEY_TYPES = frozenset({str, int, float, bool})
 
 
 def _column(batch: Dict[str, Any], field: str, count: int, types=None) -> list:
@@ -246,7 +251,7 @@ def decode_batch(batch: Any) -> List[StoreUpdate]:
     # Scalar keys need no restoring and are all valid; the per-key
     # decode runs only for a column holding an array (a tuple key) or
     # something that is no key at all.
-    if not _SCALAR_KEY_TYPES.issuperset(map(type, keys)):
+    if not SCALAR_KEY_TYPES.issuperset(map(type, keys)):
         keys = list(map(decode_key, keys))
     stamps = list(
         map(
@@ -330,18 +335,11 @@ def load_store(payload: Dict[str, Any], store: ReplicaStore) -> int:
     version = _require(payload, "version", "store dump")
     if version != FORMAT_VERSION:
         raise SerializeError(f"unsupported dump version: {version!r}")
-    applied = 0
-    for item in _require(payload, "entries", "store dump"):
-        update = decode_update(item)
-        if store.apply_entry(update.key, update.entry).was_news:
-            applied += 1
-    for item in _require(payload, "dormant", "store dump"):
-        certificate = decode_update(item)
-        # A dormant certificate re-enters through the normal apply path
-        # and will be re-expired by the next sweep.
-        if store.apply_entry(certificate.key, certificate.entry).was_news:
-            applied += 1
-    return applied
+    # A dormant certificate re-enters through the normal apply path and
+    # will be re-expired by the next sweep.
+    updates = decode_updates(_require(payload, "entries", "store dump"))
+    updates += decode_updates(_require(payload, "dormant", "store dump"))
+    return sum(result.was_news for result in store.apply_updates(updates))
 
 
 def _dormant_items(store: ReplicaStore) -> Iterable[Tuple[Hashable, DeathCertificate]]:

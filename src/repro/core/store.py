@@ -13,15 +13,22 @@ database (in Clearinghouse terms, one *domain*):
   Section 2.1, including activation-timestamp reactivation (2.2).
 
 The store is deliberately independent of any protocol or simulator: the
-epidemic protocols call :meth:`apply_entry` with entries received from
-peers and interpret the returned :class:`ApplyResult`.
+epidemic protocols hand it what they received from peers — a whole
+update list through :meth:`ReplicaStore.apply_updates`, a single entry
+through :meth:`ReplicaStore.apply_entry` — and interpret the returned
+:class:`ApplyResult` values.
+
+Writes touch only the entry table, the dirty map and the timestamp
+index.  Everything derived from a key's digest — its bucket, its entry
+digests, the checksum tree — is brought up to date in bulk by the first
+read that needs it (:meth:`ReplicaStore._flush`).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Any, Dict, Hashable, Iterator, List, Tuple
+from typing import Any, Dict, Hashable, Iterable, Iterator, List, Tuple
 
 from repro.core.checksum import (
     ChecksumTree,
@@ -31,6 +38,7 @@ from repro.core.checksum import (
 )
 from repro.core.items import (
     NIL,
+    SCALAR_KEY_TYPES,
     DeathCertificate,
     Entry,
     VersionedValue,
@@ -56,13 +64,10 @@ class ApplyResult(enum.Enum):
     EQUAL = "equal"
     STALE = "stale"
 
-    @property
-    def was_news(self) -> bool:
-        return self in (
-            ApplyResult.APPLIED,
-            ApplyResult.REACTIVATED,
-            ApplyResult.RESURRECTION_BLOCKED,
-        )
+    def __init__(self, label: str):
+        # A plain attribute fixed when the member is created: receivers
+        # read it two or three times per update.
+        self.was_news: bool = label in ("applied", "reactivated", "resurrection-blocked")
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -115,16 +120,19 @@ class ReplicaStore:
         self._entries: Dict[Hashable, Entry] = {}
         self._dormant: Dict[Hashable, DeathCertificate] = {}
         self._tree = ChecksumTree(bucket_bits)
-        # Checksum maintenance is lazy: mutations record the pre-image
-        # here (key -> entry before the first unflushed change, or None
-        # when absent) and the digest folding happens on the first
-        # checksum read.  Most simulation mutations are never followed
-        # by a checksum read before the next overwrite, and a key
-        # rewritten while dirty costs one delta, not one per write.
+        # Everything derived from a key's digest is maintained lazily:
+        # mutations record the pre-image here (key -> entry before the
+        # first unflushed change, or None when absent) and hash nothing.
+        # The first read of a checksum or of a bucket's membership runs
+        # _flush, which digests each dirty key once.  Most simulation
+        # mutations are never followed by such a read before the next
+        # overwrite, and a key rewritten while dirty costs one delta,
+        # not one per write.
         self._dirty: Dict[Hashable, Entry | None] = {}
-        self._tree.set_refresh_hook(self._flush_checksums)
-        # bucket -> keys currently in it; buckets vanish when emptied so
-        # a small store never pays for the full bucket range.
+        self._tree.set_refresh_hook(self._flush)
+        # bucket -> keys in it as of the last flush (read it through
+        # _keys_in); buckets vanish when emptied so a small store never
+        # pays for the full bucket range.
         self._bucket_keys: Dict[int, set] = {}
         self._index = TimestampIndex()
         # When a certificate-expiry policy is active (set by the
@@ -255,14 +263,19 @@ class ReplicaStore:
         """The incrementally maintained checksum of one bucket."""
         return self._tree.bucket_value(bucket)
 
+    def _keys_in(self, bucket: int) -> Iterable[Hashable]:
+        """The keys filed in one bucket, pending mutations included."""
+        self._flush()
+        return self._bucket_keys.get(bucket, ())
+
     def bucket_len(self, bucket: int) -> int:
         """Number of active entries in one bucket."""
-        return len(self._bucket_keys.get(bucket, ()))
+        return len(self._keys_in(bucket))
 
     def bucket_entries(self, bucket: int) -> Iterator[Tuple[Hashable, Entry]]:
         """Active ``(key, entry)`` pairs of one bucket, unspecified order."""
         entries = self._entries
-        for key in self._bucket_keys.get(bucket, ()):
+        for key in self._keys_in(bucket):
             yield key, entries[key]
 
     def bucket_updates(self, bucket: int) -> Iterator[StoreUpdate]:
@@ -272,10 +285,7 @@ class ReplicaStore:
     def bucket_updates_newest_first(self, bucket: int) -> Iterator[StoreUpdate]:
         """One bucket's entries in reverse timestamp order (per-bucket
         *peel back*); O(bucket size · log bucket size)."""
-        keys = self._bucket_keys.get(bucket)
-        if not keys:
-            return
-        for key, __ in self._index.newest_first_in(keys):
+        for key, __ in self._index.newest_first_in(self._keys_in(bucket)):
             yield StoreUpdate(key=key, entry=self._entries[key])
 
     def recompute_checksum(self) -> int:
@@ -301,8 +311,7 @@ class ReplicaStore:
         now = self.clock.now()
         recent: List[StoreUpdate] = []
         if bucket is not None:
-            keys = self._bucket_keys.get(bucket)
-            pairs = self._index.newest_first_in(keys) if keys else ()
+            pairs = self._index.newest_first_in(self._keys_in(bucket))
         else:
             pairs = self._index.newest_first()
         for key, stamp in pairs:
@@ -382,6 +391,59 @@ class ReplicaStore:
             return ApplyResult.REACTIVATED
         return ApplyResult.EQUAL
 
+    def apply_updates(self, updates: Iterable[StoreUpdate]) -> List[ApplyResult]:
+        """Merge a received update list; one :class:`ApplyResult` per row.
+
+        Results and final state are those of calling :meth:`apply_entry`
+        row by row, in order.  The common row — an ordinary value under
+        a scalar key with no dormant certificate waiting for it — is
+        merged inline: a scalar key's exact type is all that
+        ``validate_key`` would establish, the timestamp comparison runs
+        on plain tuples, and those tuples go to the timestamp index in
+        one run.  Every other row (certificates, tuple or invalid keys,
+        dormant reactivation) goes through :meth:`apply_entry` itself.
+        """
+        entries = self._entries
+        entries_get = entries.get
+        dirty = self._dirty
+        dormant = self._dormant
+        applied, stale, equal = ApplyResult.APPLIED, ApplyResult.STALE, ApplyResult.EQUAL
+        results: List[ApplyResult] = []
+        note = results.append
+        run: list = []
+        try:
+            for update in updates:
+                key = update.key
+                entry = update.entry
+                if (
+                    type(entry) is not VersionedValue
+                    or key in dormant
+                    or type(key) not in SCALAR_KEY_TYPES
+                ):
+                    if run:  # keep the index in arrival order
+                        self._index.set_run(run)
+                        run = []
+                    note(self.apply_entry(key, entry))
+                    continue
+                stamp = entry.timestamp
+                order = (stamp.time, stamp.site, stamp.sequence)
+                current = entries_get(key)
+                if current is not None:
+                    held = current.timestamp
+                    held = (held.time, held.site, held.sequence)
+                    if not order > held:
+                        note(stale if order < held else equal)
+                        continue
+                if key not in dirty:
+                    dirty[key] = current
+                entries[key] = entry
+                run.append((order, key, stamp))
+                note(applied)
+        finally:
+            if run:
+                self._index.set_run(run)
+        return results
+
     def purge(self, key: Hashable) -> bool:
         """Remove an entry outright, with NO death certificate.
 
@@ -441,9 +503,6 @@ class ReplicaStore:
         old = self._entries.get(key)
         if key not in self._dirty:
             self._dirty[key] = old
-        if old is None:
-            bucket = self._tree.bucket_of(key_digest(key))
-            self._bucket_keys.setdefault(bucket, set()).add(key)
         self._entries[key] = entry
         self._index.set(key, entry.timestamp)
 
@@ -451,38 +510,53 @@ class ReplicaStore:
         entry = self._entries.pop(key)
         if key not in self._dirty:
             self._dirty[key] = entry
-        bucket = self._tree.bucket_of(key_digest(key))
-        keys = self._bucket_keys.get(bucket)
-        if keys is not None:
-            keys.discard(key)
-            if not keys:
-                del self._bucket_keys[bucket]
         self._index.discard(key)
 
-    def _flush_checksums(self) -> None:
-        """Fold every pending mutation into the checksum tree.
+    def _flush(self) -> None:
+        """Bring the checksum tree and the bucket membership up to date.
 
-        Runs as the tree's refresh hook, i.e. on the first checksum
-        read after a mutation.  Each dirty key contributes one delta —
-        old digest XOR current digest — so intermediate states of a
-        multiply-rewritten key cancel without ever being hashed.
+        Runs as the tree's refresh hook and before every read of
+        ``_bucket_keys``, i.e. on the first such read after a mutation.
+        Each dirty key is digested once; that one digest files a new
+        key in its bucket (or unfiles a dropped one) and prefixes both
+        entry digests of its delta — old XOR current, so intermediate
+        states of a multiply-rewritten key cancel without ever being
+        hashed.  Deltas are XORed together per bucket first, so the
+        tree is walked once per dirty bucket, not once per entry.
         """
         if not self._dirty:
             return
         dirty, self._dirty = self._dirty, {}
-        entries = self._entries
-        tree = self._tree
+        entries_get = self._entries.get
+        bucket_keys = self._bucket_keys
+        bucket_of = self._tree.bucket_of
+        deltas: Dict[int, int] = {}
         for key, old in dirty.items():
-            current = entries.get(key)
+            current = entries_get(key)
             if current is old:
                 continue
             kd = key_digest(key)
+            bucket = bucket_of(kd)
             delta = 0
-            if old is not None:
-                delta ^= entry_digest_with(kd, old.encode())
-            if current is not None:
+            if old is None:
+                keys = bucket_keys.get(bucket)
+                if keys is None:
+                    bucket_keys[bucket] = {key}
+                else:
+                    keys.add(key)
+            else:
+                delta = entry_digest_with(kd, old.encode())
+            if current is None:
+                keys = bucket_keys[bucket]
+                keys.discard(key)
+                if not keys:
+                    del bucket_keys[bucket]
+            else:
                 delta ^= entry_digest_with(kd, current.encode())
-            tree.apply(tree.bucket_of(kd), delta)
+            deltas[bucket] = deltas.get(bucket, 0) ^ delta
+        apply = self._tree.apply
+        for bucket, delta in deltas.items():
+            apply(bucket, delta)
 
     def snapshot(self) -> Dict[Hashable, Entry]:
         """A shallow copy of the active table (entries are immutable)."""

@@ -81,14 +81,47 @@ class TimestampIndex:
         order = (timestamp.time, timestamp.site, timestamp.sequence)
         pairs = self._pairs
         if pairs and order < pairs[-1][0]:
-            low = self._low
-            if low is None:
-                self._sorted_len = len(pairs)
-                self._low = order
-            elif order < low:
-                self._low = order
+            self._appending_behind(order)
         pairs.append((order, key, timestamp))
         if old is not None:
+            self._maybe_compact()
+
+    def _appending_behind(self, order: tuple) -> None:
+        """``order`` is about to be appended behind a larger one."""
+        low = self._low
+        if low is None:
+            self._sorted_len = len(self._pairs)
+            self._low = order
+        elif order < low:
+            self._low = order
+
+    def set_run(self, run: list) -> None:
+        """:meth:`set` for a run of ``(order, key, timestamp)`` pairs.
+
+        What a bulk apply hands over after merging a received update
+        list: the pairs as the index stores them, ``order`` already
+        built for the timestamp comparison that admitted the entry.
+        Leaves the index exactly as one :meth:`set` per pair would,
+        checking for compaction once at the end.
+        """
+        current = self._current
+        pairs = self._pairs
+        last = pairs[-1][0] if pairs else None
+        moved = 0
+        for pair in run:
+            order, key, timestamp = pair
+            old = current.get(key)
+            if old is not None:
+                if old is timestamp or old == timestamp:
+                    continue
+                moved += 1
+            current[key] = timestamp
+            if last is not None and order < last:
+                self._appending_behind(order)
+            pairs.append(pair)
+            last = order
+        if moved:
+            self._stale += moved
             self._maybe_compact()
 
     def discard(self, key: Hashable) -> None:

@@ -21,9 +21,9 @@ refused initiator *hunts* — redraws partners up to ``hunt_limit`` more
 times.
 
 Nothing here re-implements merge semantics: offers are resolved by the
-simulator's ``ExchangeSession`` and entries applied through
-``ReplicaStore.apply_update``, so the live runtime and the simulator
-cannot drift apart.  Update lists leave through one function
+simulator's ``ExchangeSession`` and every received update list is
+merged by one ``ReplicaStore.apply_updates`` call and accounted for as
+one batch, so the live runtime and the simulator cannot drift apart.  Update lists leave through one function
 (:meth:`GossipNode._update_payload`) and, outside an offer being
 resolved, come in through one (:meth:`GossipNode._absorb`).
 """
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import itertools
 import random
 import socket
 import time
@@ -157,8 +158,15 @@ class NodeStats:
 
     ``received`` maps each key to the wall-clock moment this node first
     learned news about it — the per-site receipt times from which the
-    demo harness computes the paper's ``t_ave``/``t_last`` delays.
+    demo harness computes the paper's ``t_ave``/``t_last`` delays.  It
+    grows with the store; STATUS and probe replies carry only
+    :meth:`recent_receipts`.
     """
+
+    #: Receipts a STATUS/probe reply carries.  The whole map is 30 bytes
+    #: a key: past the frame limit near 540 k keys, and a node that
+    #: cannot answer STATUS is not observable.
+    RECEIPTS_IN_STATUS = 1024
 
     def __init__(self, registry: Optional[MetricsRegistry] = None):
         self.registry = registry if registry is not None else MetricsRegistry()
@@ -184,6 +192,13 @@ class NodeStats:
             attr: self.registry.counter(name, help)
             for attr, (name, help) in _SCALAR_COUNTERS.items()
         }
+
+    def recent_receipts(self) -> Dict[str, float]:
+        """The newest ``RECEIPTS_IN_STATUS`` receipts, oldest first."""
+        newest = itertools.islice(
+            reversed(self.received.items()), self.RECEIPTS_IN_STATUS
+        )
+        return {str(key): t for key, t in reversed(list(newest))}
 
     def count_sent(self, kind: MessageType, n: int = 1) -> None:
         self._frames_sent.inc(n, type=kind.value)
@@ -949,7 +964,8 @@ class GossipNode:
             "node": self.node_id,
             "checksum": self.store.checksum,
             "entries": len(self.store),
-            "received": {str(key): t for key, t in stats.received.items()},
+            "received": stats.recent_receipts(),
+            "received_total": len(stats.received),
             "exchanges": stats.exchanges,
             "checksum_successes": stats.checksum_successes,
             "updates_shipped": stats.updates_shipped,
@@ -987,7 +1003,8 @@ class GossipNode:
                 "removed": max(entries - len(hot_keys), 0),
             },
             "hot_keys": hot_keys,
-            "received": {str(key): t for key, t in self.stats.received.items()},
+            "received": self.stats.recent_receipts(),
+            "received_total": len(self.stats.received),
             "config": {
                 "mode": self.config.mode.value,
                 "strategy": self.config.strategy,
@@ -1045,7 +1062,8 @@ class GossipNode:
         ``(update, result)`` pair, news or not."""
         updates, hops, sent_at = payload_update_list(payload)
         with self.profiler.phase("merge"):
-            applied = [(update, self.store.apply_update(update)) for update in updates]
+            results = self.store.apply_updates(updates)
+        applied = list(zip(updates, results))
         self._account(applied, src, hops, sent_at)
         return applied
 
@@ -1142,15 +1160,19 @@ class GossipNode:
     ) -> None:
         if now is None:
             now = time.time()
+        received = self.stats.received
+        has_sinks = self.bus.has_sinks
         for update in updates:
-            if update.key not in self.stats.received:
-                self.stats.received[update.key] = now
-                self.bus.emit(
-                    EventKind.NEWS_RECEIVED,
-                    node=self.node_id,
-                    time=now,
-                    key=str(update.key),
-                )
+            key = update.key
+            if key not in received:
+                received[key] = now
+                if has_sinks:
+                    self.bus.emit(
+                        EventKind.NEWS_RECEIVED,
+                        node=self.node_id,
+                        time=now,
+                        key=str(key),
+                    )
 
     def _peer_event(
         self, kind: str, info: PeerInfo, attempt: int, error: BaseException

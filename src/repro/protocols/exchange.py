@@ -187,17 +187,15 @@ class ExchangeSession:
             if pulls:
                 reply.send_back.append(StoreUpdate(key=key, entry=entry))
         reply.entries_examined = examined
-        for update in to_apply:
-            result = store.apply_entry(update.key, update.entry)
-            reply.applied.append(update)
-            reply.applied_results.append(result)
+        reply.applied = to_apply
+        reply.applied_results = store.apply_updates(to_apply)
         return reply
 
     def absorb(self, updates: Iterable[StoreUpdate]) -> List[StoreUpdate]:
         """Apply the responder's reply at the initiator; returns the news."""
-        return [
-            update for update in updates if self.store.apply_update(update).was_news
-        ]
+        updates = list(updates)
+        results = self.store.apply_updates(updates)
+        return [update for update, result in zip(updates, results) if result.was_news]
 
 
 def resolve_difference(
@@ -383,6 +381,7 @@ class HierarchicalChecksum(ExchangeStrategy):
         report.tree_comparisons = comparisons
         initiator = ExchangeSession(a, mode)
         responder = ExchangeSession(b, mode)
+        send_back: List[StoreUpdate] = []
         for bucket in dirty:
             offered = [
                 StoreUpdate(key=key, entry=entry)
@@ -391,8 +390,12 @@ class HierarchicalChecksum(ExchangeStrategy):
             reply = responder.respond(offered, scope=b.bucket_entries(bucket))
             report.entries_examined += reply.entries_examined
             report.sent_ab.extend(reply.applied)
-            report.sent_ba.extend(initiator.absorb(reply.send_back))
+            send_back.extend(reply.send_back)
             report.buckets_resolved += 1
+        # One reply for the whole conversation, as on the wire: buckets
+        # are disjoint, and a bucket read flushes the store's pending
+        # writes, so absorbing between reads would fold ``a`` per bucket.
+        report.sent_ba = initiator.absorb(send_back)
         return report
 
     def describe(self) -> str:

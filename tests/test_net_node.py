@@ -12,7 +12,10 @@ from typing import List
 
 import pytest
 
+from repro.core.items import VersionedValue
 from repro.core.serialize import encode_batch
+from repro.core.store import ReplicaStore, StoreUpdate
+from repro.core.timestamps import Timestamp
 from repro.net.membership import Membership
 from repro.net.node import GossipNode, NodeConfig
 from repro.net.peer import Peer, RetryPolicy
@@ -395,6 +398,79 @@ class TestSpanContextMapping:
         t1, t2, hops = asyncio.run(scenario())
         assert hops[t1] == 6  # u1's own context (5) + 1, never u2's
         assert hops[t2] == 1
+
+
+class TestAccounting:
+    """``_account``/``_note_news`` with and without an audience."""
+
+    @staticmethod
+    def _frame(node_id=1):
+        source = ReplicaStore(site_id=node_id)
+        first = source.update("k", 1)
+        updates = [first, source.update(("svc", "p"), 2), source.update("k", 3), first]
+        return updates, {"updates": encode_batch(updates, hops=[0, 2, None, 0], sent_at=1.0)}
+
+    def test_events_with_a_sink_attached_keep_kind_order_and_payload(self):
+        membership = Membership.localhost([1, 2])
+        node = GossipNode(0, membership, NodeConfig(**QUIET))
+        sink = node.bus.add_sink(RingBufferSink())
+        updates, payload = self._frame()
+        applied = node._absorb(payload, src=1)
+        assert [result.value for __, result in applied] == [
+            "applied", "applied", "applied", "stale"
+        ]
+        events = list(sink.events)
+        # One delivery span per row, in row order, then one news-received
+        # per key the node had not heard of, in first-arrival order.
+        assert [event.kind for event in events] == (
+            [EventKind.DELIVERY_SPAN] * 4 + [EventKind.NEWS_RECEIVED] * 2
+        )
+        spans = events[:4]
+        assert [span.payload["key"] for span in spans] == ["k", "('svc', 'p')", "k", "k"]
+        assert [span.payload["hop"] for span in spans] == [1, 3, None, 1]
+        assert [span.payload["first"] for span in spans] == [True, True, True, False]
+        assert [span.payload["result"] for span in spans] == [
+            "applied", "applied", "applied", "stale"
+        ]
+        assert [span.payload["trace"] for span in spans] == [
+            trace_id_of(update) for update in updates
+        ]
+        assert all(span.payload["src"] == 1 and span.payload["sent_at"] == 1.0 for span in spans)
+        news = events[4:]
+        assert [event.payload for event in news] == [{"key": "k"}, {"key": "('svc', 'p')"}]
+        stamped = {event.time for event in events}
+        assert stamped == {node.stats.received["k"]}  # one receipt time for the batch
+
+    def test_bookkeeping_without_a_sink_is_the_same_bookkeeping(self):
+        membership = Membership.localhost([1, 2])
+        watched = GossipNode(0, membership, NodeConfig(**QUIET))
+        watched.bus.add_sink(RingBufferSink())
+        unwatched = GossipNode(0, membership, NodeConfig(**QUIET))
+        for node in (watched, unwatched):
+            node._absorb(self._frame()[1], src=1)
+        assert unwatched.bus.emitted == 0
+        assert list(unwatched.stats.received) == list(watched.stats.received) == ["k", ("svc", "p")]
+        assert unwatched.stats.updates_absorbed == watched.stats.updates_absorbed == 3
+        assert unwatched.store.checksum == watched.store.checksum
+        assert len(unwatched._span_hops) == len(watched._span_hops) == 2
+
+    def test_an_awakened_certificate_is_announced_before_the_news(self):
+        membership = Membership.localhost([1, 2])
+        node = GossipNode(0, membership, NodeConfig(**QUIET))
+        node.store.delete("zombie", retention_sites=(0,))
+        assert node.store.sweep_certificates(tau1=-1.0).made_dormant == 1
+        sink = node.bus.add_sink(RingBufferSink())
+        obsolete = StoreUpdate("zombie", VersionedValue("old", Timestamp(1.0, 1, 0)))
+        fresh = ReplicaStore(site_id=1).update("other", 1)
+        applied = node._absorb({"updates": encode_batch([obsolete, fresh])}, src=1)
+        assert [result.value for __, result in applied] == ["resurrection-blocked", "applied"]
+        assert [(event.kind, event.payload.get("key")) for event in sink.events] == [
+            (EventKind.DELIVERY_SPAN, "zombie"),
+            (EventKind.DELIVERY_SPAN, "other"),
+            (EventKind.DEATH_CERT_ACTIVATED, "zombie"),
+            (EventKind.NEWS_RECEIVED, "zombie"),
+            (EventKind.NEWS_RECEIVED, "other"),
+        ]
 
 
 class TestStopClosesInboundConnections:

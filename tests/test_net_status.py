@@ -4,7 +4,10 @@
 import asyncio
 import json
 
-from repro.net.node import NodeConfig
+from repro.core.serialize import encode_batch
+from repro.core.store import ReplicaStore
+from repro.net.membership import Membership
+from repro.net.node import GossipNode, NodeConfig
 from repro.net.peer import RetryPolicy
 from repro.net.runner import LiveCluster, live_demo, query_status
 from repro.net.wire import (
@@ -121,6 +124,36 @@ class TestStatusOverTheWire:
         assert before["peers"] == 2 and before["_hot"] == 1
         # The one difference: the connection the frames arrived on.
         assert during == {**before, "_inbound_writers": before["_inbound_writers"] + 1}
+
+
+class TestStatusStaysSmall:
+    def test_a_node_that_learned_50000_keys_still_answers_in_one_small_frame(self):
+        """``received`` grows with the store; the replies must not, or
+        the node stops being observable near 540 k keys."""
+        node = GossipNode(0, Membership.localhost([1, 2]), NodeConfig())
+        source = ReplicaStore(site_id=1)
+        updates = [source.update(f"key-{index:07d}", index) for index in range(50_000)]
+        node._absorb({"updates": encode_batch(updates)}, src=1)
+        assert len(node.stats.received) == 50_000
+        for request in (
+            Message(MessageType.STATUS, sender=-1),
+            Message(MessageType.CHECKSUM, sender=-1, payload={"probe": True}),
+        ):
+            reply = node._dispatch(request)
+            assert len(encode_message(reply)) < 256 * 1024
+            assert reply.payload["received_total"] == 50_000
+            receipts = reply.payload["received"]
+            # The newest receipts, oldest of them first.
+            assert list(receipts) == [f"key-{index:07d}" for index in range(48_976, 50_000)]
+            assert receipts["key-0049999"] == node.stats.received["key-0049999"]
+
+    def test_a_small_node_reports_every_receipt(self):
+        node = GossipNode(0, Membership.localhost([1, 2]), NodeConfig())
+        node.inject("a", 1)
+        node.inject(("svc", "p"), 2)
+        payload = node.status_payload()
+        assert list(payload["received"]) == ["a", "('svc', 'p')"]
+        assert payload["received_total"] == 2
 
 
 class TestEventDrivenReport:
