@@ -188,8 +188,8 @@ class ChecksumTree:
 
     Two replicas with equal ``bucket_bits`` locate their differing
     buckets by comparing roots and recursing only into differing
-    children (:meth:`diff_buckets`); the wire protocol does the same
-    drill-down one frontier of nodes per round trip.
+    children (:meth:`diff_buckets`); an exchange does the same walk one
+    level per round trip (:meth:`compare`, :meth:`expand`).
 
     An owner maintaining the tree lazily (the :class:`ReplicaStore`
     defers digest folding until a checksum is actually read) registers a
@@ -229,14 +229,8 @@ class ChecksumTree:
     def is_leaf(self, node_id: int) -> bool:
         return node_id >= self.buckets
 
-    def bucket_of_leaf(self, node_id: int) -> int:
-        return node_id - self.buckets
-
     def children(self, node_id: int) -> Tuple[int, int]:
         return 2 * node_id, 2 * node_id + 1
-
-    def valid_node(self, node_id: int) -> bool:
-        return 1 <= node_id < 2 * self.buckets
 
     # -- values --------------------------------------------------------
 
@@ -296,6 +290,36 @@ class ChecksumTree:
                 stack.append(2 * node_id + 1)
                 stack.append(2 * node_id)
         return sorted(dirty), comparisons
+
+    def compare(self, nodes: Iterable[Tuple[int, int]]):
+        """One level of :meth:`diff_buckets`' walk, against a peer's
+        ``(node_id, value)`` pairs instead of its tree: ``(node_id, own
+        value)`` for the internal nodes that differ, and the buckets of
+        the leaves that do.  ``ValueError`` for a node id out of range."""
+        self.refresh()
+        mine, leaves = self._nodes, self.buckets
+        inner: List[Tuple[int, int]] = []
+        dirty: List[int] = []
+        for node_id, theirs in nodes:
+            if not 1 <= node_id < 2 * leaves:
+                raise ValueError(f"tree node {node_id} out of range")
+            own = mine[node_id]
+            if own == theirs:
+                continue  # that subtree is settled
+            if node_id < leaves:
+                inner.append((node_id, own))
+            else:
+                dirty.append(node_id - leaves)
+        return inner, dirty
+
+    def expand(self, nodes: Iterable[Tuple[int, int]]) -> List[Tuple[int, int]]:
+        """``(child_id, value)`` for both children of each internal
+        node in ``nodes`` — the next level a drill-down compares."""
+        self.refresh()
+        mine = self._nodes
+        return [
+            (child, mine[child]) for node, __ in nodes for child in (2 * node, 2 * node + 1)
+        ]
 
     def nonzero_buckets(self) -> Iterator[int]:
         """Buckets with a nonzero checksum (i.e. holding entries)."""

@@ -2,9 +2,9 @@
 
 Everything else in this repository runs inside the single-process
 deterministic simulator (``repro.sim``).  This package runs the *same*
-protocol logic — anti-entropy difference resolution via
-:class:`repro.protocols.exchange.ExchangeSession`, rumor mongering's
-feedback counters, direct mail — between asyncio TCP peers:
+protocol logic — the anti-entropy endpoints of
+:mod:`repro.protocols.exchange` that the simulator drives, rumor
+mongering's feedback counters, direct mail — between asyncio TCP peers:
 
 * :mod:`repro.net.wire` — length-prefixed JSON message framing;
 * :mod:`repro.net.membership` — the static peer roster (JSON/TOML);

@@ -4,12 +4,11 @@ A :class:`GossipNode` owns one :class:`~repro.core.store.ReplicaStore`
 (timestamped by wall-clock time) and runs, concurrently:
 
 * an **inbound server** answering PUSH / PULL_REQUEST / CHECKSUM /
-  RUMOR / MAIL frames from peers;
+  TREE / RUMOR / MAIL frames from peers;
 * a periodic **anti-entropy loop** — pick a partner (uniform or a
-  Section 3 spatial distribution over the roster), resolve differences
-  through the same :class:`~repro.protocols.exchange.ExchangeSession`
-  objects the simulator uses, with either the full-compare or the
-  checksum-plus-recent-updates strategy of Section 1.3;
+  Section 3 spatial distribution over the roster) and hold one
+  conversation of the configured Section 1.3 strategy (full compare,
+  checksum plus recent updates, hierarchical checksums) with it;
 * a faster **rumor loop** — hot rumors are pushed to random partners,
   and the ACK's was-news feedback drives the Section 1.4 counter: a
   rumor goes cold after ``k`` unnecessary pushes.
@@ -20,12 +19,17 @@ already in flight (the refusal is an ``ACK {"rejected": true}``), and a
 refused initiator *hunts* — redraws partners up to ``hunt_limit`` more
 times.
 
-Nothing here re-implements merge semantics: offers are resolved by the
-simulator's ``ExchangeSession`` and every received update list is
-merged by one ``ReplicaStore.apply_updates`` call and accounted for as
-one batch, so the live runtime and the simulator cannot drift apart.  Update lists leave through one function
-(:meth:`GossipNode._update_payload`) and, outside an offer being
-resolved, come in through one (:meth:`GossipNode._absorb`).
+**Who owns what.**  The anti-entropy strategies live in
+:mod:`repro.protocols.exchange` — what to send next, what to answer,
+what to apply, when a conversation is settled — as the endpoints the
+simulator runs in process.  This module is their other driver and holds
+no strategy logic: it turns each :class:`~repro.protocols.exchange.Frame`
+an endpoint produces into a wire message and back (:meth:`GossipNode._message`,
+:func:`_frame_of`), picks partners, retries, refuses when busy, and keeps
+the books — stats, events and profiler phases come from the conversation's
+report and the frames that passed.  Every update list leaves through
+:meth:`GossipNode._update_payload`, and every list merged here is
+accounted for as one batch by :meth:`GossipNode._account`.
 """
 
 from __future__ import annotations
@@ -65,10 +69,13 @@ from repro.net.wire import (
     payload_update_list,
     read_message,
 )
-from repro.protocols.base import ExchangeMode
-from repro.protocols.exchange import ExchangeSession
+from repro.protocols.base import ExchangeMode, entry_beats
+from repro.protocols.exchange import ExchangeError, ExchangeReport, Frame, respond, strategy_for
 
-_MODES_BY_VALUE = {mode.value: mode for mode in ExchangeMode}
+#: The frames that open or continue an anti-entropy conversation.
+_EXCHANGE_REQUESTS = frozenset(
+    {MessageType.PUSH, MessageType.PULL_REQUEST, MessageType.CHECKSUM, MessageType.TREE}
+)
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -143,6 +150,9 @@ _SCALAR_COUNTERS = {
         "repro_inbound_errors_total",
         "Inbound connections dropped on a malformed frame, a broken socket "
         "or a handler bug"),
+    "step_errors": (
+        "repro_step_errors_total",
+        "Gossip-loop steps that raised an unexpected exception (a bug)"),
 }
 
 
@@ -389,10 +399,19 @@ class GossipNode:
                 await step()
             except asyncio.CancelledError:
                 raise
-            except Exception:
-                # A single failed conversation must never kill the loop;
-                # failures are already counted in stats.
-                pass
+            except Exception as error:
+                # A step counts its own peer failures and refusals, so
+                # what arrives here is a bug.  It must not kill the
+                # loop, and it must not be silent: counted, and reported
+                # with its traceback, as ``_serve`` does for handlers.
+                self.stats.step_errors += 1
+                self.bus.emit(
+                    EventKind.STEP_ERROR,
+                    node=self.node_id,
+                    step=getattr(step, "__name__", repr(step)),
+                    error=type(error).__name__,
+                    detail=traceback.format_exc(),
+                )
 
     # ------------------------------------------------------------------
     # Client operations
@@ -466,194 +485,73 @@ class GossipNode:
                 async with self._budget:
                     with self.profiler.phase("exchange"):
                         accepted = await self._anti_entropy_with(peer)
-            except (PeerError, WireError):
+            except (PeerError, WireError, ExchangeError):
                 self.stats.peer_failures += 1
                 continue  # partner down: hunt for another, like a busy site
             if accepted:
                 self.stats.exchanges += 1
                 self.stats.exchange_seconds.observe(time.monotonic() - began)
                 return True
-            self.stats.rejections_out += 1
-            self.bus.emit(
-                EventKind.REJECTION,
-                node=self.node_id,
-                partner=partner_id,
-                direction="out",
-            )
         return False
 
     async def _anti_entropy_with(self, peer: Peer) -> bool:
-        """Returns False when the partner refused the conversation."""
-        mode = self.config.mode
-        shipped = received = 0
-        via = "full"
-        scope_buckets: Optional[List[int]] = None
-        if self.config.strategy == "checksum":
-            phase = await self._checksum_phase(peer, mode)
-            if phase is None:
-                return False  # refused
-            settled, shipped, received = phase
-            if settled:
-                self.stats.checksum_successes += 1
-                self._settled(peer, mode, "checksum", shipped, received)
-                return True
-            # Checksums still disagree: fall through to a full exchange.
-            via = "checksum+full"
-        elif self.config.strategy == "hierarchical":
-            walk = await self._tree_phase(peer, mode)
-            if walk is None:
-                return False  # refused
-            if walk == "mismatch":
-                # Bucket counts disagree; the trees don't line up.
-                via = "tree+full"
-            else:
-                dirty = walk
-                self.stats.dirty_buckets.observe(len(dirty))
-                if not dirty:
-                    self.stats.checksum_successes += 1
-                    self._settled(peer, mode, "tree", 0, 0)
-                    return True
-                scope_buckets = dirty
-                via = "tree"
-        session = ExchangeSession(self.store, mode)
-        if scope_buckets is None:
-            offered = session.offer()
-        else:
-            offered = [
-                update
-                for bucket in scope_buckets
-                for update in self.store.bucket_updates(bucket)
-            ]
-        request_type = (
-            MessageType.PUSH if mode.pushes else MessageType.PULL_REQUEST
-        )
-        fields = {"mode": mode.value, "updates": offered}
-        if scope_buckets is not None:
-            fields["buckets"] = scope_buckets
-            fields["bits"] = self.store.bucket_bits
-            self.stats.entries_avoided += max(0, len(self.store) - len(offered))
-        # A pull-only offer is read as a digest, never applied: untraced.
-        payload = self._update_payload(fields, traced=mode.pushes)
-        reply = await self._call(
-            peer,
-            Message(type=request_type, sender=self.node_id, payload=payload),
-        )
-        if _rejected(reply):
-            return False
-        sent = len(offered) if mode.pushes else 0
-        self.stats.updates_shipped += sent
-        shipped += sent
-        if reply.type is MessageType.PULL_REPLY:
-            received += len(self._absorb(reply.payload, peer.node_id))
-        if via == "tree":
-            # Resolved through the tree without a full comparison: the
-            # same success the checksum strategy counts, achieved with
-            # bucket-scoped traffic.
+        """Drive one conversation of the configured strategy with
+        ``peer``: encode each request the initiator yields, decode the
+        reply, resume it.  Returns False when the partner refused."""
+        config = self.config
+        mode = config.mode
+        hops = sent_at = None  # trace context of the reply being absorbed
+
+        def absorb(updates: List[StoreUpdate]) -> List[StoreUpdate]:
+            applied = self._merge(updates, peer.node_id, hops, sent_at)
+            return [update for update, result in applied if result.was_news]
+
+        conversation = strategy_for(config.strategy, config.tau).converse(self.store, mode, absorb)
+        entries = len(self.store)
+        try:
+            request = next(conversation)
+            while True:
+                reply = await self._call(peer, self._message(request))
+                if reply is None:
+                    return False
+                if request.kind == "tree":
+                    self.stats.tree_rounds += 1
+                elif request.kind != "pull-request":  # whose offer is a digest only
+                    self.stats.updates_shipped += len(request.fields["updates"])
+                answer, hops, sent_at = _frame_of(reply)
+                request = conversation.send(answer)
+        except StopIteration as settled:
+            report: ExchangeReport = settled.value
+        finally:
+            conversation.close()
+        if report.via.startswith("checksum"):
+            self.bus.emit(
+                EventKind.CHECKSUM_HIT if report.via == "checksum" else EventKind.CHECKSUM_MISS,
+                node=self.node_id,
+                partner=peer.node_id,
+            )
+        elif report.via == "tree":
+            self.stats.dirty_buckets.observe(report.buckets_resolved)
+            if report.buckets_resolved:
+                self.stats.entries_avoided += max(0, entries - report.wire_ab)
+        if not report.full_compare:
+            # Settled by checksums alone, or by a drill-down that shipped
+            # only the dirty buckets: no full comparison was paid for.
             self.stats.checksum_successes += 1
-        self._settled(peer, mode, via, shipped, received)
-        return True
-
-    def _settled(
-        self, peer: Peer, mode: ExchangeMode, via: str, shipped: int, received: int
-    ) -> None:
-        """One accepted anti-entropy conversation, fully accounted.
-
-        ``shipped``/``received`` count every entry that crossed the wire
-        in either direction, so summing ``exchange-settled`` events
-        reproduces the paper's update-traffic ``m`` exactly as the
-        per-node ``repro_updates_shipped_total`` counters do.
-        """
+        # Every entry that crossed the wire in either direction, so
+        # summing ``exchange-settled`` events reproduces the paper's
+        # update-traffic ``m`` exactly as the per-node
+        # ``repro_updates_shipped_total`` counters do.
         self.bus.emit(
             EventKind.EXCHANGE_SETTLED,
             node=self.node_id,
             partner=peer.node_id,
             mode=mode.value,
-            via=via,
-            shipped=shipped,
-            received=received,
+            via=report.via,
+            shipped=report.wire_ab,
+            received=report.wire_ba,
         )
-
-    async def _checksum_phase(
-        self, peer: Peer, mode: ExchangeMode
-    ) -> Optional[tuple]:
-        """Section 1.3's cheap first phase over the wire.
-
-        Returns ``(settled, shipped, received)`` — ``settled`` is True
-        when the checksums agree after exchanging recent update lists —
-        or ``None`` when the partner refused the conversation.
-        """
-        recent = self.store.recent_updates(self.config.tau) if mode.pushes else []
-        payload = self._update_payload(
-            {
-                "mode": mode.value,
-                "checksum": self.store.checksum,
-                "tau": self.config.tau,
-                "updates": recent,
-            },
-            traced=bool(recent),
-        )
-        reply = await self._call(
-            peer,
-            Message(type=MessageType.CHECKSUM, sender=self.node_id, payload=payload),
-        )
-        if _rejected(reply):
-            return None
-        if reply.type is not MessageType.CHECKSUM:
-            raise WireError(f"expected CHECKSUM reply, got {reply.type.value}")
-        self.stats.updates_shipped += len(recent)
-        incoming = self._absorb(reply.payload, peer.node_id)
-        theirs = reply.payload.get("checksum")
-        settled = isinstance(theirs, int) and theirs == self.store.checksum
-        self.bus.emit(
-            EventKind.CHECKSUM_HIT if settled else EventKind.CHECKSUM_MISS,
-            node=self.node_id,
-            partner=peer.node_id,
-        )
-        return settled, len(recent), len(incoming)
-
-    async def _tree_phase(self, peer: Peer, mode: ExchangeMode):
-        """Walk the checksum trees level by level over TREE frames.
-
-        Each round trip sends the differing nodes of one tree level with
-        this node's checksums; the peer answers with its children's
-        values for the internal nodes that differ, plus the buckets of
-        differing leaves.  Equal subtrees are pruned on both sides, so
-        traffic per round is proportional to the *difference*, and the
-        number of rounds to ``bucket_bits``.
-
-        Returns the sorted dirty-bucket list, ``"mismatch"`` when the
-        peer's bucket count differs from ours (caller falls back to a
-        full exchange), or ``None`` when the peer refused.
-        """
-        tree = self.store.checksum_tree
-        bits = self.store.bucket_bits
-        request = [[1, tree.root]]
-        dirty: List[int] = []
-        while request:
-            payload = {"mode": mode.value, "bits": bits, "nodes": request}
-            reply = await self._call(
-                peer,
-                Message(type=MessageType.TREE, sender=self.node_id, payload=payload),
-            )
-            if _rejected(reply):
-                return None
-            if reply.type is not MessageType.TREE:
-                raise WireError(f"expected TREE reply, got {reply.type.value}")
-            self.stats.tree_rounds += 1
-            if reply.payload.get("mismatch"):
-                return "mismatch"
-            dirty.extend(payload_bucket_list(reply.payload, "dirty"))
-            request = []
-            for node_id, theirs in payload_tree_nodes(reply.payload, "frontier"):
-                if not tree.valid_node(node_id):
-                    raise WireError(f"tree node {node_id} out of range")
-                if tree.node(node_id) == theirs:
-                    continue  # our subtree matches theirs: pruned
-                if tree.is_leaf(node_id):
-                    dirty.append(tree.bucket_of_leaf(node_id))
-                else:
-                    request.append([node_id, tree.node(node_id)])
-        return sorted(set(dirty))
+        return True
 
     # ------------------------------------------------------------------
     # Outbound: rumor mongering
@@ -668,29 +566,15 @@ class GossipNode:
         with self.profiler.phase("partner-selection"):
             partner_id = self._selector.choose(self.node_id, self._rng)
         peer = self.peers[partner_id]
-        payload = self._update_payload({"updates": updates})
+        message = self._message(Frame("rumor", {"updates": updates}))
         try:
             async with self._budget:
                 with self.profiler.phase("exchange"):
-                    reply = await self._call(
-                        peer,
-                        Message(
-                            type=MessageType.RUMOR,
-                            sender=self.node_id,
-                            payload=payload,
-                        ),
-                    )
+                    reply = await self._call(peer, message)
         except (PeerError, WireError):
             self.stats.peer_failures += 1
             return False
-        if _rejected(reply):
-            self.stats.rejections_out += 1
-            self.bus.emit(
-                EventKind.REJECTION,
-                node=self.node_id,
-                partner=partner_id,
-                direction="out",
-            )
+        if reply is None:
             return False
         self.stats.updates_shipped += len(updates)
         self.bus.emit(
@@ -717,7 +601,7 @@ class GossipNode:
 
     def _make_hot(self, update: StoreUpdate) -> None:
         existing = self._hot.get(update.key)
-        if existing is not None and not _beats(update, existing.update):
+        if existing is not None and not entry_beats(update.entry, existing.update.entry):
             return
         self._hot[update.key] = _HotRumor(update=update)
         self.stats.rumors_started += 1
@@ -794,129 +678,38 @@ class GossipNode:
         self._inbound_active += 1
         try:
             try:
-                if message.type in (MessageType.PUSH, MessageType.PULL_REQUEST):
-                    return self._handle_exchange(message)
-                if message.type is MessageType.CHECKSUM:
-                    return self._handle_checksum(message)
-                if message.type is MessageType.TREE:
-                    return self._handle_tree(message)
+                if message.type in _EXCHANGE_REQUESTS:
+                    return self._answer_exchange(message)
                 if message.type is MessageType.RUMOR:
                     return self._handle_rumor(message)
                 if message.type is MessageType.MAIL:
                     return self._handle_mail(message)
-            except (WireError, SerializeError) as error:
+            except (WireError, SerializeError, ExchangeError) as error:
                 return self._ack({"error": str(error)})
             return None  # ACKs need no answer
         finally:
             self._inbound_active -= 1
 
-    def _handle_exchange(self, message: Message) -> Message:
-        mode = _decode_mode(message.payload)
-        offered, hops, sent_at = payload_update_list(message.payload)
-        if message.type is MessageType.PULL_REQUEST:
-            # The offer is a digest only: never apply, only serve back.
-            mode = ExchangeMode.PULL
-        scope = self._exchange_scope(message.payload)
-        session = ExchangeSession(self.store, mode)
+    def _answer_exchange(self, message: Message) -> Message:
+        """One anti-entropy request in, the responder's reply out; what
+        the responder applied is accounted for as one batch."""
+        if message.type is MessageType.CHECKSUM and message.payload.get("probe"):
+            return self._ack(self._probe_payload())
+        request, hops, sent_at = _frame_of(message)
         with self.profiler.phase("merge"):
-            reply = session.respond(offered, scope=scope)
+            reply, applied, __ = respond(self.store, request, self.config.tau)
         if hops is not None:
-            # ``reply.applied`` holds the offered objects themselves, so
+            # ``applied`` holds the request's own update objects, so
             # identity pairs each applied version with its own hop — a
             # frame carrying two versions of one key must not hand
             # version A's context to version B.
-            hop_of = {id(u): hop for u, hop in zip(offered, hops)}
-            hops = [hop_of[id(u)] for u in reply.applied]
-        now = self._account(
-            list(zip(reply.applied, reply.applied_results)),
-            message.sender, hops, sent_at,
-        )
-        if mode.pulls:
-            self.stats.updates_shipped += len(reply.send_back)
-            return Message(
-                type=MessageType.PULL_REPLY,
-                sender=self.node_id,
-                payload=self._update_payload({"updates": reply.send_back}, now),
-            )
-        return self._ack({"applied": len(reply.applied)})
-
-    def _handle_checksum(self, message: Message) -> Message:
-        if message.payload.get("probe"):
-            return self._ack(self._probe_payload())
-        mode = _decode_mode(message.payload)
-        self._absorb(message.payload, message.sender)
-        tau = message.payload.get("tau", self.config.tau)
-        if not isinstance(tau, (int, float)) or isinstance(tau, bool) or tau <= 0:
-            raise WireError(f"bad tau {tau!r}")
-        recent = self.store.recent_updates(float(tau)) if mode.pulls else []
-        self.stats.updates_shipped += len(recent)
-        return Message(
-            type=MessageType.CHECKSUM,
-            sender=self.node_id,
-            payload=self._update_payload(
-                {"checksum": self.store.checksum, "updates": recent}
-            ),
-        )
-
-    def _exchange_scope(self, payload: Dict[str, Any]):
-        """The local ``(key, entry)`` scope of a bucket-limited offer.
-
-        An initiator that resolved differences through a TREE
-        drill-down scopes its PUSH to the dirty buckets; the responder
-        must then only send back entries from *those* buckets, or the
-        reply would ship (nearly) its whole table.  Returns ``None`` —
-        whole-store scope — for ordinary offers, and also when the
-        advertised bucket geometry does not match ours: resolving over
-        the full table is always correct, just not as cheap.
-        """
-        if "buckets" not in payload:
-            return None
-        buckets = payload_bucket_list(payload, "buckets")
-        if payload.get("bits") != self.store.bucket_bits:
-            return None
-        count = self.store.bucket_count
-        if any(bucket >= count for bucket in buckets):
-            raise WireError(f"bucket index out of range in {buckets!r}")
-        return [
-            pair for bucket in buckets for pair in self.store.bucket_entries(bucket)
-        ]
-
-    def _handle_tree(self, message: Message) -> Message:
-        """One level of a hierarchical-checksum drill-down.
-
-        The initiator sends ``(node_id, checksum)`` pairs from its tree;
-        for each that differs from ours we answer with our children's
-        values (internal nodes) or the bucket index (leaves).  Equal
-        nodes are dropped — that subtree is settled.
-        """
-        payload = message.payload
-        bits = payload.get("bits")
-        if bits != self.store.bucket_bits:
-            return Message(
-                type=MessageType.TREE,
-                sender=self.node_id,
-                payload={"bits": self.store.bucket_bits, "mismatch": True},
-            )
-        tree = self.store.checksum_tree
-        frontier: List[List[int]] = []
-        dirty: List[int] = []
-        for node_id, theirs in payload_tree_nodes(payload):
-            if not tree.valid_node(node_id):
-                raise WireError(f"tree node {node_id} out of range")
-            if tree.node(node_id) == theirs:
-                continue
-            if tree.is_leaf(node_id):
-                dirty.append(tree.bucket_of_leaf(node_id))
-            else:
-                left, right = tree.children(node_id)
-                frontier.append([left, tree.node(left)])
-                frontier.append([right, tree.node(right)])
-        self.stats.tree_rounds += 1
-        return Message(
-            type=MessageType.TREE,
-            sender=self.node_id,
-            payload={"bits": bits, "frontier": frontier, "dirty": dirty},
-        )
+            hop_of = {id(u): hop for u, hop in zip(request.fields["updates"], hops)}
+            hops = [hop_of[id(u)] for u, __ in applied]
+        now = self._account(applied, message.sender, hops, sent_at)
+        if message.type is MessageType.TREE:
+            self.stats.tree_rounds += 1
+        self.stats.updates_shipped += len(reply.fields.get("updates", ()))
+        return self._message(reply, now)
 
     def _handle_rumor(self, message: Message) -> Message:
         applied = self._absorb(message.payload, message.sender)
@@ -1020,11 +813,26 @@ class GossipNode:
     # Helpers
     # ------------------------------------------------------------------
 
-    async def _call(self, peer: Peer, message: Message) -> Message:
+    async def _call(self, peer: Peer, message: Message) -> Optional[Message]:
+        """One request/reply round trip; ``None`` when the partner
+        refused the conversation (counted, and reported)."""
         self.stats.count_sent(message.type)
         reply = await peer.call(message)
         self.stats.count_received(reply.type)
+        if reply.type is MessageType.ACK and reply.payload.get("rejected"):
+            self.stats.rejections_out += 1
+            self.bus.emit(
+                EventKind.REJECTION, node=self.node_id, partner=peer.node_id, direction="out"
+            )
+            return None
         return reply
+
+    def _message(self, frame: Frame, now: Optional[float] = None) -> Message:
+        """The wire message for one frame of a conversation."""
+        payload = frame.fields
+        if "updates" in payload:
+            payload = self._update_payload(payload, now, traced=frame.kind != "pull-request")
+        return Message(MessageType(frame.kind), self.node_id, payload)
 
     def wire_version(self, peer_id: int) -> int:
         """The wire version spoken with ``peer_id``: the one this build
@@ -1061,6 +869,10 @@ class GossipNode:
         from node ``src`` and account for it.  Returns every
         ``(update, result)`` pair, news or not."""
         updates, hops, sent_at = payload_update_list(payload)
+        return self._merge(updates, src, hops, sent_at)
+
+    def _merge(self, updates: List[StoreUpdate], src: int, hops, sent_at):
+        """Apply a decoded update list from ``src`` with its trace context."""
         with self.profiler.phase("merge"):
             results = self.store.apply_updates(updates)
         applied = list(zip(updates, results))
@@ -1186,18 +998,17 @@ class GossipNode:
         )
 
 
-def _rejected(reply: Message) -> bool:
-    return reply.type is MessageType.ACK and bool(reply.payload.get("rejected"))
-
-
-def _decode_mode(payload: Dict[str, Any]) -> ExchangeMode:
-    mode = _MODES_BY_VALUE.get(payload.get("mode"))
-    if mode is None:
-        raise WireError(f"bad exchange mode {payload.get('mode')!r}")
-    return mode
-
-
-def _beats(challenger: StoreUpdate, incumbent: StoreUpdate) -> bool:
-    from repro.protocols.base import entry_beats
-
-    return entry_beats(challenger.entry, incumbent.entry)
+def _frame_of(message: Message) -> Tuple[Frame, Optional[list], Optional[float]]:
+    """A decoded message as the frame the protocol endpoints read —
+    update lists, tree nodes and bucket lists as Python values — plus
+    the trace context ``(hops, sent_at)`` that rode in its batch."""
+    payload = message.payload
+    updates, hops, sent_at = payload_update_list(payload)
+    fields = {**payload, "updates": updates}
+    for field in ("nodes", "frontier"):
+        if field in payload:
+            fields[field] = payload_tree_nodes(payload, field)
+    for field in ("dirty", "buckets"):
+        if field in payload:
+            fields[field] = payload_bucket_list(payload, field)
+    return Frame(message.type.value, fields), hops, sent_at

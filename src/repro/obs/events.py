@@ -66,6 +66,7 @@ class EventKind(enum.Enum):
     PEER_RETRY = "peer-retry"
     PEER_FAILURE = "peer-failure"
     INBOUND_ERROR = "inbound-error"
+    STEP_ERROR = "step-error"
     # Workload (repro.workload): staleness-sampling reads and the
     # per-window steady-state summaries behind the curve outputs.
     READ_SAMPLED = "read-sampled"

@@ -22,27 +22,51 @@ objects:
 Every strategy leaves the two stores in agreement (for push-pull) and
 reports how much data had to cross the wire, which is what Tables 4 and
 5 distinguish as *compare traffic* vs *update traffic*.
+
+**Who owns what.**  This module owns each strategy's whole conversation,
+written once as two pure endpoints that exchange :class:`Frame` objects
+— the live runtime's frame types and field names carrying Python
+values, never bytes.  The *initiator* (``strategy.converse(store,
+mode)``) is a generator: it yields a request, is resumed with the
+reply, applies what that carries, and returns the
+:class:`ExchangeReport` once settled.  The *responder*
+(:func:`respond`) maps one request to one reply plus what it applied,
+validating every field before it applies anything.  A *driver* only
+moves frames: :func:`drive` hands each request object to the responder
+on the other store, ``repro.net.node.GossipNode`` carries them over
+TCP; nothing here imports the network runtime.  :class:`PeelBack` has
+no wire form and stays an in-process loop.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable, List, Tuple
+from typing import Any, Callable, Dict, Generator, Iterable, List, NamedTuple, Optional, Tuple
 
+from repro.core.checksum import ChecksumTree
 from repro.core.store import ApplyResult, ReplicaStore, StoreUpdate
 from repro.protocols.base import ExchangeMode, entry_beats
+
+Conversation = Generator["Frame", "Frame", "ExchangeReport"]
 
 
 @dataclasses.dataclass(slots=True)
 class ExchangeReport:
     """What one anti-entropy conversation cost and changed.
 
-    ``checksum_rounds`` counts whole-database checksum comparisons;
-    ``tree_comparisons`` counts checksum-tree node comparisons during a
-    hierarchical drill-down; ``buckets_resolved`` counts the dirty
-    buckets whose contents were exchanged.  ``full_compare`` is true
-    when any phase of the conversation fell back to comparing the
-    complete databases.
+    ``sent_ab``/``sent_ba`` are the updates that were *news* at the
+    responder / the initiator; ``wire_ab``/``wire_ba`` count every entry
+    an update list carried that way, news or not (a pull-only offer is a
+    digest, never applied, and not counted).  ``checksum_rounds`` counts
+    whole-database checksum comparisons; ``tree_comparisons`` counts
+    checksum-tree node comparisons as :meth:`ChecksumTree.diff_buckets`
+    does (the root once it differs, then two per differing internal
+    node); ``buckets_resolved`` counts the dirty buckets whose contents
+    were exchanged.  ``full_compare`` is true when any phase fell back
+    to comparing the complete databases, and ``via`` names the route:
+    ``full``, ``checksum``, ``checksum+full``, ``tree`` or ``tree+full``.
+    The initiator builds the report; :func:`drive` folds in what only
+    the responder knows (``sent_ab``, its share of ``entries_examined``).
     """
 
     sent_ab: List[StoreUpdate] = dataclasses.field(default_factory=list)
@@ -52,6 +76,9 @@ class ExchangeReport:
     tree_comparisons: int = 0
     buckets_resolved: int = 0
     full_compare: bool = False
+    wire_ab: int = 0
+    wire_ba: int = 0
+    via: str = "full"
 
     @property
     def updates_shipped(self) -> int:
@@ -62,16 +89,13 @@ class ExchangeReport:
         return bool(self.sent_ab or self.sent_ba)
 
     def merge(self, other: "ExchangeReport") -> "ExchangeReport":
-        """Fold a sub-conversation's report into this one.
-
-        Every strategy that chains phases (checksum-then-full,
-        tree-then-fallback) must aggregate through here so the
-        counters keep one consistent meaning: costs add, shipped lists
-        concatenate, and ``full_compare`` is sticky — if any phase paid
-        for a full comparison the conversation did.
-        """
+        """Fold another view of the same conversation into this one (in
+        :func:`drive`, the responder's): costs add, shipped lists
+        concatenate, ``full_compare`` is sticky, ``via`` stays."""
         self.sent_ab.extend(other.sent_ab)
         self.sent_ba.extend(other.sent_ba)
+        self.wire_ab += other.wire_ab
+        self.wire_ba += other.wire_ba
         self.entries_examined += other.entries_examined
         self.checksum_rounds += other.checksum_rounds
         self.tree_comparisons += other.tree_comparisons
@@ -97,13 +121,11 @@ class SessionReply:
 
 
 class ExchangeSession:
-    """One endpoint of an anti-entropy conversation, transport-agnostic.
+    """One side of a ResolveDifference round, transport-agnostic.
 
     The paper's ResolveDifference is a conversation between two sites;
-    this class is the difference-resolution logic of *one* side, with the
-    transport left to the caller.  The in-process simulator
-    (:func:`resolve_difference`) and the live TCP runtime
-    (``repro.net.node``) drive the same session objects, so the
+    this class is the difference-resolution logic of *one* side — what
+    the endpoints below run for the round every strategy ends in, so the
     last-writer-wins / death-certificate merge rules exist in exactly one
     place:
 
@@ -154,8 +176,8 @@ class ExchangeSession:
 
         ``scope`` restricts the local-only pass to the given
         ``(key, entry)`` pairs instead of the whole table.  A
-        hierarchical exchange resolves one hash bucket at a time, so the
-        responder must only send back entries from *that* bucket — the
+        hierarchical exchange resolves only the dirty hash buckets, so the
+        responder must only send back entries from *those* buckets — the
         rest of the store is out of the conversation's scope.  The scope
         iterable is consumed before any mutation is applied.
         """
@@ -198,6 +220,141 @@ class ExchangeSession:
         return [update for update, result in zip(updates, results) if result.was_news]
 
 
+class ExchangeError(ValueError):
+    """A frame a conversation cannot proceed on — a request the responder
+    refuses (bad mode or ``tau``, bucket or tree node out of range), a reply
+    the initiator did not ask for — raised before any of it is applied."""
+
+
+class Frame(NamedTuple):
+    """One message of a conversation: the live runtime's frame types and
+    payload field names, with Python values (``updates`` a list of
+    :class:`StoreUpdate`, ``nodes``/``frontier`` lists of ``(node_id,
+    checksum)`` pairs, ``dirty``/``buckets`` lists of ints)."""
+
+    kind: str
+    fields: Dict[str, Any]
+
+
+def _expect(reply: Frame, kind: str) -> None:
+    error = reply.fields.get("error")
+    if reply.kind != kind or error is not None:
+        detail = "" if error is None else f": {error}"
+        raise ExchangeError(f"expected {kind} reply, got {reply.kind}{detail}")
+
+
+def _take(report: ExchangeReport, reply: Frame, absorb: Callable) -> None:
+    """Merge the update list a reply carries at the initiator."""
+    updates = reply.fields.get("updates", [])
+    report.wire_ba += len(updates)
+    report.sent_ba.extend(absorb(updates))
+
+
+def _offer(
+    store: ReplicaStore, mode: ExchangeMode, absorb: Callable, report: ExchangeReport, buckets=None
+) -> Conversation:
+    """The ResolveDifference round every strategy ends in, added to its
+    ``report``: offer the table — or, after a drill-down, only
+    ``buckets`` — and merge what the partner sends back."""
+    fields: Dict[str, Any] = {"mode": mode.value}
+    if buckets is None:
+        fields["updates"] = ExchangeSession(store, mode).offer()
+        report.full_compare = True
+    else:
+        fields["updates"] = [
+            update for bucket in buckets for update in store.bucket_updates(bucket)
+        ]
+        fields["buckets"] = buckets
+        fields["bits"] = store.bucket_bits
+        report.buckets_resolved = len(buckets)
+    reply = yield Frame("push" if mode.pushes else "pull-request", fields)
+    if mode.pushes:
+        report.wire_ab += len(fields["updates"])
+    if mode.pulls:
+        _expect(reply, "pull-reply")
+        _take(report, reply, absorb)
+    else:
+        _expect(reply, "ack")
+    return report
+
+
+def _compare(tree: ChecksumTree, nodes: List[Tuple[int, int]]):
+    """:meth:`ChecksumTree.compare`, refusing a node id out of range."""
+    try:
+        return tree.compare(nodes)
+    except ValueError as error:
+        raise ExchangeError(str(error)) from None
+
+
+def respond(store: ReplicaStore, request: Frame, tau: Optional[float] = None):
+    """The responder: answer one request against ``store``.
+
+    Returns ``(reply, applied, examined)`` — the reply frame, the
+    ``(update, result)`` pairs answering applied here, and the entries
+    it examined.  Every field is validated before anything is applied,
+    and every list sent back is computed before the request's own
+    updates are merged: an update the request just delivered is never
+    echoed.  ``tau`` is the window for a CHECKSUM request naming none.
+    """
+    kind, fields = request
+    if kind == "tree":
+        if fields.get("bits") != store.bucket_bits:
+            # The trees do not line up node for node: refuse, not guess.
+            return Frame("tree", {"bits": store.bucket_bits, "mismatch": True}), [], 0
+        # For each of the initiator's nodes that differs here: this
+        # side's children (internal nodes) or the bucket (leaves).
+        tree = store.checksum_tree
+        inner, dirty = _compare(tree, fields.get("nodes", []))
+        reply = {"bits": store.bucket_bits, "frontier": tree.expand(inner), "dirty": dirty}
+        return Frame("tree", reply), [], 0
+    try:
+        mode = ExchangeMode(fields.get("mode"))
+    except ValueError:
+        raise ExchangeError(f"bad exchange mode {fields.get('mode')!r}") from None
+    updates = fields.get("updates", [])
+    if kind == "checksum":
+        tau = fields.get("tau", tau)
+        if not isinstance(tau, (int, float)) or isinstance(tau, bool) or not tau > 0:
+            raise ExchangeError(f"bad tau {tau!r}")
+        recent = store.recent_updates(float(tau)) if mode.pulls else []
+        applied = list(zip(updates, store.apply_updates(updates)))
+        return Frame("checksum", {"checksum": store.checksum, "updates": recent}), applied, 0
+    if kind == "pull-request":
+        # The offer is a digest only: never apply, only serve back.
+        mode = ExchangeMode.PULL
+    scope = None
+    if "buckets" in fields and fields.get("bits") == store.bucket_bits:
+        # A bucket-scoped offer is answered from those buckets only.
+        # With another bucket geometry the ids mean nothing here:
+        # resolving over the full table is always correct, just dearer.
+        buckets = fields["buckets"]
+        if buckets and not 0 <= min(buckets) <= max(buckets) < store.bucket_count:
+            raise ExchangeError(f"bucket index out of range in {buckets!r}")
+        scope = [pair for bucket in buckets for pair in store.bucket_entries(bucket)]
+    resolved = ExchangeSession(store, mode).respond(updates, scope=scope)
+    if mode.pulls:
+        reply = Frame("pull-reply", {"updates": resolved.send_back})
+    else:
+        reply = Frame("ack", {"applied": len(resolved.applied)})
+    applied = list(zip(resolved.applied, resolved.applied_results))
+    return reply, applied, resolved.entries_examined
+
+
+def drive(conversation: Conversation, b: ReplicaStore) -> ExchangeReport:
+    """The in-process driver: hand each request to the responder on
+    ``b`` as the object it is — nothing encoded, nothing copied."""
+    theirs = ExchangeReport()  # what only the responder's side knows
+    try:
+        request = next(conversation)
+        while True:
+            reply, applied, examined = respond(b, request)
+            theirs.entries_examined += examined
+            theirs.sent_ab.extend(update for update, result in applied if result.was_news)
+            request = conversation.send(reply)
+    except StopIteration as settled:
+        return settled.value.merge(theirs)
+
+
 def resolve_difference(
     a: ReplicaStore, b: ReplicaStore, mode: ExchangeMode = ExchangeMode.PUSH_PULL
 ) -> ExchangeReport:
@@ -206,27 +363,26 @@ def resolve_difference(
     push: entries where ``a`` is newer overwrite ``b``;
     pull: entries where ``b`` is newer overwrite ``a``;
     push-pull: both.
-
-    Implemented as an in-process drive of two :class:`ExchangeSession`
-    endpoints — the very objects the live TCP runtime runs over sockets.
     """
-    initiator = ExchangeSession(a, mode)
-    responder = ExchangeSession(b, mode)
-    reply = responder.respond(initiator.offer())
-    report = ExchangeReport(full_compare=True)
-    report.entries_examined = reply.entries_examined
-    report.sent_ab = reply.applied
-    report.sent_ba = initiator.absorb(reply.send_back)
-    return report
+    return FullCompare().exchange(a, b, mode)
 
 
 class ExchangeStrategy:
-    """Interface: perform one anti-entropy conversation between stores."""
+    """Interface: one anti-entropy conversation, as its initiator."""
 
-    def exchange(
-        self, a: ReplicaStore, b: ReplicaStore, mode: ExchangeMode
-    ) -> ExchangeReport:
+    def converse(
+        self, store: ReplicaStore, mode: ExchangeMode, absorb: Optional[Callable] = None
+    ) -> Conversation:
+        """The initiator's end on ``store``: yields requests, is resumed
+        with their replies, returns the report.  ``absorb`` merges a
+        received update list and returns the news in it; the default is
+        :meth:`ExchangeSession.absorb`, a driver that accounts for every
+        delivery (the TCP node) passes its own."""
         raise NotImplementedError
+
+    def exchange(self, a: ReplicaStore, b: ReplicaStore, mode: ExchangeMode) -> ExchangeReport:
+        """The whole conversation between two stores in this process."""
+        return drive(self.converse(a, mode), b)
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -235,8 +391,9 @@ class ExchangeStrategy:
 class FullCompare(ExchangeStrategy):
     """Always compare the complete databases."""
 
-    def exchange(self, a: ReplicaStore, b: ReplicaStore, mode: ExchangeMode) -> ExchangeReport:
-        return resolve_difference(a, b, mode)
+    def converse(self, store, mode, absorb=None):
+        absorb = absorb or ExchangeSession(store, mode).absorb
+        return _offer(store, mode, absorb, ExchangeReport())
 
     def describe(self) -> str:
         return "full-compare"
@@ -256,28 +413,32 @@ class ChecksumWithRecent(ExchangeStrategy):
             raise ValueError("tau must be positive")
         self.tau = tau
 
-    def exchange(self, a: ReplicaStore, b: ReplicaStore, mode: ExchangeMode) -> ExchangeReport:
-        report = ExchangeReport()
+    def converse(self, store, mode, absorb=None):
+        absorb = absorb or ExchangeSession(store, mode).absorb
+        report = ExchangeReport(checksum_rounds=1, via="checksum")
         # Phase 1: exchange recent update lists (bounded by the number
         # of updates in the last tau, not the database size).
-        recent_a = a.recent_updates(self.tau) if mode.pushes else []
-        recent_b = b.recent_updates(self.tau) if mode.pulls else []
-        report.entries_examined += len(recent_a) + len(recent_b)
-        for update in recent_a:
-            if b.apply_update(update).was_news:
-                report.sent_ab.append(update)
-        for update in recent_b:
-            if a.apply_update(update).was_news:
-                report.sent_ba.append(update)
-        # Phase 2: compare checksums.
-        report.checksum_rounds = 1
-        if a.checksum == b.checksum:
+        recent = store.recent_updates(self.tau) if mode.pushes else []
+        reply = yield Frame(
+            "checksum",
+            {
+                "mode": mode.value,
+                "checksum": store.checksum,
+                "tau": self.tau,
+                "updates": recent,
+            },
+        )
+        _expect(reply, "checksum")
+        report.wire_ab = len(recent)
+        _take(report, reply, absorb)
+        report.entries_examined = report.wire_ab + report.wire_ba
+        # Phase 2: compare checksums, both lists merged on both sides.
+        if reply.fields.get("checksum") == store.checksum:
             return report
-        # Phase 3: checksums disagree -> full database comparison.  The
-        # fallback's report is folded in via merge() so every counter —
-        # not just the ones this strategy happened to touch — stays
-        # consistent with what the conversation actually cost.
-        return report.merge(resolve_difference(a, b, mode))
+        # Phase 3: checksums disagree -> full database comparison, on
+        # the same report: costs add, and ``full_compare`` sticks.
+        report.via = "checksum+full"
+        return (yield from _offer(store, mode, absorb, report))
 
     def describe(self) -> str:
         return f"checksum+recent(tau={self.tau:g})"
@@ -368,34 +529,38 @@ class HierarchicalChecksum(ExchangeStrategy):
     than guessing at a mapping.
     """
 
-    def exchange(self, a: ReplicaStore, b: ReplicaStore, mode: ExchangeMode) -> ExchangeReport:
+    def converse(self, store, mode, absorb=None):
         if mode is not ExchangeMode.PUSH_PULL:
             raise ValueError("hierarchical checksum requires push-pull exchanges")
-        report = ExchangeReport()
-        report.checksum_rounds = 1
-        if a.checksum == b.checksum:
-            return report
-        if a.bucket_count != b.bucket_count:
-            return report.merge(resolve_difference(a, b, mode))
-        dirty, comparisons = a.checksum_tree.diff_buckets(b.checksum_tree)
-        report.tree_comparisons = comparisons
-        initiator = ExchangeSession(a, mode)
-        responder = ExchangeSession(b, mode)
-        send_back: List[StoreUpdate] = []
-        for bucket in dirty:
-            offered = [
-                StoreUpdate(key=key, entry=entry)
-                for key, entry in a.bucket_entries(bucket)
-            ]
-            reply = responder.respond(offered, scope=b.bucket_entries(bucket))
-            report.entries_examined += reply.entries_examined
-            report.sent_ab.extend(reply.applied)
-            send_back.extend(reply.send_back)
-            report.buckets_resolved += 1
-        # One reply for the whole conversation, as on the wire: buckets
-        # are disjoint, and a bucket read flushes the store's pending
-        # writes, so absorbing between reads would fold ``a`` per bucket.
-        report.sent_ba = initiator.absorb(send_back)
+        absorb = absorb or ExchangeSession(store, mode).absorb
+        report = ExchangeReport(checksum_rounds=1, via="tree")
+        tree = store.checksum_tree
+        # Walk down level by level: each round sends this side's values
+        # for the nodes still in dispute and learns the partner's
+        # children of those that differ.  Equal subtrees are pruned on
+        # both sides, so a round's size follows the difference and the
+        # number of rounds ``bucket_bits``.
+        nodes = [(1, tree.root)]
+        dirty: List[int] = []
+        while nodes:
+            request = {"mode": mode.value, "bits": store.bucket_bits, "nodes": nodes}
+            reply = yield Frame("tree", request)
+            _expect(reply, "tree")
+            if reply.fields.get("mismatch"):
+                # Bucket counts disagree; the trees don't line up.
+                report.via = "tree+full"
+                return (yield from _offer(store, mode, absorb, report))
+            frontier = reply.fields.get("frontier", [])
+            report.tree_comparisons += len(frontier)
+            dirty.extend(reply.fields.get("dirty", []))
+            nodes, leaves = _compare(tree, frontier)
+            dirty.extend(leaves)
+        if dirty:
+            report.tree_comparisons += 1  # the root: it differed
+            # One offer for the whole conversation: buckets are
+            # disjoint, and a bucket read flushes the store's pending
+            # writes, so resolving them one by one would fold per bucket.
+            yield from _offer(store, mode, absorb, report, sorted(set(dirty)))
         return report
 
     def describe(self) -> str:

@@ -43,7 +43,7 @@ from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.core.items import Entry
 from repro.core.store import ApplyResult, StoreUpdate
-from repro.protocols.base import ExchangeMode, Protocol
+from repro.protocols.base import ExchangeMode, Protocol, entry_beats
 from repro.sim.transport import ConnectionLedger, ConnectionPolicy, UNLIMITED
 from repro.topology.spatial import PartnerSelector, UniformSelector
 
@@ -169,7 +169,7 @@ class RumorMongeringProtocol(Protocol):
         """Install (or refresh) a hot rumor at a site."""
         rumors = self._hot[site_id]
         existing = rumors.get(update.key)
-        if existing is not None and not _beats(update.entry, existing.entry):
+        if existing is not None and not entry_beats(update.entry, existing.entry):
             return
         rumors[update.key] = _Rumor(
             entry=update.entry, counter=0, born_cycle=self.cluster.cycle
@@ -374,9 +374,3 @@ def _event(
         event = _CycleEvents()
         events[(site_id, key)] = event
     return event
-
-
-def _beats(challenger: Entry, incumbent: Entry) -> bool:
-    from repro.protocols.base import entry_beats
-
-    return entry_beats(challenger, incumbent)

@@ -8,6 +8,7 @@ is driven explicitly with ``run_anti_entropy_once`` /
 import asyncio
 import contextlib
 import socket
+import time
 from typing import List
 
 import pytest
@@ -15,7 +16,7 @@ import pytest
 from repro.core.items import VersionedValue
 from repro.core.serialize import encode_batch
 from repro.core.store import ReplicaStore, StoreUpdate
-from repro.core.timestamps import Timestamp
+from repro.core.timestamps import SimClock, Timestamp
 from repro.net.membership import Membership
 from repro.net.node import GossipNode, NodeConfig
 from repro.net.peer import Peer, RetryPolicy
@@ -29,6 +30,7 @@ from repro.net.wire import (
 from repro.obs.events import EventKind, RingBufferSink
 from repro.obs.spans import trace_id_of
 from repro.protocols.base import ExchangeMode
+from repro.protocols.exchange import ChecksumWithRecent
 
 #: Loops effectively disabled; fast failure detection.
 QUIET = dict(
@@ -136,6 +138,38 @@ class TestAntiEntropy:
         # table was shipped (Section 1.3's whole point).
         assert successes == 1
         assert value == "v"
+
+    def test_checksum_reply_does_not_echo_what_the_request_delivered(self):
+        """Only the initiator had news: five entries go one way and none
+        come back — the live responder used to merge the request's list
+        and then answer with it.  The simulator's conversation over the
+        same two stores reports the same two numbers."""
+
+        async def scenario():
+            async with cluster(2, strategy="checksum", tau=60.0) as (a, b):
+                sink = a.bus.add_sink(RingBufferSink())
+                for i in range(5):
+                    a.store.update(f"k{i}", i)
+                sim_a, sim_b = (
+                    ReplicaStore(site_id=site, clock=SimClock(site, time.time))
+                    for site in (0, 1)
+                )
+                for update in a.store.updates():
+                    sim_a.apply_update(update)
+                assert await a.run_anti_entropy_once()
+                (settled,) = sink.of_kind(EventKind.EXCHANGE_SETTLED)
+                return (
+                    settled.payload, b.stats.updates_shipped, a.stats.updates_absorbed,
+                    a.store.agrees_with(b.store), sim_a, sim_b,
+                )
+
+        settled, echoed, absorbed, agrees, sim_a, sim_b = asyncio.run(scenario())
+        assert agrees
+        assert (settled["via"], settled["shipped"], settled["received"]) == ("checksum", 5, 0)
+        assert echoed == 0 and absorbed == 0
+        report = ChecksumWithRecent(60.0).exchange(sim_a, sim_b, ExchangeMode.PUSH_PULL)
+        assert (report.via, report.wire_ab, report.wire_ba) == ("checksum", 5, 0)
+        assert (len(report.sent_ab), len(report.sent_ba)) == (5, 0)
 
     def test_dead_partner_is_a_counted_failure_not_a_crash(self):
         async def scenario():
@@ -324,6 +358,39 @@ class TestShutdown:
                 assert task.done()
 
         asyncio.run(scenario())
+
+    def test_periodic_survives_a_bug_and_reports_it(self):
+        """A step that raises something other than a peer failure is a
+        bug: the loop keeps stepping, and the exception is counted in
+        the registry and emitted with its traceback — not swallowed."""
+
+        async def scenario():
+            async with cluster(2) as (a, b):
+                sink = a.bus.add_sink(RingBufferSink())
+                steps = 0
+                twice = asyncio.Event()
+
+                async def run_buggy_once():
+                    nonlocal steps
+                    steps += 1
+                    if steps == 2:
+                        twice.set()
+                    raise KeyError("step bug")
+
+                task = asyncio.create_task(a._periodic(0.001, run_buggy_once))
+                await asyncio.wait_for(twice.wait(), timeout=5.0)
+                task.cancel()
+                with contextlib.suppress(asyncio.CancelledError):
+                    await asyncio.wait_for(task, timeout=5.0)
+                status = a.status_payload()["metrics"]["repro_step_errors_total"]
+                return a.stats.step_errors, status, sink.of_kind(EventKind.STEP_ERROR)
+
+        counted, family, events = asyncio.run(scenario())
+        assert counted >= 2 and len(events) == counted
+        assert sum(cell["value"] for cell in family["series"]) == counted
+        payload = events[0].payload
+        assert payload["step"] == "run_buggy_once" and payload["error"] == "KeyError"
+        assert "Traceback" in payload["detail"] and "step bug" in payload["detail"]
 
     def test_periodic_runs_on_py310_task_api(self, monkeypatch):
         """``Task.cancelling()`` is 3.11+ only.  On 3.10 the loops must

@@ -8,18 +8,23 @@ byte-for-byte the same database the simulator's
 """
 
 import asyncio
+import dataclasses
 import json
 import struct
+import time
+
+import pytest
 
 from repro.core.items import make_entry
 from repro.core.store import ReplicaStore
-from repro.core.timestamps import SequenceClock, Timestamp
+from repro.core.timestamps import SequenceClock, SimClock, Timestamp
 from repro.net.node import NodeConfig
 from repro.net.peer import RetryPolicy
 from repro.net.runner import LiveCluster
 from repro.net.wire import HEADER_BYTES
+from repro.obs.events import EventKind, RingBufferSink
 from repro.protocols.base import ExchangeMode
-from repro.protocols.exchange import HierarchicalChecksum
+from repro.protocols.exchange import HierarchicalChecksum, strategy_for
 
 # Loops effectively disabled: every exchange below is driven by hand,
 # so the assertions see exactly one conversation at a time.
@@ -207,3 +212,69 @@ class TestSimLiveEquivalence:
         assert avoided > 0
         # Live and sim runtimes converged to the same database.
         assert live_a == live_b == sim_a.snapshot() == sim_b.snapshot()
+
+    @pytest.mark.parametrize("deep", [False, True], ids=["recent", "deep"])
+    @pytest.mark.parametrize(
+        "strategy,mode",
+        [(name, mode) for name in ("full", "checksum") for mode in ExchangeMode]
+        + [("hierarchical", ExchangeMode.PUSH_PULL)],
+    )
+    def test_live_conversation_is_the_sim_conversation(self, strategy, mode, deep):
+        """Every strategy, every mode it allows: one divergent pair
+        merged by ``strategy.exchange`` and by two live nodes ends in the
+        same two databases, having put the same number of entries on the
+        wire and found the same number to be news, in each direction."""
+        now = time.time()
+        shared = [(f"key-{i}", i, ts(now - 900.0 + i, site=2)) for i in range(80)]
+        # Edits inside the checksum strategy's 30 s window on both sides
+        # (one of them a conflict b wins) ...
+        only_a = [("key-3", "a3", ts(now - 3.0, site=0)), ("fresh-a", "a", ts(now - 2.0, site=0))]
+        only_b = [("key-3", "b3", ts(now - 1.0, site=1)), ("fresh-b", "b", ts(now - 4.0, site=1))]
+        if deep:
+            # ... and, "deep", divergence older than the window, which
+            # sends the checksum strategy on to its full comparison.
+            only_a.append(("old-a", "a", ts(now - 800.0, site=0)))
+            only_b.append(("old-b", "b", ts(now - 700.0, site=1)))
+
+        sims = [
+            ReplicaStore(site_id=site, clock=SimClock(site=site, time_source=time.time))
+            for site in (0, 1)
+        ]
+        for store, own in zip(sims, (only_a, only_b)):
+            for key, value, stamp in shared + own:
+                store.apply_entry(key, make_entry(value, stamp))
+        report = strategy_for(strategy, tau=30.0).exchange(sims[0], sims[1], mode)
+
+        async def scenario():
+            config = dataclasses.replace(MANUAL, strategy=strategy, mode=mode, tau=30.0)
+            cluster = await LiveCluster.launch(2, config)
+            n0, n1 = cluster.nodes[0], cluster.nodes[1]
+            sink = n0.bus.add_sink(RingBufferSink())
+            try:
+                seed(n0, shared + only_a)
+                seed(n1, shared + only_b)
+                assert await n0.run_anti_entropy_once()
+                (settled,) = sink.of_kind(EventKind.EXCHANGE_SETTLED)
+                return (
+                    n0.store.snapshot(), n1.store.snapshot(), settled.payload,
+                    (n0.stats.updates_shipped, n1.stats.updates_shipped),
+                    (n1.stats.updates_absorbed, n0.stats.updates_absorbed),
+                    n0.stats.peer_failures + n1.stats.inbound_errors,
+                )
+            finally:
+                await cluster.stop()
+
+        live_a, live_b, settled, wire, news, damage = asyncio.run(scenario())
+        assert live_a == sims[0].snapshot() and live_b == sims[1].snapshot()
+        assert wire == (report.wire_ab, report.wire_ba)
+        assert news == (len(report.sent_ab), len(report.sent_ba))
+        assert (settled["via"], settled["shipped"], settled["received"]) == (
+            report.via, report.wire_ab, report.wire_ba,
+        )
+        assert damage == 0
+        if mode is ExchangeMode.PUSH_PULL:
+            assert live_a == live_b
+            if strategy == "checksum":
+                # (One-way modes leave the checksums apart whenever the
+                # other side had news, and always go on to compare.)
+                assert report.via == ("checksum+full" if deep else "checksum")

@@ -18,7 +18,13 @@ import struct
 import pytest
 
 from repro.core.items import DeathCertificate, VersionedValue
-from repro.core.serialize import SerializeError, dump_store, encode_updates, load_store
+from repro.core.serialize import (
+    SerializeError,
+    dump_store,
+    encode_batch,
+    encode_updates,
+    load_store,
+)
 from repro.core.store import ReplicaStore, StoreUpdate
 from repro.core.timestamps import Timestamp
 from repro.net.membership import Membership
@@ -115,6 +121,34 @@ class TestRefusedFrames:
             assert "expected an object, got list" in reply["payload"]["error"]
         assert replies[5]["type"] == "status"
         assert entries == 0 and counted == 0
+
+    @pytest.mark.parametrize(
+        "kind,payload,error",
+        [
+            ("checksum", {"mode": "push-pull", "checksum": 0, "tau": -1}, "bad tau -1"),
+            ("checksum", {"mode": "sideways", "checksum": 0}, "bad exchange mode 'sideways'"),
+            ("push", {"mode": "push-pull", "buckets": [64], "bits": 6}, "bucket index out of range"),
+            ("push", {"mode": "push-pull", "buckets": [-1], "bits": 6}, "expected bucket indexes"),
+            ("pull-request", {}, "bad exchange mode None"),
+            ("tree", {"bits": 6, "nodes": [[128, 0]]}, "tree node 128 out of range"),
+            ("tree", {"bits": 6, "nodes": [[1, 0], [1]]}, "expected [node_id, checksum] pairs"),
+        ],
+    )
+    def test_refused_request_applies_nothing(self, kind, payload, error):
+        """Validate, then mutate: a frame refused for one field has
+        had none of its updates merged (``tau`` used to be checked after
+        the frame's list was absorbed)."""
+        batch = encode_batch([StoreUpdate("k", VersionedValue("v", Timestamp(1.0, 9, 0)))])
+
+        async def scenario():
+            async with cluster(1) as (node,):
+                (reply,) = await raw_exchange(node, frame(kind, {**payload, "updates": batch}))
+                stats = node.stats
+                return reply, len(node.store), len(stats.received), stats.updates_absorbed
+
+        reply, entries, received, absorbed = asyncio.run(scenario())
+        assert reply["type"] == "ack" and error in reply["payload"]["error"]
+        assert (entries, received, absorbed) == (0, 0, 0)
 
 
 class RecordingProxy:
@@ -335,7 +369,7 @@ class TestNothingEscapesServe:
                 def broken(message):
                     raise RuntimeError("handler bug")
 
-                node._handle_tree = broken
+                node._answer_exchange = broken
                 request = Message(MessageType.TREE, CLIENT_ID, {"bits": 6, "nodes": []})
                 reader, writer = await asyncio.open_connection(
                     "127.0.0.1", node.membership.get(0).port
