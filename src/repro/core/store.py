@@ -197,6 +197,10 @@ class ReplicaStore:
         """The raw active entry for ``key`` (certificates included)."""
         return self._entries.get(key)
 
+    def entries_for(self, keys: Iterable[Hashable]) -> List[Entry | None]:
+        """:meth:`entry` for each of ``keys``, in one pass at C speed."""
+        return list(map(self._entries.get, keys))
+
     def dormant_certificate(self, key: Hashable) -> DeathCertificate | None:
         return self._dormant.get(key)
 
@@ -573,6 +577,8 @@ class ReplicaStore:
             return False
         for key, entry in self._entries.items():
             theirs = other._entries.get(key)
+            if theirs is entry:
+                continue  # stores in one process share the entries they ship
             if theirs is None or theirs.timestamp != entry.timestamp:
                 return False
             if entry.is_deletion != theirs.is_deletion:

@@ -502,9 +502,8 @@ class GossipNode:
         mode = config.mode
         hops = sent_at = None  # trace context of the reply being absorbed
 
-        def absorb(updates: List[StoreUpdate]) -> List[StoreUpdate]:
-            applied = self._merge(updates, peer.node_id, hops, sent_at)
-            return [update for update, result in applied if result.was_news]
+        def absorb(updates: List[StoreUpdate]) -> List[Tuple[StoreUpdate, ApplyResult]]:
+            return self._merge(updates, peer.node_id, hops, sent_at)
 
         conversation = strategy_for(config.strategy, config.tau).converse(self.store, mode, absorb)
         entries = len(self.store)

@@ -226,6 +226,8 @@ class AntiEntropyProtocol(Protocol):
         for key in keys:
             entry_s = snap_s.get(key)
             entry_p = snap_p.get(key)
+            if entry_s is entry_p:
+                continue  # one immutable object: neither side beats the other
             if mode.pushes and entry_beats(entry_s, entry_p):
                 update = StoreUpdate(key=key, entry=entry_s)
                 result = cluster.apply_at(partner_id, update, via=self, source=site_id)
@@ -260,16 +262,12 @@ class AntiEntropyProtocol(Protocol):
                 0, len(store_s) + len(store_p) - report.entries_examined
             )
         self.stats.bucket_rounds += report.buckets_resolved
-        for update in report.sent_ab:
-            cluster.notify_news(
-                partner_id, update, ApplyResult.APPLIED, via=self, source=site_id
-            )
-            self._fire_transfer(site_id, partner_id, update, ApplyResult.APPLIED)
-        for update in report.sent_ba:
-            cluster.notify_news(
-                site_id, update, ApplyResult.APPLIED, via=self, source=partner_id
-            )
-            self._fire_transfer(partner_id, site_id, update, ApplyResult.APPLIED)
+        for update, result in zip(report.sent_ab, report.results_ab):
+            cluster.notify_news(partner_id, update, result, via=self, source=site_id)
+            self._fire_transfer(site_id, partner_id, update, result)
+        for update, result in zip(report.sent_ba, report.results_ba):
+            cluster.notify_news(site_id, update, result, via=self, source=partner_id)
+            self._fire_transfer(partner_id, site_id, update, result)
         cluster.count_update_sends(site_id, partner_id, len(report.sent_ab))
         cluster.count_update_sends(partner_id, site_id, len(report.sent_ba))
         # Live exchanges resolve differences against current stores, so

@@ -41,9 +41,14 @@ no wire form and stays an in-process loop.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, Generator, Iterable, List, NamedTuple, Optional, Tuple
+from itertools import compress, filterfalse, starmap
+from operator import is_not
+from typing import (
+    Any, Callable, Dict, Generator, Hashable, Iterable, Iterator, List, NamedTuple, Optional, Tuple,
+)
 
 from repro.core.checksum import ChecksumTree
+from repro.core.items import Entry
 from repro.core.store import ApplyResult, ReplicaStore, StoreUpdate
 from repro.protocols.base import ExchangeMode, entry_beats
 
@@ -55,7 +60,10 @@ class ExchangeReport:
     """What one anti-entropy conversation cost and changed.
 
     ``sent_ab``/``sent_ba`` are the updates that were *news* at the
-    responder / the initiator; ``wire_ab``/``wire_ba`` count every entry
+    responder / the initiator, ``results_ab``/``results_ba`` what the
+    receiving store made of each (parallel lists: a value that woke a
+    dormant death certificate is news too, but not ``APPLIED``);
+    ``wire_ab``/``wire_ba`` count every entry
     an update list carried that way, news or not (a pull-only offer is a
     digest, never applied, and not counted).  ``checksum_rounds`` counts
     whole-database checksum comparisons; ``tree_comparisons`` counts
@@ -79,6 +87,8 @@ class ExchangeReport:
     wire_ab: int = 0
     wire_ba: int = 0
     via: str = "full"
+    results_ab: List[ApplyResult] = dataclasses.field(default_factory=list)
+    results_ba: List[ApplyResult] = dataclasses.field(default_factory=list)
 
     @property
     def updates_shipped(self) -> int:
@@ -94,6 +104,8 @@ class ExchangeReport:
         concatenate, ``full_compare`` is sticky, ``via`` stays."""
         self.sent_ab.extend(other.sent_ab)
         self.sent_ba.extend(other.sent_ba)
+        self.results_ab.extend(other.results_ab)
+        self.results_ba.extend(other.results_ba)
         self.wire_ab += other.wire_ab
         self.wire_ba += other.wire_ba
         self.entries_examined += other.entries_examined
@@ -118,6 +130,34 @@ class SessionReply:
     send_back: List[StoreUpdate] = dataclasses.field(default_factory=list)
     entries_examined: int = 0
     applied_results: List[ApplyResult] = dataclasses.field(default_factory=list)
+
+
+class TableOffer:
+    """The whole-table offer: the initiator's ``key -> entry`` table as
+    it stood when offered (one dict copy; the entries themselves are
+    immutable and shared).
+
+    It has the length of the update list it stands for and iterates as
+    that list's :class:`StoreUpdate` rows, in store order — built on
+    first use and kept, for a driver that writes the offer to a wire.
+    In process nobody reads them: :meth:`ExchangeSession.respond`
+    settles the table against the responder's and builds a row only for
+    an entry the two stores do not share.
+    """
+
+    __slots__ = ("table", "_rows")
+
+    def __init__(self, table: Dict[Hashable, Entry]):
+        self.table = table
+        self._rows: Optional[List[StoreUpdate]] = None
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+    def __iter__(self) -> Iterator[StoreUpdate]:
+        if self._rows is None:
+            self._rows = list(starmap(StoreUpdate, self.table.items()))
+        return iter(self._rows)
 
 
 class ExchangeSession:
@@ -145,7 +185,7 @@ class ExchangeSession:
         self.store = store
         self.mode = mode
 
-    def offer(self) -> List[StoreUpdate]:
+    def offer(self) -> TableOffer:
         """The initiator's opening message: its full active table.
 
         Even a pull-only exchange sends the table — the responder needs
@@ -153,13 +193,11 @@ class ExchangeSession:
         exactly the "one full copy crosses the network" cost Section 1.3's
         cheaper strategies exist to avoid).
 
-        Entries go out in store order, which is deterministic under the
-        simulator's seeded execution; the merge below is per-key, so no
-        sort is needed.
+        The offer is a snapshot taken now, in store order, which is
+        deterministic under the simulator's seeded execution; the merge
+        below is per-key, so no sort is needed.
         """
-        return [
-            StoreUpdate(key=key, entry=entry) for key, entry in self.store.entries()
-        ]
+        return TableOffer(self.store.snapshot())
 
     def respond(
         self,
@@ -168,11 +206,16 @@ class ExchangeSession:
     ) -> SessionReply:
         """Resolve the initiator's offer against the local store.
 
-        Single pass over the offer plus one over the local-only keys,
-        probing the store directly instead of materializing both tables
-        and sorting their key union.  Mutations are deferred until every
-        decision is made, so each key is judged against the
-        pre-exchange state of the store exactly as before.
+        Entries are immutable and stores in one process share the ones
+        they ship, so the offer is settled by identity first: an offered
+        entry that *is* the object held here beats nothing and is beaten
+        by nothing.  Two passes at C speed find the rows that are not —
+        every row of an offer decoded from a wire — and only those meet
+        the last-writer-wins / death-certificate judgement, each against
+        the pre-exchange state of the store: mutations are deferred
+        until every decision is made.  A third pass serves the local
+        entries the offer does not name.  Every offered row still counts
+        as examined: the table was compared, only faster.
 
         ``scope`` restricts the local-only pass to the given
         ``(key, entry)`` pairs instead of the whole table.  A
@@ -184,40 +227,38 @@ class ExchangeSession:
         store = self.store
         pushes = self.mode.pushes
         pulls = self.mode.pulls
+        table = offered.table if isinstance(offered, TableOffer) else None
+        if table is not None:
+            rows, keys, entries, named = table.items(), table.keys(), table.values(), table
+        else:
+            rows = list(offered)
+            keys = [update.key for update in rows]
+            entries = [update.entry for update in rows]
+            named = set(keys)
+        held = store.entries_for(keys)
+        unshared = list(map(is_not, held, entries))
+        rows = compress(rows, unshared)
+        if table is not None:
+            rows = starmap(StoreUpdate, rows)  # a list offer's rows are the request's own objects
         reply = SessionReply()
-        offered_keys = set()
-        to_apply: List[StoreUpdate] = []
-        examined = 0
-        # Bound-method hoists: this loop runs once per offered entry in
-        # every conversation (perfbench's session_us_per_entry).
-        probe = store.entry
-        note_offered = offered_keys.add
-        for update in offered:
-            key = update.key
-            note_offered(key)
-            local = probe(key)
-            examined += 1
+        for update, local in zip(rows, compress(held, unshared)):
             if pushes and entry_beats(update.entry, local):
-                to_apply.append(update)
+                reply.applied.append(update)
             elif pulls and entry_beats(local, update.entry):
-                reply.send_back.append(StoreUpdate(key=key, entry=local))
-        local_entries = store.entries() if scope is None else scope
-        for key, entry in local_entries:
-            if key in offered_keys:
-                continue
-            examined += 1
-            if pulls:
-                reply.send_back.append(StoreUpdate(key=key, entry=entry))
-        reply.entries_examined = examined
-        reply.applied = to_apply
-        reply.applied_results = store.apply_updates(to_apply)
+                reply.send_back.append(StoreUpdate(update.key, local))
+        local_keys = store.keys() if scope is None else [key for key, __ in scope]
+        local_only = list(filterfalse(named.__contains__, local_keys))
+        if pulls:
+            reply.send_back.extend(map(StoreUpdate, local_only, store.entries_for(local_only)))
+        reply.entries_examined = len(keys) + len(local_only)
+        reply.applied_results = store.apply_updates(reply.applied)
         return reply
 
-    def absorb(self, updates: Iterable[StoreUpdate]) -> List[StoreUpdate]:
-        """Apply the responder's reply at the initiator; returns the news."""
+    def absorb(self, updates: Iterable[StoreUpdate]) -> List[Tuple[StoreUpdate, ApplyResult]]:
+        """Apply the responder's reply at the initiator; returns every
+        ``(update, result)`` pair, news or not."""
         updates = list(updates)
-        results = self.store.apply_updates(updates)
-        return [update for update, result in zip(updates, results) if result.was_news]
+        return list(zip(updates, self.store.apply_updates(updates)))
 
 
 class ExchangeError(ValueError):
@@ -243,11 +284,23 @@ def _expect(reply: Frame, kind: str) -> None:
         raise ExchangeError(f"expected {kind} reply, got {reply.kind}{detail}")
 
 
+def _file_news(
+    sent: List[StoreUpdate],
+    results: List[ApplyResult],
+    applied: Iterable[Tuple[StoreUpdate, ApplyResult]],
+) -> None:
+    """File the news among ``applied`` on one direction of a report."""
+    for update, result in applied:
+        if result.was_news:
+            sent.append(update)
+            results.append(result)
+
+
 def _take(report: ExchangeReport, reply: Frame, absorb: Callable) -> None:
     """Merge the update list a reply carries at the initiator."""
     updates = reply.fields.get("updates", [])
     report.wire_ba += len(updates)
-    report.sent_ba.extend(absorb(updates))
+    _file_news(report.sent_ba, report.results_ba, absorb(updates))
 
 
 def _offer(
@@ -349,7 +402,7 @@ def drive(conversation: Conversation, b: ReplicaStore) -> ExchangeReport:
         while True:
             reply, applied, examined = respond(b, request)
             theirs.entries_examined += examined
-            theirs.sent_ab.extend(update for update, result in applied if result.was_news)
+            _file_news(theirs.sent_ab, theirs.results_ab, applied)
             request = conversation.send(reply)
     except StopIteration as settled:
         return settled.value.merge(theirs)
@@ -375,9 +428,9 @@ class ExchangeStrategy:
     ) -> Conversation:
         """The initiator's end on ``store``: yields requests, is resumed
         with their replies, returns the report.  ``absorb`` merges a
-        received update list and returns the news in it; the default is
-        :meth:`ExchangeSession.absorb`, a driver that accounts for every
-        delivery (the TCP node) passes its own."""
+        received update list and returns its ``(update, result)`` pairs;
+        the default is :meth:`ExchangeSession.absorb`, a driver that
+        accounts for every delivery (the TCP node) passes its own."""
         raise NotImplementedError
 
     def exchange(self, a: ReplicaStore, b: ReplicaStore, mode: ExchangeMode) -> ExchangeReport:
@@ -486,13 +539,11 @@ class PeelBack(ExchangeStrategy):
             while pending_a is not None and pending_a.timestamp == batch_ts:
                 update, pending_a = pending_a, next(stream_a, None)
                 report.entries_examined += 1
-                if b.apply_update(update).was_news:
-                    report.sent_ab.append(update)
+                _file_news(report.sent_ab, report.results_ab, [(update, b.apply_update(update))])
             while pending_b is not None and pending_b.timestamp == batch_ts:
                 update, pending_b = pending_b, next(stream_b, None)
                 report.entries_examined += 1
-                if a.apply_update(update).was_news:
-                    report.sent_ba.append(update)
+                _file_news(report.sent_ba, report.results_ba, [(update, a.apply_update(update))])
             report.checksum_rounds += 1
             if a.checksum == b.checksum:
                 return report

@@ -3,9 +3,13 @@
 import pytest
 
 from repro.cluster.cluster import Cluster
+from repro.core.items import VersionedValue
+from repro.core.timestamps import Timestamp
+from repro.obs.events import EventKind, RingBufferSink
 from repro.protocols.anti_entropy import AntiEntropyConfig, AntiEntropyProtocol
 from repro.protocols.base import ExchangeMode
 from repro.protocols.deathcerts import CertificatePolicy, DeathCertificateManager
+from repro.protocols.exchange import FullCompare, HierarchicalChecksum
 from repro.protocols.rumor import RumorConfig, RumorMongeringProtocol
 
 
@@ -136,6 +140,42 @@ class TestDormantLifecycle:
         assert rumor.is_infective(retention_site, "x")
         cluster.run_until(lambda: not rumor.active, max_cycles=100)
         assert all(v is None for v in cluster.values_of("x").values())
+
+
+class TestLiveExchangeHandsOnTheRealResult:
+    """A live exchange (``synchronous=False``) that wakes a dormant
+    certificate must say so: the manager counts and re-announces an
+    awakening only when told ``RESURRECTION_BLOCKED``, as the
+    synchronous path and the TCP node already tell it."""
+
+    @pytest.mark.parametrize("strategy", [FullCompare(), HierarchicalChecksum()], ids=type)
+    def test_an_awakened_certificate_is_counted_announced_and_emitted(self, strategy):
+        cluster = Cluster(n=2, seed=0)
+        events = RingBufferSink()
+        cluster.bus.add_sink(events)
+        rumor = RumorMongeringProtocol(RumorConfig(mode=ExchangeMode.PUSH_PULL, k=3))
+        manager = DeathCertificateManager(CertificatePolicy(tau1=5.0, tau2=500.0))
+        cluster.add_protocol(rumor)
+        cluster.add_protocol(manager)
+        holder = cluster.sites[1].store
+        holder.delete("k", retention_sites=(1,))
+        cluster.run_cycles(7)  # swept past tau1: dormant at its retention site
+        assert holder.entry("k") is None and holder.dormant_certificate("k") is not None
+        cluster.sites[0].store.apply_entry("k", VersionedValue("zombie", Timestamp(-1.0, 0, 0)))
+        cluster.add_protocol(
+            AntiEntropyProtocol(
+                config=AntiEntropyConfig(mode=ExchangeMode.PUSH_PULL, synchronous=False),
+                strategy=strategy,
+            )
+        )
+        cluster.run_cycle()
+        assert holder.entry("k").is_deletion  # the reactivated certificate
+        assert manager.stats.reactivations == 1
+        assert rumor.is_infective(1, "k")
+        (event,) = events.of_kind(EventKind.DEATH_CERT_ACTIVATED)
+        assert (event.node, event.payload["key"]) == (1, "k")
+        cluster.run_until(cluster.converged, max_cycles=20)
+        assert all(value is None for value in cluster.values_of("k").values())
 
 
 class TestScenarioDrivers:
