@@ -24,13 +24,15 @@ checkpoint holds.  The **batch** (:func:`encode_batch`) holds the same
 updates as one list per field and is what crosses the wire: a bulk
 anti-entropy transfer moves tens of thousands of entries in one frame,
 where the nested form costs the frame codec ~24 objects per update and
-the columnar one 5 scalars.  Both decode to the same
-:class:`StoreUpdate` lists under the same strictness.
+the columnar one 5 scalars.  Both decode to the same updates under the
+same strictness: the row form to a list of :class:`StoreUpdate` rows,
+the batch to an :class:`UpdateList` of columns, one timestamp and one
+entry per row and no row object.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, Iterable, List, Sequence, Tuple
+from typing import Any, Dict, Hashable, Iterable, List, Tuple
 
 from repro.core.checksum import encode_key as encode_key  # canonical key codec
 from repro.core.items import (
@@ -40,7 +42,7 @@ from repro.core.items import (
     VersionedValue,
     validate_key,
 )
-from repro.core.store import ReplicaStore, StoreUpdate
+from repro.core.store import ReplicaStore, StoreUpdate, UpdateList
 from repro.core.timestamps import Timestamp
 
 FORMAT_VERSION = 1
@@ -177,11 +179,12 @@ def decode_updates(payload: Any) -> List[StoreUpdate]:
 
 
 def encode_batch(
-    updates: Sequence[StoreUpdate],
+    updates: Iterable[StoreUpdate],
     hops: List[int | None] | None = None,
     sent_at: float | None = None,
 ) -> Dict[str, Any]:
-    """An update list as columns — the shape every wire frame carries.
+    """An update list — an :class:`UpdateList`, read column by column,
+    or a list of rows — as columns: the shape every wire frame carries.
 
     ``{"n", "keys", "values", "times", "sites", "seqs", "certs",
     "hops", "sent_at"}``: one plain list per field instead of one nested
@@ -195,7 +198,8 @@ def encode_batch(
     ``Timestamp.encode`` feeds ``repr(time)`` into the checksum, so an
     ``int`` time must arrive an ``int``.
     """
-    entries = [update.entry for update in updates]
+    columns = UpdateList.of(updates)
+    entries = columns.entries
     stamps = [entry.timestamp for entry in entries]
     values = [entry.value for entry in entries]
     certs = []
@@ -209,8 +213,8 @@ def encode_batch(
                      list(entry.retention_sites)]
                 )
     batch = {
-        "n": len(entries),
-        "keys": [update.key for update in updates],
+        "n": len(columns),
+        "keys": list(columns.keys),
         "values": values,
         "times": [stamp.time for stamp in stamps],
         "sites": [stamp.site for stamp in stamps],
@@ -241,9 +245,10 @@ def _column(batch: Dict[str, Any], field: str, count: int, types=None) -> list:
     return column
 
 
-def decode_batch(batch: Any) -> List[StoreUpdate]:
+def decode_batch(batch: Any) -> UpdateList:
     """Decode :func:`encode_batch` output, exactly as strictly as
-    :func:`decode_updates` decodes the row form."""
+    :func:`decode_updates` decodes the row form, into columns: one
+    :class:`Timestamp` and one entry per row, no :class:`StoreUpdate`."""
     count = _require(batch, "n", "update batch")
     if type(count) is not int or count < 0:
         raise SerializeError(f"update batch: n must be a count, got {count!r}")
@@ -278,7 +283,7 @@ def decode_batch(batch: Any) -> List[StoreUpdate]:
             decode_timestamp({"time": time, "site": site, "seq": seq}),
             retention,
         )
-    return list(map(StoreUpdate, keys, entries))
+    return UpdateList(keys, entries)
 
 
 def batch_trace_context(

@@ -14,8 +14,9 @@ database (in Clearinghouse terms, one *domain*):
 
 The store is deliberately independent of any protocol or simulator: the
 epidemic protocols hand it what they received from peers — a whole
-update list through :meth:`ReplicaStore.apply_updates`, a single entry
-through :meth:`ReplicaStore.apply_entry` — and interpret the returned
+update list (an :class:`UpdateList` of columns, or rows) through
+:meth:`ReplicaStore.apply_updates`, a single entry through
+:meth:`ReplicaStore.apply_entry` — and interpret the returned
 :class:`ApplyResult` values.
 
 Writes touch only the entry table, the dirty map and the timestamp
@@ -28,7 +29,8 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Any, Dict, Hashable, Iterable, Iterator, List, Tuple
+from operator import attrgetter
+from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.checksum import (
     ChecksumTree,
@@ -80,6 +82,67 @@ class StoreUpdate:
     @property
     def timestamp(self) -> Timestamp:
         return self.entry.timestamp
+
+
+_KEY_AND_ENTRY = attrgetter("key", "entry")
+
+
+class UpdateList:
+    """An update list as two parallel columns, ``keys`` and ``entries``.
+
+    The one form in which entries move in bulk: ``decode_batch`` returns
+    one, ``encode_batch``, :meth:`ReplicaStore.apply_updates` and the
+    exchange endpoints read its columns, and a whole-table offer is one
+    over a snapshot dict (as its key column) and its ``values()`` view.
+    A column is anything that iterates in row order and has the list's
+    length.  It has the list's
+    length and iterates as its :class:`StoreUpdate` rows — built on
+    first use and kept, for a caller that reads rows (a delivery span, a
+    transfer hook); the bulk paths never do, so a catch-up builds none.
+    Only an instance over lists may be extended.
+    """
+
+    __slots__ = ("keys", "entries", "_rows")
+
+    def __init__(self, keys=None, entries=None):
+        self.keys = [] if keys is None else keys
+        self.entries = [] if entries is None else entries
+        self._rows: Optional[List[StoreUpdate]] = None
+
+    @classmethod
+    def of(cls, updates: Iterable[StoreUpdate]) -> "UpdateList":
+        """``updates`` as columns: an :class:`UpdateList` itself, any
+        other update list with its rows kept as they are."""
+        if isinstance(updates, UpdateList):
+            return updates
+        rows = list(updates)
+        columns = cls([update.key for update in rows], [update.entry for update in rows])
+        columns._rows = rows
+        return columns
+
+    def extend(self, keys: Iterable[Hashable], entries: Iterable[Entry]) -> None:
+        """Append rows given as two columns of equal length."""
+        self.keys.extend(keys)
+        self.entries.extend(entries)
+        self._rows = None
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __iter__(self) -> Iterator[StoreUpdate]:
+        if self._rows is None:
+            self._rows = list(map(StoreUpdate, self.keys, self.entries))
+        return iter(self._rows)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, UpdateList):
+            return list(self.keys) == list(other.keys) and list(self.entries) == list(other.entries)
+        if isinstance(other, (list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"UpdateList({list(self)!r})"
 
 
 @dataclasses.dataclass(slots=True)
@@ -276,15 +339,16 @@ class ReplicaStore:
         """Number of active entries in one bucket."""
         return len(self._keys_in(bucket))
 
+    def bucket_keys(self, bucket: int) -> Iterator[Hashable]:
+        """The keys of one bucket's active entries, unspecified order
+        (the order :meth:`bucket_entries` yields them in)."""
+        return iter(self._keys_in(bucket))
+
     def bucket_entries(self, bucket: int) -> Iterator[Tuple[Hashable, Entry]]:
         """Active ``(key, entry)`` pairs of one bucket, unspecified order."""
         entries = self._entries
         for key in self._keys_in(bucket):
             yield key, entries[key]
-
-    def bucket_updates(self, bucket: int) -> Iterator[StoreUpdate]:
-        for key, entry in self.bucket_entries(bucket):
-            yield StoreUpdate(key=key, entry=entry)
 
     def bucket_updates_newest_first(self, bucket: int) -> Iterator[StoreUpdate]:
         """One bucket's entries in reverse timestamp order (per-bucket
@@ -398,6 +462,8 @@ class ReplicaStore:
     def apply_updates(self, updates: Iterable[StoreUpdate]) -> List[ApplyResult]:
         """Merge a received update list; one :class:`ApplyResult` per row.
 
+        ``updates`` is an :class:`UpdateList`, whose columns are read
+        as they are, or any iterable of :class:`StoreUpdate` rows.
         Results and final state are those of calling :meth:`apply_entry`
         row by row, in order.  The common row — an ordinary value under
         a scalar key with no dormant certificate waiting for it — is
@@ -415,10 +481,12 @@ class ReplicaStore:
         results: List[ApplyResult] = []
         note = results.append
         run: list = []
+        if isinstance(updates, UpdateList):
+            rows = zip(updates.keys, updates.entries)
+        else:
+            rows = map(_KEY_AND_ENTRY, updates)
         try:
-            for update in updates:
-                key = update.key
-                entry = update.entry
+            for key, entry in rows:
                 if (
                     type(entry) is not VersionedValue
                     or key in dormant

@@ -29,7 +29,9 @@ an endpoint produces into a wire message and back (:meth:`GossipNode._message`,
 the books — stats, events and profiler phases come from the conversation's
 report and the frames that passed.  Every update list leaves through
 :meth:`GossipNode._update_payload`, and every list merged here is
-accounted for as one batch by :meth:`GossipNode._account`.
+accounted for as one batch by :meth:`GossipNode._account` — by its key
+column, with ``(update, result)`` rows built only for a delivery span
+that someone reads.
 """
 
 from __future__ import annotations
@@ -41,7 +43,9 @@ import random
 import socket
 import time
 import traceback
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from itertools import compress, filterfalse
+from operator import attrgetter
+from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.core.serialize import (
     SerializeError,
@@ -49,7 +53,7 @@ from repro.core.serialize import (
     encode_batch,
     encode_timestamp,
 )
-from repro.core.store import ApplyResult, ReplicaStore, StoreUpdate
+from repro.core.store import ApplyResult, ReplicaStore, StoreUpdate, UpdateList
 from repro.core.timestamps import SimClock
 from repro.net.membership import Membership, PeerInfo
 from repro.net.peer import InFlightBudget, Peer, PeerError, RetryPolicy
@@ -76,6 +80,8 @@ from repro.protocols.exchange import ExchangeError, ExchangeReport, Frame, respo
 _EXCHANGE_REQUESTS = frozenset(
     {MessageType.PUSH, MessageType.PULL_REQUEST, MessageType.CHECKSUM, MessageType.TREE}
 )
+
+_WAS_NEWS = attrgetter("was_news")
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -148,8 +154,8 @@ _SCALAR_COUNTERS = {
         "repro_peer_failures_total", "Conversations dead after all retries"),
     "inbound_errors": (
         "repro_inbound_errors_total",
-        "Inbound connections dropped on a malformed frame, a broken socket "
-        "or a handler bug"),
+        "Inbound connections dropped on a malformed frame, a broken socket, "
+        "a reply over the frame limit or a handler bug"),
     "step_errors": (
         "repro_step_errors_total",
         "Gossip-loop steps that raised an unexpected exception (a bug)"),
@@ -285,7 +291,9 @@ class GossipNode:
             site_id=node_id, clock=SimClock(site=node_id, time_source=time.time)
         )
         self.peers: Dict[int, Peer] = {
-            peer.node_id: Peer(peer, config.retry, observer=self._peer_event)
+            peer.node_id: Peer(
+                peer, config.retry, observer=self._peer_event, max_frame=config.max_frame
+            )
             for peer in membership.others(node_id)
         }
         self._selector = membership.selector(config.selector) if len(membership) > 1 else None
@@ -443,7 +451,7 @@ class GossipNode:
             key=str(update.key),
             deletion=deletion,
         )
-        self._note_news([update], now=now)
+        self._note_news([update.key], now=now)
         if self.bus.has_sinks:
             emit_delivery_span(
                 self.bus,
@@ -502,7 +510,7 @@ class GossipNode:
         mode = config.mode
         hops = sent_at = None  # trace context of the reply being absorbed
 
-        def absorb(updates: List[StoreUpdate]) -> List[Tuple[StoreUpdate, ApplyResult]]:
+        def absorb(updates: UpdateList) -> List[ApplyResult]:
             return self._merge(updates, peer.node_id, hops, sent_at)
 
         conversation = strategy_for(config.strategy, config.tau).converse(self.store, mode, absorb)
@@ -631,8 +639,11 @@ class GossipNode:
                 self.stats.count_received(message.type)
                 reply = self._dispatch(message)
                 if reply is not None:
+                    # A reply over this node's own frame limit is refused
+                    # here (WireError below), as an oversized request is.
+                    frame = encode_message(reply, self.config.max_frame)
                     self.stats.count_sent(reply.type)
-                    writer.write(encode_message(reply))
+                    writer.write(frame)
                     await writer.drain()
         except Exception as error:
             # The boundary no exception may cross: a garbage frame, a
@@ -698,13 +709,14 @@ class GossipNode:
         with self.profiler.phase("merge"):
             reply, applied, __ = respond(self.store, request, self.config.tau)
         if hops is not None:
-            # ``applied`` holds the request's own update objects, so
-            # identity pairs each applied version with its own hop — a
-            # frame carrying two versions of one key must not hand
-            # version A's context to version B.
-            hop_of = {id(u): hop for u, hop in zip(request.fields["updates"], hops)}
-            hops = [hop_of[id(u)] for u, __ in applied]
-        now = self._account(applied, message.sender, hops, sent_at)
+            # ``applied`` holds the request's own entry objects, one per
+            # decoded row, so identity pairs each applied version with
+            # its own hop — a frame carrying two versions of one key
+            # must not hand version A's context to version B.
+            offered = request.fields["updates"].entries
+            hop_of = {id(entry): hop for entry, hop in zip(offered, hops)}
+            hops = [hop_of[id(entry)] for entry in applied.updates.entries]
+        now = self._account(applied.updates, applied.results, message.sender, hops, sent_at)
         if message.type is MessageType.TREE:
             self.stats.tree_rounds += 1
         self.stats.updates_shipped += len(reply.fields.get("updates", ()))
@@ -868,46 +880,43 @@ class GossipNode:
         from node ``src`` and account for it.  Returns every
         ``(update, result)`` pair, news or not."""
         updates, hops, sent_at = payload_update_list(payload)
-        return self._merge(updates, src, hops, sent_at)
+        return list(zip(updates, self._merge(updates, src, hops, sent_at)))
 
-    def _merge(self, updates: List[StoreUpdate], src: int, hops, sent_at):
-        """Apply a decoded update list from ``src`` with its trace context."""
+    def _merge(self, updates: UpdateList, src: int, hops, sent_at) -> List[ApplyResult]:
+        """Apply a decoded update list from ``src`` with its trace
+        context; one result per update, in order."""
         with self.profiler.phase("merge"):
             results = self.store.apply_updates(updates)
-        applied = list(zip(updates, results))
-        self._account(applied, src, hops, sent_at)
-        return applied
+        self._account(updates, results, src, hops, sent_at)
+        return results
 
     def _account(
         self,
-        applied: List[Tuple[StoreUpdate, ApplyResult]],
+        updates: UpdateList,
+        results: List[ApplyResult],
         src: int,
         hops: Optional[List[Optional[int]]],
         sent_at: Optional[float],
     ) -> float:
-        """Account for entries just applied from node ``src``: delivery
-        spans, receipt times, reactivated death certificates, the
-        absorbed counter.  Returns the receipt time it stamped."""
+        """Account for entries just applied from node ``src`` (``results``
+        parallel to ``updates``): delivery spans, receipt times,
+        reactivated death certificates, the absorbed counter.  Returns
+        the receipt time it stamped."""
         now = time.time()
-        self._record_deliveries(applied, src, hops, sent_at, now)
-        news = []
-        for update, result in applied:
-            if result.was_news:
-                news.append(update)
+        self._record_deliveries(updates, results, src, hops, sent_at, now)
+        if ApplyResult.RESURRECTION_BLOCKED in results:
+            for key, result in zip(updates.keys, results):
                 if result is ApplyResult.RESURRECTION_BLOCKED:
                     # A dormant death certificate met obsolete data and
                     # woke up (Section 2's antibody); the same event the
                     # simulator emits.
-                    self.bus.emit(
-                        EventKind.DEATH_CERT_ACTIVATED,
-                        node=self.node_id,
-                        key=str(update.key),
-                    )
+                    self.bus.emit(EventKind.DEATH_CERT_ACTIVATED, node=self.node_id, key=str(key))
+        news = list(compress(updates.keys, map(_WAS_NEWS, results)))
         self._note_news(news, now=now)
         self.stats.updates_absorbed += len(news)
         return now
 
-    def _known_hops(self, updates: List[StoreUpdate]) -> Optional[List[Optional[int]]]:
+    def _known_hops(self, updates: Iterable[StoreUpdate]) -> Optional[List[Optional[int]]]:
         """This node's hop distance from each update's origin, or
         ``None`` when it knows none of them — then no trace id is even
         formatted, which is what a bulk transfer of old entries sees."""
@@ -919,7 +928,8 @@ class GossipNode:
 
     def _record_deliveries(
         self,
-        pairs: List[Tuple[StoreUpdate, ApplyResult]],
+        updates: UpdateList,
+        results: List[ApplyResult],
         src: int,
         hops: Optional[List[Optional[int]]],
         sent_at: Optional[float],
@@ -928,19 +938,20 @@ class GossipNode:
         """Account one batch of deliveries from peer ``src``.
 
         Learns this node's hop distance from each update's origin (the
-        sender's hop + 1; ``hops`` is aligned with ``pairs``, or ``None``
-        when the sender knew none) and emits one delivery span per
-        update.  The trace id is always derived locally from the update
-        itself — the wire context only contributes hop and send-time, so
-        a garbled context cannot reroute a span into another update's
-        tree — and only for an update that has a hop to record or a sink
-        to be reported to.
+        sender's hop + 1; ``hops`` is aligned with ``updates``, or
+        ``None`` when the sender knew none) and emits one delivery span
+        per update.  The trace id is always derived locally from the
+        update itself — the wire context only contributes hop and
+        send-time, so a garbled context cannot reroute a span into
+        another update's tree — and only for an update that has a hop to
+        record or a sink to be reported to.  Only then are the batch's
+        ``(update, result)`` rows built.
         """
         has_sinks = self.bus.has_sinks
-        if not pairs or (hops is None and not has_sinks):
+        if not results or (hops is None and not has_sinks):
             return
         with self.profiler.phase("emit"):
-            for index, (update, result) in enumerate(pairs):
+            for index, (update, result) in enumerate(zip(updates, results)):
                 hop = None if hops is None else hops[index]
                 if hop is not None:
                     hop += 1
@@ -966,24 +977,16 @@ class GossipNode:
     def _ack(self, payload: Dict[str, Any]) -> Message:
         return Message(type=MessageType.ACK, sender=self.node_id, payload=payload)
 
-    def _note_news(
-        self, updates: List[StoreUpdate], now: Optional[float] = None
-    ) -> None:
+    def _note_news(self, keys: Iterable[Hashable], now: Optional[float] = None) -> None:
+        """Stamp the first receipt of news about each of ``keys``."""
         if now is None:
             now = time.time()
         received = self.stats.received
-        has_sinks = self.bus.has_sinks
-        for update in updates:
-            key = update.key
-            if key not in received:
-                received[key] = now
-                if has_sinks:
-                    self.bus.emit(
-                        EventKind.NEWS_RECEIVED,
-                        node=self.node_id,
-                        time=now,
-                        key=str(key),
-                    )
+        first = dict.fromkeys(filterfalse(received.__contains__, keys), now)
+        received.update(first)
+        if self.bus.has_sinks:
+            for key in first:
+                self.bus.emit(EventKind.NEWS_RECEIVED, node=self.node_id, time=now, key=str(key))
 
     def _peer_event(
         self, kind: str, info: PeerInfo, attempt: int, error: BaseException

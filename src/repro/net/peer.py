@@ -21,7 +21,7 @@ import dataclasses
 from typing import Callable, List, Optional, Tuple
 
 from repro.net.membership import PeerInfo
-from repro.net.wire import Message, WireError, encode_message, read_message
+from repro.net.wire import MAX_FRAME_BYTES, Message, WireError, encode_message, read_message
 
 #: Observer signature: ``observer(kind, peer_info, attempt, error)`` with
 #: ``kind`` one of ``"retry"`` (another attempt follows) or ``"failure"``
@@ -80,7 +80,10 @@ class Peer:
     paper's model of a conversation as an exclusive connection.
 
     ``bytes_sent`` / ``frames_sent`` count outbound request traffic
-    (framing prefix included).
+    (framing prefix included).  ``max_frame`` bounds every frame this
+    client writes or reads — a node passes its own
+    :attr:`~repro.net.node.NodeConfig.max_frame`, so a reply over that
+    limit is refused here as an oversized request is at the node.
     """
 
     def __init__(
@@ -88,10 +91,12 @@ class Peer:
         info: PeerInfo,
         policy: RetryPolicy = RetryPolicy(),
         observer: Optional[PeerObserver] = None,
+        max_frame: int = MAX_FRAME_BYTES,
     ):
         self.info = info
         self.policy = policy
         self.observer = observer
+        self.max_frame = max_frame
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
         self._lock = asyncio.Lock()
@@ -142,12 +147,14 @@ class Peer:
 
     async def _call_once(self, message: Message) -> Message:
         reader, writer = await self._ensure_connected()
-        frame = encode_message(message)
+        frame = encode_message(message, self.max_frame)
         self.bytes_sent += len(frame)
         self.frames_sent += 1
         writer.write(frame)
         await asyncio.wait_for(writer.drain(), self.policy.io_timeout)
-        reply = await asyncio.wait_for(read_message(reader), self.policy.io_timeout)
+        reply = await asyncio.wait_for(
+            read_message(reader, self.max_frame), self.policy.io_timeout
+        )
         if reply is None:
             raise WireError("peer closed the connection before replying")
         return reply

@@ -73,6 +73,7 @@ import struct
 from typing import Any, Dict, Optional
 
 from repro.core.serialize import SerializeError, batch_trace_context, decode_batch
+from repro.core.store import UpdateList
 
 #: The version every frame this build writes is stamped with.
 PROTOCOL_VERSION = 3
@@ -279,8 +280,9 @@ def payload_update_list(payload: Dict[str, Any], field: str = "updates") -> tupl
     """An inbound update list with its trace context:
     ``(updates, hops, sent_at)``.
 
-    The list is one columnar batch (:func:`repro.core.serialize.encode_batch`);
-    an absent field is an empty list.  ``hops`` is the sender's hop
+    The list is one columnar batch (:func:`repro.core.serialize.encode_batch`),
+    returned as the :class:`~repro.core.store.UpdateList` it decodes to;
+    an absent field is an empty one.  ``hops`` is the sender's hop
     distance per update, or ``None`` instead of a list when it sent
     none; ``sent_at`` its clock at send time.  The updates are decoded
     strictly — :class:`repro.core.serialize.SerializeError` becomes
@@ -290,7 +292,7 @@ def payload_update_list(payload: Dict[str, Any], field: str = "updates") -> tupl
     """
     batch = payload.get(field)
     if batch is None:
-        return [], None, None
+        return UpdateList(), None, None
     try:
         updates = decode_batch(batch)
     except SerializeError as error:

@@ -41,18 +41,19 @@ no wire form and stays an in-process loop.
 from __future__ import annotations
 
 import dataclasses
-from itertools import compress, filterfalse, starmap
-from operator import is_not
+from itertools import chain, compress, filterfalse
+from operator import attrgetter, is_not
 from typing import (
     Any, Callable, Dict, Generator, Hashable, Iterable, Iterator, List, NamedTuple, Optional, Tuple,
 )
 
 from repro.core.checksum import ChecksumTree
-from repro.core.items import Entry
-from repro.core.store import ApplyResult, ReplicaStore, StoreUpdate
+from repro.core.store import ApplyResult, ReplicaStore, StoreUpdate, UpdateList
 from repro.protocols.base import ExchangeMode, entry_beats
 
 Conversation = Generator["Frame", "Frame", "ExchangeReport"]
+
+_WAS_NEWS = attrgetter("was_news")
 
 
 @dataclasses.dataclass(slots=True)
@@ -60,7 +61,8 @@ class ExchangeReport:
     """What one anti-entropy conversation cost and changed.
 
     ``sent_ab``/``sent_ba`` are the updates that were *news* at the
-    responder / the initiator, ``results_ab``/``results_ba`` what the
+    responder / the initiator, as :class:`UpdateList` columns filed
+    straight from what was merged; ``results_ab``/``results_ba`` what the
     receiving store made of each (parallel lists: a value that woke a
     dormant death certificate is news too, but not ``APPLIED``);
     ``wire_ab``/``wire_ba`` count every entry
@@ -77,8 +79,8 @@ class ExchangeReport:
     the responder knows (``sent_ab``, its share of ``entries_examined``).
     """
 
-    sent_ab: List[StoreUpdate] = dataclasses.field(default_factory=list)
-    sent_ba: List[StoreUpdate] = dataclasses.field(default_factory=list)
+    sent_ab: UpdateList = dataclasses.field(default_factory=UpdateList)
+    sent_ba: UpdateList = dataclasses.field(default_factory=UpdateList)
     entries_examined: int = 0
     checksum_rounds: int = 0
     tree_comparisons: int = 0
@@ -102,8 +104,8 @@ class ExchangeReport:
         """Fold another view of the same conversation into this one (in
         :func:`drive`, the responder's): costs add, shipped lists
         concatenate, ``full_compare`` is sticky, ``via`` stays."""
-        self.sent_ab.extend(other.sent_ab)
-        self.sent_ba.extend(other.sent_ba)
+        self.sent_ab.extend(other.sent_ab.keys, other.sent_ab.entries)
+        self.sent_ba.extend(other.sent_ba.keys, other.sent_ba.entries)
         self.results_ab.extend(other.results_ab)
         self.results_ba.extend(other.results_ba)
         self.wire_ab += other.wire_ab
@@ -120,44 +122,16 @@ class ExchangeReport:
 class SessionReply:
     """The responder's half of one full-compare conversation.
 
-    ``applied_results`` is parallel to ``applied``: the
-    :class:`ApplyResult` each applied update produced, so callers can
-    attribute deliveries (e.g. delivery spans) without re-deriving the
-    merge outcome.
+    ``applied`` and ``send_back`` are columns; ``applied_results`` is
+    parallel to ``applied``: the :class:`ApplyResult` each applied update
+    produced, so callers can attribute deliveries (e.g. delivery spans)
+    without re-deriving the merge outcome.
     """
 
-    applied: List[StoreUpdate] = dataclasses.field(default_factory=list)
-    send_back: List[StoreUpdate] = dataclasses.field(default_factory=list)
-    entries_examined: int = 0
-    applied_results: List[ApplyResult] = dataclasses.field(default_factory=list)
-
-
-class TableOffer:
-    """The whole-table offer: the initiator's ``key -> entry`` table as
-    it stood when offered (one dict copy; the entries themselves are
-    immutable and shared).
-
-    It has the length of the update list it stands for and iterates as
-    that list's :class:`StoreUpdate` rows, in store order — built on
-    first use and kept, for a driver that writes the offer to a wire.
-    In process nobody reads them: :meth:`ExchangeSession.respond`
-    settles the table against the responder's and builds a row only for
-    an entry the two stores do not share.
-    """
-
-    __slots__ = ("table", "_rows")
-
-    def __init__(self, table: Dict[Hashable, Entry]):
-        self.table = table
-        self._rows: Optional[List[StoreUpdate]] = None
-
-    def __len__(self) -> int:
-        return len(self.table)
-
-    def __iter__(self) -> Iterator[StoreUpdate]:
-        if self._rows is None:
-            self._rows = list(starmap(StoreUpdate, self.table.items()))
-        return iter(self._rows)
+    applied: UpdateList
+    send_back: UpdateList
+    entries_examined: int
+    applied_results: List[ApplyResult]
 
 
 class ExchangeSession:
@@ -172,7 +146,7 @@ class ExchangeSession:
         initiator                                   responder
         ---------                                   ---------
         offer() ———————— full entry table ————————> respond(offered)
-        absorb(updates) <——— reply.send_back ———————————┘
+        apply_updates(send_back) <—— reply.send_back ———┘
 
     ``mode`` governs which halves carry data: the responder applies the
     offer only when the mode pushes, and returns entries the initiator
@@ -185,7 +159,7 @@ class ExchangeSession:
         self.store = store
         self.mode = mode
 
-    def offer(self) -> TableOffer:
+    def offer(self) -> UpdateList:
         """The initiator's opening message: its full active table.
 
         Even a pull-only exchange sends the table — the responder needs
@@ -193,72 +167,79 @@ class ExchangeSession:
         exactly the "one full copy crosses the network" cost Section 1.3's
         cheaper strategies exist to avoid).
 
-        The offer is a snapshot taken now, in store order, which is
+        The offer is a snapshot taken now (one dict copy; the entries
+        themselves are immutable and shared), in store order, which is
         deterministic under the simulator's seeded execution; the merge
-        below is per-key, so no sort is needed.
+        below is per-key, so no sort is needed.  Its key column is the
+        snapshot dict itself, which iterates as its keys and is the
+        responder's membership test (a keys view's ``__contains__`` is a
+        slot wrapper, 1.7× dearer per call); its entry column is the
+        dict's ``values()`` view.
         """
-        return TableOffer(self.store.snapshot())
+        table = self.store.snapshot()
+        return UpdateList(table, table.values())
 
     def respond(
         self,
         offered: Iterable[StoreUpdate],
-        scope: Iterable[Tuple[object, object]] | None = None,
+        scope: Iterable[Hashable] | None = None,
     ) -> SessionReply:
         """Resolve the initiator's offer against the local store.
 
-        Entries are immutable and stores in one process share the ones
-        they ship, so the offer is settled by identity first: an offered
-        entry that *is* the object held here beats nothing and is beaten
-        by nothing.  Two passes at C speed find the rows that are not —
-        every row of an offer decoded from a wire — and only those meet
-        the last-writer-wins / death-certificate judgement, each against
-        the pre-exchange state of the store: mutations are deferred
-        until every decision is made.  A third pass serves the local
-        entries the offer does not name.  Every offered row still counts
-        as examined: the table was compared, only faster.
+        ``offered`` is an :class:`UpdateList` — a table offer, columns
+        decoded from a wire — or a list of rows, and is read column by
+        column.  Entries are immutable and stores in one process share
+        the ones they ship, so the offer is settled by identity first: an
+        offered entry that *is* the object held here beats nothing and is
+        beaten by nothing.  Two passes at C speed find the rows that are
+        not — every row of an offer decoded from a wire — and only those
+        meet the last-writer-wins / death-certificate judgement, each
+        against the pre-exchange state of the store: mutations are
+        deferred until every decision is made.  A third pass serves the
+        local entries the offer does not name.  Every offered row still
+        counts as examined: the table was compared, only faster.  What is
+        applied holds the offer's own entry objects; what is sent back,
+        the local ones.
 
-        ``scope`` restricts the local-only pass to the given
-        ``(key, entry)`` pairs instead of the whole table.  A
-        hierarchical exchange resolves only the dirty hash buckets, so the
-        responder must only send back entries from *those* buckets — the
-        rest of the store is out of the conversation's scope.  The scope
-        iterable is consumed before any mutation is applied.
+        ``scope`` restricts the local-only pass to the given keys instead
+        of the whole table.  A hierarchical exchange resolves only the
+        dirty hash buckets, so the responder must only send back entries
+        from *those* buckets — the rest of the store is out of the
+        conversation's scope.  The scope iterable is consumed before any
+        mutation is applied.
         """
         store = self.store
         pushes = self.mode.pushes
         pulls = self.mode.pulls
-        table = offered.table if isinstance(offered, TableOffer) else None
-        if table is not None:
-            rows, keys, entries, named = table.items(), table.keys(), table.values(), table
-        else:
-            rows = list(offered)
-            keys = [update.key for update in rows]
-            entries = [update.entry for update in rows]
-            named = set(keys)
+        offer = UpdateList.of(offered)
+        keys, entries = offer.keys, offer.entries
+        # A table offer's key column is its snapshot dict: the membership
+        # test already.
+        named = keys if isinstance(keys, dict) else set(keys)
         held = store.entries_for(keys)
         unshared = list(map(is_not, held, entries))
-        rows = compress(rows, unshared)
-        if table is not None:
-            rows = starmap(StoreUpdate, rows)  # a list offer's rows are the request's own objects
-        reply = SessionReply()
-        for update, local in zip(rows, compress(held, unshared)):
-            if pushes and entry_beats(update.entry, local):
-                reply.applied.append(update)
-            elif pulls and entry_beats(local, update.entry):
-                reply.send_back.append(StoreUpdate(update.key, local))
-        local_keys = store.keys() if scope is None else [key for key, __ in scope]
+        applied_keys, applied_entries, back_keys, back_entries = [], [], [], []
+        for key, entry, local in zip(
+            compress(keys, unshared), compress(entries, unshared), compress(held, unshared)
+        ):
+            if pushes and entry_beats(entry, local):
+                applied_keys.append(key)
+                applied_entries.append(entry)
+            elif pulls and entry_beats(local, entry):
+                back_keys.append(key)
+                back_entries.append(local)
+        local_keys = store.keys() if scope is None else scope
         local_only = list(filterfalse(named.__contains__, local_keys))
         if pulls:
-            reply.send_back.extend(map(StoreUpdate, local_only, store.entries_for(local_only)))
-        reply.entries_examined = len(keys) + len(local_only)
-        reply.applied_results = store.apply_updates(reply.applied)
-        return reply
-
-    def absorb(self, updates: Iterable[StoreUpdate]) -> List[Tuple[StoreUpdate, ApplyResult]]:
-        """Apply the responder's reply at the initiator; returns every
-        ``(update, result)`` pair, news or not."""
-        updates = list(updates)
-        return list(zip(updates, self.store.apply_updates(updates)))
+            back_keys += local_only
+            back_entries += store.entries_for(local_only)
+        applied = UpdateList(applied_keys, applied_entries)
+        return SessionReply(
+            applied=applied,
+            send_back=UpdateList(back_keys, back_entries),
+            entries_examined=len(keys) + len(local_only),
+            applied_results=store.apply_updates(applied),
+        )
 
 
 class ExchangeError(ValueError):
@@ -269,12 +250,28 @@ class ExchangeError(ValueError):
 
 class Frame(NamedTuple):
     """One message of a conversation: the live runtime's frame types and
-    payload field names, with Python values (``updates`` a list of
-    :class:`StoreUpdate`, ``nodes``/``frontier`` lists of ``(node_id,
-    checksum)`` pairs, ``dirty``/``buckets`` lists of ints)."""
+    payload field names, with Python values (``updates`` an
+    :class:`UpdateList` or a list of :class:`StoreUpdate` rows,
+    ``nodes``/``frontier`` lists of ``(node_id, checksum)`` pairs,
+    ``dirty``/``buckets`` lists of ints)."""
 
     kind: str
     fields: Dict[str, Any]
+
+
+class Applied:
+    """What a responder merged: ``updates`` as columns and ``results``
+    parallel to them.  Iterates as ``(update, result)`` pairs, which
+    builds the rows; a driver that only counts reads the columns."""
+
+    __slots__ = ("updates", "results")
+
+    def __init__(self, updates: UpdateList, results: List[ApplyResult]):
+        self.updates = updates
+        self.results = results
+
+    def __iter__(self) -> Iterator[Tuple[StoreUpdate, ApplyResult]]:
+        return zip(self.updates, self.results)
 
 
 def _expect(reply: Frame, kind: str) -> None:
@@ -285,22 +282,23 @@ def _expect(reply: Frame, kind: str) -> None:
 
 
 def _file_news(
-    sent: List[StoreUpdate],
+    sent: UpdateList,
+    filed: List[ApplyResult],
+    updates: UpdateList,
     results: List[ApplyResult],
-    applied: Iterable[Tuple[StoreUpdate, ApplyResult]],
 ) -> None:
-    """File the news among ``applied`` on one direction of a report."""
-    for update, result in applied:
-        if result.was_news:
-            sent.append(update)
-            results.append(result)
+    """File the news among ``updates`` (``results`` parallel) on one
+    direction of a report, column by column."""
+    news = list(map(_WAS_NEWS, results))
+    sent.extend(compress(updates.keys, news), compress(updates.entries, news))
+    filed.extend(compress(results, news))
 
 
 def _take(report: ExchangeReport, reply: Frame, absorb: Callable) -> None:
     """Merge the update list a reply carries at the initiator."""
-    updates = reply.fields.get("updates", [])
+    updates = UpdateList.of(reply.fields.get("updates", ()))
     report.wire_ba += len(updates)
-    _file_news(report.sent_ba, report.results_ba, absorb(updates))
+    _file_news(report.sent_ba, report.results_ba, updates, absorb(updates))
 
 
 def _offer(
@@ -314,9 +312,8 @@ def _offer(
         fields["updates"] = ExchangeSession(store, mode).offer()
         report.full_compare = True
     else:
-        fields["updates"] = [
-            update for bucket in buckets for update in store.bucket_updates(bucket)
-        ]
+        keys = list(chain.from_iterable(map(store.bucket_keys, buckets)))
+        fields["updates"] = UpdateList(keys, store.entries_for(keys))
         fields["buckets"] = buckets
         fields["bits"] = store.bucket_bits
         report.buckets_resolved = len(buckets)
@@ -342,35 +339,37 @@ def _compare(tree: ChecksumTree, nodes: List[Tuple[int, int]]):
 def respond(store: ReplicaStore, request: Frame, tau: Optional[float] = None):
     """The responder: answer one request against ``store``.
 
-    Returns ``(reply, applied, examined)`` — the reply frame, the
-    ``(update, result)`` pairs answering applied here, and the entries
-    it examined.  Every field is validated before anything is applied,
-    and every list sent back is computed before the request's own
-    updates are merged: an update the request just delivered is never
-    echoed.  ``tau`` is the window for a CHECKSUM request naming none.
+    Returns ``(reply, applied, examined)`` — the reply frame, what
+    answering applied here (:class:`Applied`: the updates as columns,
+    with their results), and the entries it examined.  Every field is
+    validated before anything is applied, and every list sent back is
+    computed before the request's own updates are merged: an update the
+    request just delivered is never echoed.  ``tau`` is the window for a
+    CHECKSUM request naming none.
     """
     kind, fields = request
     if kind == "tree":
         if fields.get("bits") != store.bucket_bits:
             # The trees do not line up node for node: refuse, not guess.
-            return Frame("tree", {"bits": store.bucket_bits, "mismatch": True}), [], 0
+            reply = {"bits": store.bucket_bits, "mismatch": True}
+            return Frame("tree", reply), Applied(UpdateList(), []), 0
         # For each of the initiator's nodes that differs here: this
         # side's children (internal nodes) or the bucket (leaves).
         tree = store.checksum_tree
         inner, dirty = _compare(tree, fields.get("nodes", []))
         reply = {"bits": store.bucket_bits, "frontier": tree.expand(inner), "dirty": dirty}
-        return Frame("tree", reply), [], 0
+        return Frame("tree", reply), Applied(UpdateList(), []), 0
     try:
         mode = ExchangeMode(fields.get("mode"))
     except ValueError:
         raise ExchangeError(f"bad exchange mode {fields.get('mode')!r}") from None
-    updates = fields.get("updates", [])
+    updates = UpdateList.of(fields.get("updates", ()))
     if kind == "checksum":
         tau = fields.get("tau", tau)
         if not isinstance(tau, (int, float)) or isinstance(tau, bool) or not tau > 0:
             raise ExchangeError(f"bad tau {tau!r}")
         recent = store.recent_updates(float(tau)) if mode.pulls else []
-        applied = list(zip(updates, store.apply_updates(updates)))
+        applied = Applied(updates, store.apply_updates(updates))
         return Frame("checksum", {"checksum": store.checksum, "updates": recent}), applied, 0
     if kind == "pull-request":
         # The offer is a digest only: never apply, only serve back.
@@ -383,14 +382,13 @@ def respond(store: ReplicaStore, request: Frame, tau: Optional[float] = None):
         buckets = fields["buckets"]
         if buckets and not 0 <= min(buckets) <= max(buckets) < store.bucket_count:
             raise ExchangeError(f"bucket index out of range in {buckets!r}")
-        scope = [pair for bucket in buckets for pair in store.bucket_entries(bucket)]
+        scope = list(chain.from_iterable(map(store.bucket_keys, buckets)))
     resolved = ExchangeSession(store, mode).respond(updates, scope=scope)
     if mode.pulls:
         reply = Frame("pull-reply", {"updates": resolved.send_back})
     else:
         reply = Frame("ack", {"applied": len(resolved.applied)})
-    applied = list(zip(resolved.applied, resolved.applied_results))
-    return reply, applied, resolved.entries_examined
+    return reply, Applied(resolved.applied, resolved.applied_results), resolved.entries_examined
 
 
 def drive(conversation: Conversation, b: ReplicaStore) -> ExchangeReport:
@@ -402,7 +400,7 @@ def drive(conversation: Conversation, b: ReplicaStore) -> ExchangeReport:
         while True:
             reply, applied, examined = respond(b, request)
             theirs.entries_examined += examined
-            _file_news(theirs.sent_ab, theirs.results_ab, applied)
+            _file_news(theirs.sent_ab, theirs.results_ab, applied.updates, applied.results)
             request = conversation.send(reply)
     except StopIteration as settled:
         return settled.value.merge(theirs)
@@ -428,9 +426,10 @@ class ExchangeStrategy:
     ) -> Conversation:
         """The initiator's end on ``store``: yields requests, is resumed
         with their replies, returns the report.  ``absorb`` merges a
-        received update list and returns its ``(update, result)`` pairs;
-        the default is :meth:`ExchangeSession.absorb`, a driver that
-        accounts for every delivery (the TCP node) passes its own."""
+        received :class:`UpdateList` and returns one :class:`ApplyResult`
+        per update, in order; the default is ``store.apply_updates``, a
+        driver that accounts for every delivery (the TCP node) passes its
+        own."""
         raise NotImplementedError
 
     def exchange(self, a: ReplicaStore, b: ReplicaStore, mode: ExchangeMode) -> ExchangeReport:
@@ -445,7 +444,7 @@ class FullCompare(ExchangeStrategy):
     """Always compare the complete databases."""
 
     def converse(self, store, mode, absorb=None):
-        absorb = absorb or ExchangeSession(store, mode).absorb
+        absorb = absorb or store.apply_updates
         return _offer(store, mode, absorb, ExchangeReport())
 
     def describe(self) -> str:
@@ -467,7 +466,7 @@ class ChecksumWithRecent(ExchangeStrategy):
         self.tau = tau
 
     def converse(self, store, mode, absorb=None):
-        absorb = absorb or ExchangeSession(store, mode).absorb
+        absorb = absorb or store.apply_updates
         report = ExchangeReport(checksum_rounds=1, via="checksum")
         # Phase 1: exchange recent update lists (bounded by the number
         # of updates in the last tau, not the database size).
@@ -539,11 +538,13 @@ class PeelBack(ExchangeStrategy):
             while pending_a is not None and pending_a.timestamp == batch_ts:
                 update, pending_a = pending_a, next(stream_a, None)
                 report.entries_examined += 1
-                _file_news(report.sent_ab, report.results_ab, [(update, b.apply_update(update))])
+                shipped = UpdateList.of([update])
+                _file_news(report.sent_ab, report.results_ab, shipped, [b.apply_update(update)])
             while pending_b is not None and pending_b.timestamp == batch_ts:
                 update, pending_b = pending_b, next(stream_b, None)
                 report.entries_examined += 1
-                _file_news(report.sent_ba, report.results_ba, [(update, a.apply_update(update))])
+                shipped = UpdateList.of([update])
+                _file_news(report.sent_ba, report.results_ba, shipped, [a.apply_update(update)])
             report.checksum_rounds += 1
             if a.checksum == b.checksum:
                 return report
@@ -583,7 +584,7 @@ class HierarchicalChecksum(ExchangeStrategy):
     def converse(self, store, mode, absorb=None):
         if mode is not ExchangeMode.PUSH_PULL:
             raise ValueError("hierarchical checksum requires push-pull exchanges")
-        absorb = absorb or ExchangeSession(store, mode).absorb
+        absorb = absorb or store.apply_updates
         report = ExchangeReport(checksum_rounds=1, via="tree")
         tree = store.checksum_tree
         # Walk down level by level: each round sends this side's values

@@ -23,15 +23,17 @@ import socket
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.core.store as store_module
 import repro.protocols.exchange as exchange_module
 from repro.core.items import DeathCertificate, VersionedValue
-from repro.core.store import ReplicaStore, StoreUpdate
+from repro.core.serialize import decode_batch, encode_batch
+from repro.core.store import ReplicaStore, StoreUpdate, UpdateList
 from repro.core.timestamps import SequenceClock, Timestamp
 from repro.net.membership import Membership
 from repro.net.node import GossipNode, NodeConfig
 from repro.obs.events import EventKind, RingBufferSink
 from repro.protocols.base import ExchangeMode, entry_beats
-from repro.protocols.exchange import ExchangeSession, FullCompare, TableOffer
+from repro.protocols.exchange import ExchangeSession, FullCompare
 
 from test_binwire_interop import QUIET
 from test_store_pins import _Counter
@@ -111,7 +113,7 @@ class TestRespondEqualsTheRowLoop:
     @settings(max_examples=300, deadline=None)
     @given(
         mode=st.sampled_from(list(ExchangeMode)),
-        shape=st.sampled_from(["table", "list", "scoped"]),
+        shape=st.sampled_from(["table", "list", "scoped", "columns"]),
         shared=ROWS, copied=ROWS, woken=ROWS, only_a=ROWS, only_b=ROWS,
         second_version=st.none() | st.tuples(st.sampled_from(KEYS), entries(), st.integers(0, 30)),
         buckets=st.sets(st.integers(0, 2**BITS - 1)),
@@ -121,7 +123,9 @@ class TestRespondEqualsTheRowLoop:
     ):
         """``shared`` rows are one object in both stores, ``copied``
         rows equal but distinct, ``woken`` rows differ by a certificate
-        reactivation, the rest differ outright or exist on one side."""
+        reactivation, the rest differ outright or exist on one side.
+        ``columns`` is the list offer as a live node receives it: encoded,
+        through JSON, and decoded into columns sharing nothing."""
         rows_a = shared + copied + woken + only_a
         rows_b = (
             shared
@@ -134,17 +138,19 @@ class TestRespondEqualsTheRowLoop:
         scope_new = scope_old = None
         if shape == "table":
             offered = ExchangeSession(a, mode).offer()
-            assert isinstance(offered, TableOffer) and len(offered) == len(a)
-        elif shape == "list":
+            assert isinstance(offered, UpdateList) and len(offered) == len(a)
+        elif shape in ("list", "columns"):
             offered = list(a.updates())
             if second_version is not None:
                 # Two versions of one key in one frame: judged row by row.
                 key, entry, position = second_version
                 offered.insert(position % (len(offered) + 1), StoreUpdate(key, entry))
+            if shape == "columns":
+                offered = decode_batch(json.loads(json.dumps(encode_batch(offered))))
         else:
             chosen = sorted(buckets)
-            offered = [update for bucket in chosen for update in a.bucket_updates(bucket)]
-            scope_new = [pair for bucket in chosen for pair in new.bucket_entries(bucket)]
+            offered = [StoreUpdate(*pair) for bucket in chosen for pair in a.bucket_entries(bucket)]
+            scope_new = [key for bucket in chosen for key in new.bucket_keys(bucket)]
             scope_old = [pair for bucket in chosen for pair in old.bucket_entries(bucket)]
 
         reply = ExchangeSession(new, mode).respond(offered, scope=scope_new)
@@ -152,8 +158,9 @@ class TestRespondEqualsTheRowLoop:
 
         assert reply.applied == applied and reply.applied_results == results
         if shape != "table":
-            # The node pairs trace hops with applied rows by ``id()``.
-            assert [id(update) for update in reply.applied] == [id(update) for update in applied]
+            # The node pairs trace hops with applied rows by the identity
+            # of their entries, one object per row of a decoded offer.
+            assert [id(u.entry) for u in reply.applied] == [id(u.entry) for u in applied]
         assert reply.send_back == send_back
         assert reply.entries_examined == examined
         assert new.snapshot() == old.snapshot() and new.checksum == old.checksum
@@ -190,7 +197,11 @@ class TestWorkFollowsTheDifference:
         built = _Counter(StoreUpdate)
         monkeypatch.setattr(exchange_module, "entry_beats", judged)
         monkeypatch.setattr(exchange_module, "StoreUpdate", built)
+        monkeypatch.setattr(store_module, "StoreUpdate", built)
         report = FullCompare().exchange(a, b, ExchangeMode.PUSH_PULL)
+        # The rows the simulator reads (``_exchange_live`` hands each
+        # shipped update to the cluster) are the only ones built.
+        list(report.sent_ab), list(report.sent_ba)
         assert report.entries_examined == self.N  # examined, only faster
         assert report.wire_ab == self.N and report.updates_shipped == self.K
         assert 0 < judged.calls <= 2 * self.K

@@ -12,7 +12,7 @@ import pytest
 
 from repro.net.membership import PeerInfo
 from repro.net.peer import InFlightBudget, Peer, PeerError, RetryPolicy
-from repro.net.wire import Message, MessageType, encode_message, read_message
+from repro.net.wire import Message, MessageType, WireError, encode_message, read_message
 
 FAST = RetryPolicy(
     connect_timeout=0.5,
@@ -222,6 +222,46 @@ class TestConnectionReuse:
         assert connections == 1
         assert peer.calls == 2
         assert peer.failures == 0
+
+
+class TestFrameLimit:
+    def test_a_reply_over_the_clients_limit_is_refused(self):
+        """A node hands its ``max_frame`` to its peers: a 4 KiB reply to a
+        client limited to 1 KiB is a ``WireError`` on every attempt, never
+        a reply, while a client at the default limit takes it."""
+
+        async def scenario():
+            handlers = []
+
+            async def verbose(reader, writer):
+                handlers.append(asyncio.current_task())
+                try:
+                    while await read_message(reader) is not None:
+                        writer.write(encode_message(Message(MessageType.ACK, 9, {"pad": "x" * 4096})))
+                        await writer.drain()
+                except (ConnectionError, WireError):
+                    pass  # the limited client hangs up mid-reply
+                finally:
+                    writer.close()
+
+            server = await asyncio.start_server(verbose, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            info = PeerInfo(node_id=9, host="127.0.0.1", port=port)
+            limited, default = Peer(info, FAST, max_frame=1024), Peer(info, FAST)
+            with pytest.raises(PeerError) as refused:
+                await limited.call(PING)
+            accepted = await default.call(PING)
+            await default.close()
+            await asyncio.wait(handlers, timeout=5.0)
+            server.close()
+            await server.wait_closed()
+            return refused.value, accepted, limited
+
+        refused, accepted, limited = asyncio.run(scenario())
+        assert isinstance(refused.__cause__, WireError)
+        assert "exceeds the 1024-byte limit" in str(refused.__cause__)
+        assert limited.failures == FAST.attempts
+        assert len(accepted.payload["pad"]) == 4096
 
 
 class TestInFlightBudget:

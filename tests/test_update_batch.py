@@ -122,7 +122,7 @@ class TestBatchCodec:
         sender, receiver = ReplicaStore(site_id=0), ReplicaStore(site_id=1)
         for update in updates:
             sender.apply_entry(update.key, update.entry)
-        shipped = decode_batch(unpack_value(pack_value(encode_batch(list(sender.updates())))))
+        shipped = list(decode_batch(unpack_value(pack_value(encode_batch(list(sender.updates()))))))
         random.Random(seed).shuffle(shipped)
         for update in shipped:
             receiver.apply_entry(update.key, update.entry)
