@@ -66,7 +66,7 @@ def recovery_cost_experiment(
         metrics.record_receipt(site_id, 0.0)
     # Kill the seed's own hot rumor so recovery, not the original
     # epidemic, does the work.
-    protocol.rumor._hot[0].clear()
+    protocol.rumor.hot_list(0).clear()
     converged = True
     try:
         cluster.run_until(lambda: metrics.infected == n, max_cycles=max_cycles)

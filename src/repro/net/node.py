@@ -9,22 +9,23 @@ A :class:`GossipNode` owns one :class:`~repro.core.store.ReplicaStore`
   Section 3 spatial distribution over the roster) and hold one
   conversation of the configured Section 1.3 strategy (full compare,
   checksum plus recent updates, hierarchical checksums) with it;
-* a faster **rumor loop** — hot rumors are pushed to random partners,
-  and the ACK's was-news feedback drives the Section 1.4 counter: a
-  rumor goes cold after ``k`` unnecessary pushes.
+* a faster **rumor loop** — Section 1.4 ticks: one conversation each
+  of the configured :class:`~repro.protocols.rumor.RumorConfig` (push,
+  pull or push-pull; feedback or blind, counter or coin).
 
 Busy-server behavior mirrors :mod:`repro.sim.transport`: a node refuses
 a conversation when ``connection_limit`` inbound conversations are
 already in flight (the refusal is an ``ACK {"rejected": true}``), and a
-refused initiator *hunts* — redraws partners up to ``hunt_limit`` more
-times.
+refused or failed initiator of either loop *hunts* — redraws partners
+up to ``hunt_limit`` more times.
 
 **Who owns what.**  The anti-entropy strategies live in
-:mod:`repro.protocols.exchange` — what to send next, what to answer,
-what to apply, when a conversation is settled — as the endpoints the
-simulator runs in process.  This module is their other driver and holds
-no strategy logic: it turns each :class:`~repro.protocols.exchange.Frame`
-an endpoint produces into a wire message and back (:meth:`GossipNode._message`,
+:mod:`repro.protocols.exchange` and rumor mongering in
+:mod:`repro.protocols.rumor` — what to send next, what to answer, what
+to apply, when a rumor goes cold — as the endpoints the simulator runs
+in process.  This module is their other driver and holds no protocol
+logic: it turns each :class:`~repro.protocols.exchange.Frame` an
+endpoint produces into a wire message and back (:meth:`GossipNode._message`,
 :func:`_frame_of`), picks partners, retries, refuses when busy, and keeps
 the books — stats, events and profiler phases come from the conversation's
 report and the frames that passed.  Every update list leaves through
@@ -43,6 +44,7 @@ import random
 import socket
 import time
 import traceback
+from functools import partial
 from itertools import compress, filterfalse
 from operator import attrgetter
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
@@ -73,8 +75,11 @@ from repro.net.wire import (
     payload_update_list,
     read_message,
 )
-from repro.protocols.base import ExchangeMode, entry_beats
+from repro.protocols import rumor
+from repro.protocols.base import ExchangeMode
 from repro.protocols.exchange import ExchangeError, ExchangeReport, Frame, respond, strategy_for
+from repro.protocols.rumor import RumorConfig
+from repro.sim.transport import UNLIMITED
 
 #: The frames that open or continue an anti-entropy conversation.
 _EXCHANGE_REQUESTS = frozenset(
@@ -98,7 +103,7 @@ class NodeConfig:
     mode: ExchangeMode = ExchangeMode.PUSH_PULL
     strategy: str = "full"            # "full" | "checksum" | "hierarchical"
     tau: float = 30.0
-    rumor_k: int = 2
+    rumor: RumorConfig = RumorConfig(k=2)
     connection_limit: int = 8         # inbound conversations in flight
     hunt_limit: int = 2               # extra partner draws after a rejection
     in_flight_limit: int = 4          # outbound conversations in flight
@@ -117,8 +122,9 @@ class NodeConfig:
             raise ValueError("hierarchical strategy requires push-pull mode")
         if self.tau <= 0:
             raise ValueError("tau must be positive")
-        if self.rumor_k < 1:
-            raise ValueError("rumor_k must be >= 1")
+        if self.rumor.policy != UNLIMITED:
+            # connection_limit and hunt_limit are the node's policy.
+            raise ValueError("rumor.policy must be UNLIMITED on a live node")
         if self.connection_limit < 1:
             raise ValueError("connection_limit must be >= 1")
         if self.hunt_limit < 0:
@@ -263,14 +269,6 @@ for _attr in _SCALAR_COUNTERS:
     setattr(NodeStats, _attr, _scalar_counter_property(_attr))
 
 
-@dataclasses.dataclass(slots=True)
-class _HotRumor:
-    """Per-node state for one hot rumor (feedback + counter, Section 1.4)."""
-
-    update: StoreUpdate
-    counter: int = 0
-
-
 class GossipNode:
     """One networked replica: store + server + gossip loops."""
 
@@ -299,7 +297,7 @@ class GossipNode:
         self._selector = membership.selector(config.selector) if len(membership) > 1 else None
         self._rng = random.Random(seed if seed is not None else node_id)
         self._budget = InFlightBudget(config.in_flight_limit)
-        self._hot: Dict[Hashable, _HotRumor] = {}
+        self._hot = rumor.HotList(on_hot=self._rumor_started)
         self._inbound_active = 0
         self._server: Optional[asyncio.base_events.Server] = None
         # Writers of the inbound connections _serve is answering; stop()
@@ -429,13 +427,13 @@ class GossipNode:
         """A client write at this node; becomes a hot rumor."""
         update = self.store.update(key, value)
         self._announce_injection(update, deletion=False)
-        self._make_hot(update)
+        self._hot.make_hot(update.key, update.entry)
         return update
 
     def delete(self, key: Hashable) -> StoreUpdate:
         update = self.store.delete(key)
         self._announce_injection(update, deletion=True)
-        self._make_hot(update)
+        self._hot.make_hot(update.key, update.entry)
         return update
 
     def _announce_injection(self, update: StoreUpdate, deletion: bool) -> None:
@@ -466,71 +464,85 @@ class GossipNode:
             )
 
     # ------------------------------------------------------------------
-    # Outbound: anti-entropy
+    # Outbound: one partner loop and one frame loop for both protocols
     # ------------------------------------------------------------------
+
+    async def _hunt(self, talk) -> Any:
+        """Draw a partner and hold ``talk(peer, attempt)`` with it; a
+        refusal (``None``) or a failure redraws, up to ``hunt_limit``
+        more times.  The first conversation's result, else ``None``."""
+        for attempt in range(self.config.hunt_limit + 1):
+            if attempt:
+                self.stats.hunts += 1
+            with self.profiler.phase("partner-selection"):
+                partner_id = self._selector.choose(self.node_id, self._rng)
+            try:
+                async with self._budget:
+                    with self.profiler.phase("exchange"):
+                        outcome = await talk(self.peers[partner_id], attempt)
+            except (PeerError, WireError, ExchangeError):
+                self.stats.peer_failures += 1
+                continue  # partner down: hunt for another, like a busy site
+            if outcome is not None:
+                return outcome
+        return None
+
+    async def _drive(self, peer: Peer, start) -> Any:
+        """Hold the conversation ``start(absorb)`` builds with ``peer``:
+        encode each request, decode each reply and resume the initiator.
+        Returns what it returns, ``None`` when the partner refused."""
+        context = (None, None)  # trace context (hops, sent_at) of the reply being absorbed
+
+        def absorb(updates: UpdateList) -> List[ApplyResult]:
+            return self._merge(updates, peer.node_id, *context)
+
+        conversation = start(absorb)
+        try:
+            request = next(conversation)
+            while True:
+                reply = await self._call(peer, self._message(request))
+                if reply is None:
+                    return None
+                if request.kind == "tree":
+                    self.stats.tree_rounds += 1
+                elif request.kind != "pull-request":  # whose offer is a digest only
+                    self.stats.updates_shipped += len(request.fields.get("updates", ()))
+                answer, *context = _frame_of(reply)
+                request = conversation.send(answer)
+        except StopIteration as settled:
+            return settled.value
+        finally:
+            conversation.close()
 
     async def run_anti_entropy_once(self) -> bool:
         """One anti-entropy round: pick a partner (hunting past
         refusals) and resolve differences.  True when an exchange ran."""
         if self._selector is None:
             return False
-        for attempt in range(self.config.hunt_limit + 1):
-            if attempt:
-                self.stats.hunts += 1
-            with self.profiler.phase("partner-selection"):
-                partner_id = self._selector.choose(self.node_id, self._rng)
-            peer = self.peers[partner_id]
+        config = self.config
+        strategy = strategy_for(config.strategy, config.tau)
+
+        async def talk(peer: Peer, attempt: int) -> Optional[ExchangeReport]:
             self.bus.emit(
                 EventKind.EXCHANGE_STARTED,
                 node=self.node_id,
-                partner=partner_id,
-                mode=self.config.mode.value,
-                strategy=self.config.strategy,
+                partner=peer.node_id,
+                mode=config.mode.value,
+                strategy=config.strategy,
                 attempt=attempt,
             )
-            began = time.monotonic()
-            try:
-                async with self._budget:
-                    with self.profiler.phase("exchange"):
-                        accepted = await self._anti_entropy_with(peer)
-            except (PeerError, WireError, ExchangeError):
-                self.stats.peer_failures += 1
-                continue  # partner down: hunt for another, like a busy site
-            if accepted:
-                self.stats.exchanges += 1
+            began, entries = time.monotonic(), len(self.store)
+            report = await self._drive(peer, partial(strategy.converse, self.store, config.mode))
+            if report is not None:
+                self._exchange_settled(peer, report, entries)
                 self.stats.exchange_seconds.observe(time.monotonic() - began)
-                return True
-        return False
+            return report
 
-    async def _anti_entropy_with(self, peer: Peer) -> bool:
-        """Drive one conversation of the configured strategy with
-        ``peer``: encode each request the initiator yields, decode the
-        reply, resume it.  Returns False when the partner refused."""
-        config = self.config
-        mode = config.mode
-        hops = sent_at = None  # trace context of the reply being absorbed
+        return await self._hunt(talk) is not None
 
-        def absorb(updates: UpdateList) -> List[ApplyResult]:
-            return self._merge(updates, peer.node_id, hops, sent_at)
-
-        conversation = strategy_for(config.strategy, config.tau).converse(self.store, mode, absorb)
-        entries = len(self.store)
-        try:
-            request = next(conversation)
-            while True:
-                reply = await self._call(peer, self._message(request))
-                if reply is None:
-                    return False
-                if request.kind == "tree":
-                    self.stats.tree_rounds += 1
-                elif request.kind != "pull-request":  # whose offer is a digest only
-                    self.stats.updates_shipped += len(request.fields["updates"])
-                answer, hops, sent_at = _frame_of(reply)
-                request = conversation.send(answer)
-        except StopIteration as settled:
-            report: ExchangeReport = settled.value
-        finally:
-            conversation.close()
+    def _exchange_settled(self, peer: Peer, report: ExchangeReport, entries: int) -> None:
+        """The books on one exchange that began with ``entries`` here."""
+        self.stats.exchanges += 1
         if report.via.startswith("checksum"):
             self.bus.emit(
                 EventKind.CHECKSUM_HIT if report.via == "checksum" else EventKind.CHECKSUM_MISS,
@@ -553,66 +565,49 @@ class GossipNode:
             EventKind.EXCHANGE_SETTLED,
             node=self.node_id,
             partner=peer.node_id,
-            mode=mode.value,
+            mode=self.config.mode.value,
             via=report.via,
             shipped=report.wire_ab,
             received=report.wire_ba,
         )
-        return True
-
-    # ------------------------------------------------------------------
-    # Outbound: rumor mongering
-    # ------------------------------------------------------------------
 
     async def run_rumor_once(self) -> bool:
-        """Push the hot-rumor list to one partner; apply ACK feedback."""
-        if self._selector is None or not self._hot:
+        """One rumor tick: snapshot the hot list, hold one conversation
+        (hunting past refusals and failures), settle what the snapshot's
+        rumors met.  A tick that pulls is settled when the next one
+        begins, for the pulls it answers bring feedback until then.  True
+        when a conversation ran."""
+        config = self.config.rumor
+        if self._selector is None:
             return False
-        rumors = list(self._hot.values())
-        updates = [rumor.update for rumor in rumors]
-        with self.profiler.phase("partner-selection"):
-            partner_id = self._selector.choose(self.node_id, self._rng)
-        peer = self.peers[partner_id]
-        message = self._message(Frame("rumor", {"updates": updates}))
-        try:
-            async with self._budget:
-                with self.profiler.phase("exchange"):
-                    reply = await self._call(peer, message)
-        except (PeerError, WireError):
-            self.stats.peer_failures += 1
+        if config.mode.pulls:
+            self._settle_rumors()
+        elif not self._hot:
             return False
-        if reply is None:
-            return False
-        self.stats.updates_shipped += len(updates)
-        self.bus.emit(
-            EventKind.RUMOR_SENT,
-            node=self.node_id,
-            partner=partner_id,
-            shipped=len(updates),
-        )
-        news = reply.payload.get("news", [])
-        for index, rumor in enumerate(rumors):
-            was_news = bool(news[index]) if index < len(news) else False
-            if was_news:
-                continue  # feedback: a useful push keeps the rumor hot
-            rumor.counter += 1
-            if rumor.counter >= self.config.rumor_k:
-                self._hot.pop(rumor.update.key, None)
-                self.bus.emit(
-                    EventKind.RUMOR_DEAD,
-                    node=self.node_id,
-                    key=str(rumor.update.key),
-                    counter=rumor.counter,
-                )
-        return True
+        self._hot.begin()
 
-    def _make_hot(self, update: StoreUpdate) -> None:
-        existing = self._hot.get(update.key)
-        if existing is not None and not entry_beats(update.entry, existing.update.entry):
-            return
-        self._hot[update.key] = _HotRumor(update=update)
+        async def talk(peer: Peer, attempt: int) -> Optional[int]:
+            shipped = await self._drive(peer, partial(rumor.converse, config, self._hot))
+            if shipped is not None:
+                self.bus.emit(
+                    EventKind.RUMOR_SENT, node=self.node_id, partner=peer.node_id, shipped=shipped
+                )
+            return shipped
+
+        ran = await self._hunt(talk) is not None
+        if not config.mode.pulls:
+            self._settle_rumors()
+        return ran
+
+    def _settle_rumors(self) -> None:
+        for key, dead in self._hot.settle(self.config.rumor, self._rng):
+            self.bus.emit(
+                EventKind.RUMOR_DEAD, node=self.node_id, key=str(key), counter=dead.counter
+            )
+
+    def _rumor_started(self, key: Hashable) -> None:
         self.stats.rumors_started += 1
-        self.bus.emit(EventKind.RUMOR_HOT, node=self.node_id, key=str(update.key))
+        self.bus.emit(EventKind.RUMOR_HOT, node=self.node_id, key=str(key))
 
     @property
     def hot_rumor_count(self) -> int:
@@ -691,7 +686,7 @@ class GossipNode:
                 if message.type in _EXCHANGE_REQUESTS:
                     return self._answer_exchange(message)
                 if message.type is MessageType.RUMOR:
-                    return self._handle_rumor(message)
+                    return self._answer_rumor(message)
                 if message.type is MessageType.MAIL:
                     return self._handle_mail(message)
             except (WireError, SerializeError, ExchangeError) as error:
@@ -708,26 +703,24 @@ class GossipNode:
         request, hops, sent_at = _frame_of(message)
         with self.profiler.phase("merge"):
             reply, applied, __ = respond(self.store, request, self.config.tau)
-        if hops is not None:
-            # ``applied`` holds the request's own entry objects, one per
-            # decoded row, so identity pairs each applied version with
-            # its own hop — a frame carrying two versions of one key
-            # must not hand version A's context to version B.
-            offered = request.fields["updates"].entries
-            hop_of = {id(entry): hop for entry, hop in zip(offered, hops)}
-            hops = [hop_of[id(entry)] for entry in applied.updates.entries]
+        hops = _hops_of(applied.updates, request.fields["updates"], hops)
         now = self._account(applied.updates, applied.results, message.sender, hops, sent_at)
         if message.type is MessageType.TREE:
             self.stats.tree_rounds += 1
         self.stats.updates_shipped += len(reply.fields.get("updates", ()))
         return self._message(reply, now)
 
-    def _handle_rumor(self, message: Message) -> Message:
-        applied = self._absorb(message.payload, message.sender)
-        for update, result in applied:
-            if result.was_news:
-                self._make_hot(update)  # infection: the rumor spreads here too
-        return self._ack({"news": [result.was_news for __, result in applied]})
+    def _answer_rumor(self, message: Message) -> Message:
+        """One rumor frame in, the responder's reply out."""
+        request, hops, sent_at = _frame_of(message)
+
+        def absorb(updates: UpdateList) -> List[ApplyResult]:
+            context = _hops_of(updates, request.fields["updates"], hops)
+            return self._merge(updates, message.sender, context, sent_at)
+
+        reply = rumor.respond(self._hot, request, absorb)
+        self.stats.updates_shipped += len(reply.fields.get("updates", ()))
+        return self._message(reply)
 
     def _handle_mail(self, message: Message) -> Message:
         payload = message.payload
@@ -1000,6 +993,16 @@ class GossipNode:
         )
 
 
+def _hops_of(chosen: UpdateList, offered: UpdateList, hops: Optional[list]) -> Optional[list]:
+    """The hops of ``chosen``, rows of ``offered`` (``hops`` parallel to
+    it), paired by entry identity: a frame carrying two versions of one
+    key must not hand version A's context to version B."""
+    if hops is None or len(chosen) == len(offered):
+        return hops  # all of the offer, in its order
+    hop_of = {id(entry): hop for entry, hop in zip(offered.entries, hops)}
+    return [hop_of[id(entry)] for entry in chosen.entries]
+
+
 def _frame_of(message: Message) -> Tuple[Frame, Optional[list], Optional[float]]:
     """A decoded message as the frame the protocol endpoints read —
     update lists, tree nodes and bucket lists as Python values — plus
@@ -1013,4 +1016,6 @@ def _frame_of(message: Message) -> Tuple[Frame, Optional[list], Optional[float]]
     for field in ("dirty", "buckets"):
         if field in payload:
             fields[field] = payload_bucket_list(payload, field)
+    if type(payload.get("keys")) is list:
+        fields["keys"] = list(map(decode_key, payload["keys"]))
     return Frame(message.type.value, fields), hops, sent_at

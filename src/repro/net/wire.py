@@ -41,9 +41,10 @@ Message types map onto the paper's mechanisms:
 ``CHECKSUM``              Section 1.3's cheap first phase (recent update list
                           + database checksum), and — with ``{"probe": true}``
                           — a read-only status probe used by the demo harness
-``RUMOR``                 hot-rumor push (Section 1.4); the ``ACK`` carries
-                          per-update was-news feedback for the sender's
-                          counters
+``RUMOR``                 a Section 1.4 conversation: a push answered by an
+                          ``ACK`` of per-update was-news feedback, or a pull
+                          answered by the responder's hot rumors in a
+                          ``RUMOR``, then the puller's feedback
 ``MAIL``                  direct mail between peers, or a client injection
                           (``{"key": ..., "value": ...}``) stamped by the
                           receiving node's clock

@@ -29,23 +29,37 @@ All decisions within one cycle are based on start-of-cycle state, so a
 site infected during a cycle starts spreading in the next — matching
 the synchronous model underlying the paper's analysis.
 
-This class is the *reference* engine.  For uniform partner selection
-the batched core (:func:`repro.sim.batch.rumor_trial`) runs the same
-design space over flat arrays, bit-for-bit identical — any change to
-the cycle semantics here must be mirrored there, and the golden tests
-in ``tests/test_batch_engine.py`` will catch a divergence.
+**Who owns what.**  As :mod:`repro.protocols.exchange` does for
+anti-entropy, this module writes each conversation once, as pure
+endpoints exchanging :class:`~repro.protocols.exchange.Frame` objects
+(docs/live_runtime.md lists them): the initiator :func:`converse`, the
+responder :func:`respond`, and one :class:`HotList` per site, whose
+:meth:`~HotList.settle` ends a cycle.  :class:`RumorMongeringProtocol`
+drives them in process, ``repro.net.node.GossipNode`` over TCP.
+
+:class:`RumorMongeringProtocol` is the *reference* engine.  For uniform
+partner selection the batched core (:func:`repro.sim.batch.rumor_trial`)
+runs the same design space over flat arrays, bit-for-bit identical —
+any change to the cycle semantics here must be mirrored there, and the
+golden tests in ``tests/test_batch_engine.py`` will catch a divergence.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Hashable, List, Optional, Tuple
+from functools import partial
+from itertools import compress
+from operator import attrgetter, not_
+from typing import Callable, Dict, Generator, Hashable, List, Optional, Tuple
 
 from repro.core.items import Entry
-from repro.core.store import ApplyResult, StoreUpdate
+from repro.core.store import ApplyResult, StoreUpdate, UpdateList
 from repro.protocols.base import ExchangeMode, Protocol, entry_beats
+from repro.protocols.exchange import ExchangeError, Frame, _expect
 from repro.sim.transport import ConnectionLedger, ConnectionPolicy, UNLIMITED
 from repro.topology.spatial import PartnerSelector, UniformSelector
+
+_WAS_NEWS = attrgetter("was_news")
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -98,7 +112,6 @@ class _Rumor:
 
     entry: Entry
     counter: int = 0
-    born_cycle: int = 0
 
 
 @dataclasses.dataclass(slots=True)
@@ -109,6 +122,214 @@ class _CycleEvents:
     useless: int = 0
     # Minimization: counters of partners that also knew the rumor.
     partner_counters: List[int] = dataclasses.field(default_factory=list)
+
+    def note(self, useful: bool) -> None:
+        if useful:
+            self.useful += 1
+        else:
+            self.useless += 1
+
+
+class HotList(dict):
+    """One site's hot rumors, key → :class:`_Rumor`, and its cycle.
+
+    :meth:`begin` snapshots the list as ``served`` — ``(key, entry,
+    counter)`` rows, what the cycle's pulls are answered from and what
+    :meth:`settle` ends it on — and ``contacts`` gathers, by key, what
+    those rumors meet until then.  ``on_hot`` (optional) is called with
+    each key a rumor is installed or refreshed for.
+    """
+
+    __slots__ = ("on_hot", "served", "contacts")
+
+    def __init__(self, on_hot: Optional[Callable[[Hashable], None]] = None):
+        super().__init__()
+        self.on_hot = on_hot
+        self.served: List[Tuple[Hashable, Entry, int]] = []
+        self.contacts: Dict[Hashable, _CycleEvents] = {}
+
+    def make_hot(self, key: Hashable, entry: Entry) -> None:
+        """Install (or refresh) the rumor for ``key`` unless the one held
+        is at least as new."""
+        held = self.get(key)
+        if held is not None and not entry_beats(entry, held.entry):
+            return
+        self[key] = _Rumor(entry)
+        if self.on_hot is not None:
+            self.on_hot(key)
+
+    def begin(self) -> None:
+        """Start a cycle from the list as it stands."""
+        self.served = [(key, rumor.entry, rumor.counter) for key, rumor in self.items()]
+
+    def settle(self, config: RumorConfig, rng) -> List[Tuple[Hashable, _Rumor]]:
+        """End the cycle: ``config``'s interest-loss rule for every
+        served rumor still hot (not deactivated or superseded meanwhile),
+        given what it met; coin flips draw from ``rng``.  Removes the
+        rumors that lost interest and returns them, final counters kept."""
+        contacts, self.contacts = self.contacts, {}
+        dead = []
+        for key, entry, __ in self.served:
+            rumor = self.get(key)
+            if rumor is None or (
+                rumor.entry is not entry and rumor.entry.timestamp != entry.timestamp
+            ):
+                continue
+            if _loses_interest(config, rumor, contacts.get(key), rng):
+                del self[key]
+                dead.append((key, rumor))
+        return dead
+
+
+def _infect(hot: HotList, updates: UpdateList, results: List[ApplyResult]) -> List[bool]:
+    """News makes the receiver infective too; returns the was-news flags."""
+    news = list(map(_WAS_NEWS, results))
+    for key, entry in zip(compress(updates.keys, news), compress(updates.entries, news)):
+        hot.make_hot(key, entry)
+    return news
+
+
+def _column(fields: Dict, name: str, count: int, types: set) -> list:
+    column = fields.get(name)
+    if type(column) is not list or len(column) != count or not types.issuperset(map(type, column)):
+        raise ExchangeError(f"bad {name} {column!r}: expected {count} items")
+    return column
+
+
+def converse(config: RumorConfig, hot: HotList, absorb) -> Generator[Frame, Frame, int]:
+    """The initiator's end of one conversation, from the rumors ``hot``
+    serves this cycle.  ``absorb`` merges a received :class:`UpdateList`
+    and returns one :class:`ApplyResult` per update; what each delivery
+    meant to its receiver goes to ``hot.contacts`` once the reply
+    carrying it has been checked whole.  Returns the number pushed."""
+    mode, mine, contacts = config.mode, hot.served, hot.contacts
+    pushed = UpdateList()
+    if mode.pushes:
+        pushed = UpdateList([key for key, __, __ in mine], [entry for __, entry, __ in mine])
+    request: Dict = {"updates": pushed} if mode.pushes else {}
+    if mode.pulls:
+        request = {"mode": mode.value, **request}
+        if config.minimization:
+            request["counters"] = [counter for __, __, counter in mine]
+    reply = yield Frame("rumor", request)
+    _expect(reply, "rumor" if mode.pulls else "ack")
+    fields = reply.fields
+    news = _column(fields, "news", len(pushed), {bool}) if mode.pushes else []
+    joint = [None] * len(pushed)
+    if config.minimization:
+        joint = _column(fields, "counters", len(pushed), {int, type(None)})
+    pulled = UpdateList.of(fields.get("updates", ()) if mode.pulls else ())
+    for key, useful, theirs in zip(pushed.keys, news, joint):
+        event = contacts.setdefault(key, _CycleEvents())
+        if theirs is None:
+            event.note(useful)
+        else:
+            event.partner_counters.append(theirs)  # both knew it: minimization
+    if pulled:
+        feedback = _infect(hot, pulled, absorb(pulled))
+        _expect((yield Frame("rumor", {"news": feedback, "keys": list(pulled.keys)})), "ack")
+    return len(pushed)
+
+
+def respond(hot: HotList, request: Frame, absorb) -> Frame:
+    """The responder: answer one rumor frame from the rumors ``hot``
+    serves this cycle.  ``absorb`` as for :func:`converse`; the feedback
+    a pull sends back goes to ``hot.contacts``.  Every field is validated
+    before anything is applied (:class:`ExchangeError` otherwise)."""
+    kind, fields = request
+    served, contacts = hot.served, hot.contacts
+    if kind != "rumor":
+        raise ExchangeError(f"expected a rumor request, got {kind}")
+    if "news" in fields:
+        # Feedback on a batch a pull took from here; a rumor no longer
+        # served (a new cycle began since) has nothing to learn from it.
+        keys = fields.get("keys")
+        news = _column(fields, "news", len(keys) if type(keys) is list else -1, {bool})
+        mine = {key for key, __, __ in served}
+        for key, useful in zip(keys, news):
+            if key in mine:
+                contacts.setdefault(key, _CycleEvents()).note(useful)
+        return Frame("ack", {})
+    try:
+        mode = ExchangeMode(fields["mode"]) if "mode" in fields else ExchangeMode.PUSH
+    except ValueError:
+        raise ExchangeError(f"bad rumor mode {fields.get('mode')!r}") from None
+    offered = UpdateList.of(fields.get("updates", ()))
+    if offered and not mode.pushes:
+        raise ExchangeError("a pull request carries no updates")
+    minimization = "counters" in fields
+    joint = [False] * len(offered)
+    if minimization:
+        if mode is not ExchangeMode.PUSH_PULL:
+            raise ExchangeError("counters travel only in push-pull")
+        theirs = _column(fields, "counters", len(offered), {int})
+        # A rumor both sides hold at the same timestamp is neither
+        # shipped nor applied: each side records the other's counter.
+        held = {key: (entry, counter) for key, entry, counter in served}
+        joint = [
+            mine is not None and mine[0].timestamp == entry.timestamp
+            for mine, entry in zip(map(held.get, offered.keys), offered.entries)
+        ]
+        for key, counter in zip(compress(offered.keys, joint), compress(theirs, joint)):
+            contacts.setdefault(key, _CycleEvents()).partner_counters.append(counter)
+    fresh = list(map(not_, joint))
+    applied = UpdateList(
+        list(compress(offered.keys, fresh)), list(compress(offered.entries, fresh))
+    )
+    was_news = iter(_infect(hot, applied, absorb(applied)))
+    news = [not shared and next(was_news) for shared in joint]
+    if not mode.pulls:
+        return Frame("ack", {"news": news})
+    skip = set(compress(offered.keys, joint))
+    back = [(key, entry) for key, entry, __ in served if key not in skip]
+    reply: Dict = {
+        "updates": UpdateList([key for key, __ in back], [entry for __, entry in back])
+    }
+    if mode.pushes:
+        reply["news"] = news
+    if minimization:
+        reply["counters"] = [
+            held[key][1] if shared else None for key, shared in zip(offered.keys, joint)
+        ]
+    return Frame("rumor", reply)
+
+
+def _loses_interest(
+    config: RumorConfig, rumor: _Rumor, event: Optional[_CycleEvents], rng
+) -> bool:
+    if not config.feedback:
+        # Blind: independent of any recipient feedback.
+        if config.counter:
+            rumor.counter += 1
+            return rumor.counter >= config.k
+        return rng.random() < 1.0 / config.k
+
+    # Feedback variants need contact outcomes.
+    if event is None:
+        return False  # no conversation touched this rumor this cycle
+    if config.minimization and event.partner_counters:
+        # Increment only when our counter is <= every partner's that
+        # also knew the rumor (ties increment both sides).
+        if all(rumor.counter <= c for c in event.partner_counters):
+            rumor.counter += 1
+        return rumor.counter >= config.k
+    if config.counter:
+        if event.useful and config.resets_on_success:
+            rumor.counter = 0
+            return False
+        if event.useful:
+            return False
+        if event.useless:
+            # Per-cycle aggregation (the Table 3 footnote): all
+            # contacts unnecessary -> one increment.
+            rumor.counter += 1
+            return rumor.counter >= config.k
+        return False
+    # Coin: flip once per unnecessary contact.
+    for __ in range(event.useless):
+        if rng.random() < 1.0 / config.k:
+            return True
+    return False
 
 
 @dataclasses.dataclass(slots=True)
@@ -121,6 +342,10 @@ class RumorStats:
 
 
 class RumorMongeringProtocol(Protocol):
+    """The in-process driver: one cycle is every initiator's
+    conversation over the start-of-cycle snapshots, then every up site's
+    :meth:`HotList.settle`."""
+
     name = "rumor-mongering"
 
     def __init__(
@@ -133,13 +358,13 @@ class RumorMongeringProtocol(Protocol):
         self._selector = selector
         self.ledger = ConnectionLedger(config.policy)
         self.stats = RumorStats()
-        self._hot: Dict[int, Dict[Hashable, _Rumor]] = {}
+        self._hot: Dict[int, HotList] = {}
 
     def attach(self, cluster) -> None:
         super().attach(cluster)
         if self._selector is None:
             self._selector = UniformSelector(cluster.site_ids)
-        self._hot = {site_id: {} for site_id in cluster.site_ids}
+        self._hot = {site_id: HotList() for site_id in cluster.site_ids}
 
     def _refresh_selector(self) -> None:
         # Rebuildable selectors (uniform, auto or explicit) follow the
@@ -148,7 +373,7 @@ class RumorMongeringProtocol(Protocol):
             self._selector.rebuild(self.cluster.site_ids)
 
     def on_site_added(self, site_id: int) -> None:
-        self._hot[site_id] = {}
+        self._hot[site_id] = HotList()
         self._refresh_selector()
 
     def on_site_removed(self, site_id: int) -> None:
@@ -167,13 +392,11 @@ class RumorMongeringProtocol(Protocol):
 
     def make_hot(self, site_id: int, update: StoreUpdate) -> None:
         """Install (or refresh) a hot rumor at a site."""
-        rumors = self._hot[site_id]
-        existing = rumors.get(update.key)
-        if existing is not None and not entry_beats(update.entry, existing.entry):
-            return
-        rumors[update.key] = _Rumor(
-            entry=update.entry, counter=0, born_cycle=self.cluster.cycle
-        )
+        self._hot[site_id].make_hot(update.key, update.entry)
+
+    def hot_list(self, site_id: int) -> HotList:
+        """The site's hot list itself; :meth:`hot_rumors` is a copy."""
+        return self._hot[site_id]
 
     def is_infective(self, site_id: int, key: Hashable | None = None) -> bool:
         rumors = self._hot.get(site_id, {})
@@ -207,35 +430,35 @@ class RumorMongeringProtocol(Protocol):
         cluster = self.cluster
         config = self.config
         self.ledger.reset()
-        # Start-of-cycle snapshot: who is infective with what.
-        snapshot: Dict[int, List[Tuple[Hashable, Entry, int]]] = {}
-        for site_id in cluster.site_ids:
-            if not cluster.sites[site_id].up:
-                continue
-            rumors = self._hot[site_id]
-            if rumors:
-                snapshot[site_id] = [
-                    (key, rumor.entry, rumor.counter) for key, rumor in rumors.items()
-                ]
-        events: Dict[Tuple[int, Hashable], _CycleEvents] = {}
-
-        if config.mode is ExchangeMode.PUSH:
-            initiators = list(snapshot.keys())
-        else:
-            # pull and push-pull: every up site solicits each cycle.
-            initiators = [s for s in cluster.site_ids if cluster.sites[s].up]
+        # Start-of-cycle snapshots: who is infective with what.
+        up = [site_id for site_id in cluster.site_ids if cluster.sites[site_id].up]
+        for site_id in up:
+            self._hot[site_id].begin()
+        # Push: the infective sites talk; pull and push-pull: every up site.
+        initiators = up if config.mode.pulls else [s for s in up if self._hot[s].served]
 
         for site_id in initiators:
-            partner_id = self.ledger.connect_with_hunting(
-                self._choose_up_partner, site_id
-            )
+            partner_id = self.ledger.connect_with_hunting(self._choose_up_partner, site_id)
             if partner_id is None:
                 self.stats.rejected += 1
                 cluster.count_rejection()
                 continue
-            self._converse(site_id, partner_id, snapshot, events)
+            cluster.count_comparison(site_id, partner_id)
+            self.stats.conversations += 1
+            conversation = converse(config, self._hot[site_id], self._absorber(site_id, partner_id))
+            answer = partial(
+                respond, self._hot[partner_id], absorb=self._absorber(partner_id, site_id)
+            )
+            try:  # the in-process driver: each frame handed over as it is
+                request = next(conversation)
+                while True:
+                    request = conversation.send(answer(request))
+            except StopIteration:
+                pass
 
-        self._settle_cycle(snapshot, events)
+        for site_id in up:
+            dead = self._hot[site_id].settle(config, cluster.sites[site_id].rng)
+            self.stats.deactivations += len(dead)
 
     def _choose_up_partner(self, site_id: int):
         partner = self.selector.choose(site_id, self.cluster.sites[site_id].rng)
@@ -243,134 +466,18 @@ class RumorMongeringProtocol(Protocol):
             return None
         return partner
 
-    # ------------------------------------------------------------------
-
-    def _converse(
-        self,
-        site_id: int,
-        partner_id: int,
-        snapshot: Dict[int, List[Tuple[Hashable, Entry, int]]],
-        events: Dict[Tuple[int, Hashable], _CycleEvents],
-    ) -> None:
+    def _absorber(self, target: int, source: int):
+        """Deliveries from ``source`` merged at ``target``, counted as
+        update sends (useful or not) on the way."""
         cluster = self.cluster
-        mode = self.config.mode
-        cluster.count_comparison(site_id, partner_id)
-        self.stats.conversations += 1
-        mine = snapshot.get(site_id, [])
-        theirs = snapshot.get(partner_id, [])
-        their_keys = {key: (entry, counter) for key, entry, counter in theirs}
 
-        if mode.pushes:
-            for key, entry, counter in mine:
-                other = their_keys.get(key)
-                if (
-                    self.config.minimization
-                    and other is not None
-                    and other[0].timestamp == entry.timestamp
-                ):
-                    # Both parties hold the same hot rumor: the
-                    # minimization rule replaces plain feedback.  Each
-                    # side records the other's counter; no data moves.
-                    _event(events, site_id, key).partner_counters.append(other[1])
-                    _event(events, partner_id, key).partner_counters.append(counter)
-                    continue
-                self._ship(site_id, partner_id, key, entry, events)
-        if mode.pulls:
-            for key, entry, counter in theirs:
-                if self.config.minimization:
-                    other = next(
-                        ((e, c) for k, e, c in mine if k == key), None
-                    )
-                    if other is not None and other[0].timestamp == entry.timestamp:
-                        continue  # already handled in the push direction
-                self._ship(partner_id, site_id, key, entry, events)
+        def absorb(updates: UpdateList) -> List[ApplyResult]:
+            cluster.count_update_sends(source, target, len(updates))
+            results = [cluster.apply_at(target, u, via=self, source=source) for u in updates]
+            useful = sum(map(_WAS_NEWS, results))
+            cluster.count_useful_update_send(source, target, useful)
+            self.stats.updates_sent += len(results)
+            self.stats.useful_sends += useful
+            return results
 
-    def _ship(
-        self,
-        source: int,
-        target: int,
-        key: Hashable,
-        entry: Entry,
-        events: Dict[Tuple[int, Hashable], _CycleEvents],
-    ) -> None:
-        """Transmit one rumor and record feedback for the source."""
-        cluster = self.cluster
-        update = StoreUpdate(key=key, entry=entry)
-        cluster.count_update_sends(source, target, 1)
-        self.stats.updates_sent += 1
-        result = cluster.apply_at(target, update, via=self, source=source)
-        if result.was_news:
-            self.stats.useful_sends += 1
-            cluster.count_useful_update_send(source, target, 1)
-            self.make_hot(target, update)
-            _event(events, source, key).useful += 1
-        else:
-            _event(events, source, key).useless += 1
-
-    # ------------------------------------------------------------------
-    # End-of-cycle interest-loss decisions
-    # ------------------------------------------------------------------
-
-    def _settle_cycle(
-        self,
-        snapshot: Dict[int, List[Tuple[Hashable, Entry, int]]],
-        events: Dict[Tuple[int, Hashable], _CycleEvents],
-    ) -> None:
-        for site_id, rumor_list in snapshot.items():
-            rng = self.cluster.sites[site_id].rng
-            for key, entry, __ in rumor_list:
-                rumor = self._hot[site_id].get(key)
-                if rumor is None or rumor.entry.timestamp != entry.timestamp:
-                    continue  # deactivated or superseded during the cycle
-                event = events.get((site_id, key))
-                if self._loses_interest(rumor, event, rng):
-                    del self._hot[site_id][key]
-                    self.stats.deactivations += 1
-
-    def _loses_interest(
-        self, rumor: _Rumor, event: Optional[_CycleEvents], rng
-    ) -> bool:
-        config = self.config
-        if not config.feedback:
-            # Blind: independent of any recipient feedback.
-            if config.counter:
-                rumor.counter += 1
-                return rumor.counter >= config.k
-            return rng.random() < 1.0 / config.k
-
-        # Feedback variants need contact outcomes.
-        if event is None:
-            return False  # no conversation touched this rumor this cycle
-        if config.minimization and event.partner_counters:
-            # Increment only when our counter is <= every partner's that
-            # also knew the rumor (ties increment both sides).
-            if all(rumor.counter <= c for c in event.partner_counters):
-                rumor.counter += 1
-            return rumor.counter >= config.k
-        if config.counter:
-            if event.useful and config.resets_on_success:
-                rumor.counter = 0
-                return False
-            if event.useful:
-                return False
-            if event.useless:
-                # Per-cycle aggregation (the Table 3 footnote): all
-                # contacts unnecessary -> one increment.
-                rumor.counter += 1
-                return rumor.counter >= config.k
-            return False
-        # Coin: flip once per unnecessary contact.
-        for __ in range(event.useless):
-            if rng.random() < 1.0 / config.k:
-                return True
-        return False
-
-
-def _event(
-    events: Dict[Tuple[int, Hashable], _CycleEvents], site_id: int, key: Hashable
-) -> _CycleEvents:
-    event = events.get((site_id, key))
-    if event is None:
-        event = _CycleEvents()
-        events[(site_id, key)] = event
-    return event
+        return absorb

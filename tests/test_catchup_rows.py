@@ -20,8 +20,8 @@ import socket
 
 import pytest
 
-import repro.net.node as node_module
 import repro.protocols.exchange as exchange_module
+import repro.protocols.rumor as rumor_module
 from repro.core.store import ReplicaStore, StoreUpdate
 from repro.net.membership import Membership
 from repro.net.node import GossipNode, NodeConfig
@@ -64,7 +64,7 @@ class Tally:
             real_init(update, *args, **kwargs)
 
         self.monkeypatch.setattr(StoreUpdate, "__init__", init)
-        for module in (exchange_module, node_module):
+        for module in (exchange_module, rumor_module):
             self.monkeypatch.setattr(module, "entry_beats", self._judge(module.entry_beats))
         return self
 

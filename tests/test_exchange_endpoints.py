@@ -226,7 +226,7 @@ class TestResponderValidatesThenMutates:
 def test_protocols_do_not_import_the_network_runtime():
     """Layering: the endpoints are pure; only the drivers know I/O."""
     probe = (
-        "import sys; import repro.protocols.exchange; "
+        "import sys; import repro.protocols.exchange, repro.protocols.rumor; "
         "print([m for m in sys.modules "
         "if m in ('asyncio', 'socket') or m.startswith('repro.net')])"
     )

@@ -31,6 +31,7 @@ from repro.obs.events import EventKind, RingBufferSink
 from repro.obs.spans import trace_id_of
 from repro.protocols.base import ExchangeMode
 from repro.protocols.exchange import ChecksumWithRecent
+from repro.protocols.rumor import RumorConfig
 
 #: Loops effectively disabled; fast failure detection.
 QUIET = dict(
@@ -212,7 +213,7 @@ class TestRumors:
 
     def test_feedback_counter_deactivates_rumor(self):
         async def scenario():
-            async with cluster(2, rumor_k=1) as (a, b):
+            async with cluster(2, rumor=RumorConfig(k=1)) as (a, b):
                 a.inject("hot", 1)
                 await a.run_rumor_once()   # news: stays hot
                 await a.run_rumor_once()   # not news: counter hits k
@@ -293,7 +294,7 @@ class TestNodeConfig:
         with pytest.raises(ValueError):
             NodeConfig(tau=0)
         with pytest.raises(ValueError):
-            NodeConfig(rumor_k=0)
+            NodeConfig(rumor=RumorConfig(k=0))
         with pytest.raises(ValueError):
             NodeConfig(connection_limit=0)
         with pytest.raises(ValueError):
