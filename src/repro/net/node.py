@@ -181,11 +181,11 @@ class NodeStats:
     ``received`` maps each key to the wall-clock moment this node first
     learned news about it — the per-site receipt times from which the
     demo harness computes the paper's ``t_ave``/``t_last`` delays.  It
-    grows with the store; STATUS and probe replies carry only
+    grows with the store; STATUS replies carry only
     :meth:`recent_receipts`.
     """
 
-    #: Receipts a STATUS/probe reply carries.  The whole map is 30 bytes
+    #: Receipts a STATUS reply carries.  The whole map is 30 bytes
     #: a key: past the frame limit near 540 k keys, and a node that
     #: cannot answer STATUS is not observable.
     RECEIPTS_IN_STATUS = 1024
@@ -698,8 +698,6 @@ class GossipNode:
     def _answer_exchange(self, message: Message) -> Message:
         """One anti-entropy request in, the responder's reply out; what
         the responder applied is accounted for as one batch."""
-        if message.type is MessageType.CHECKSUM and message.payload.get("probe"):
-            return self._ack(self._probe_payload())
         request, hops, sent_at = _frame_of(message)
         with self.profiler.phase("merge"):
             reply, applied, __ = respond(self.store, request, self.config.tau)
@@ -753,27 +751,6 @@ class GossipNode:
             )
         applied = self._absorb(payload, message.sender)
         return self._ack({"news": [result.was_news for __, result in applied]})
-
-    def _probe_payload(self) -> Dict[str, Any]:
-        """Status snapshot for the measurement harness."""
-        stats = self.stats
-        return {
-            "node": self.node_id,
-            "checksum": self.store.checksum,
-            "entries": len(self.store),
-            "received": stats.recent_receipts(),
-            "received_total": len(stats.received),
-            "exchanges": stats.exchanges,
-            "checksum_successes": stats.checksum_successes,
-            "updates_shipped": stats.updates_shipped,
-            "updates_absorbed": stats.updates_absorbed,
-            "frames_sent": dict(stats.frames_sent),
-            "frames_received": dict(stats.frames_received),
-            "rejections_in": stats.rejections_in,
-            "rejections_out": stats.rejections_out,
-            "peer_failures": stats.peer_failures,
-            "hot_rumors": len(self._hot),
-        }
 
     def status_payload(self) -> Dict[str, Any]:
         """The ``STATUS`` introspection reply: identity, S/I/R census,

@@ -3,7 +3,7 @@
 :class:`LiveCluster` boots N :class:`~repro.net.node.GossipNode`\\ s on
 real TCP sockets (pre-bound ephemeral ports, so parallel test runs
 never collide), and talks to them the way any external client would:
-over the wire, with MAIL injections and CHECKSUM probes.
+over the wire, with MAIL injections and STATUS queries.
 
 :func:`live_demo` is the measurement harness behind
 ``python -m repro live-demo``: inject one update, optionally kill and
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import functools
 import json
 import math
 import socket
@@ -169,23 +170,6 @@ class LiveCluster:
         )
         return reply.payload
 
-    async def probe(self, node_id: int) -> Dict[str, Any]:
-        """CHECKSUM status probe of one node."""
-        reply = await self._probe_peer(node_id).call(
-            Message(
-                type=MessageType.CHECKSUM,
-                sender=CLIENT_ID,
-                payload={"probe": True},
-            )
-        )
-        return reply.payload
-
-    async def probe_all(self) -> Dict[int, Dict[str, Any]]:
-        results: Dict[int, Dict[str, Any]] = {}
-        for node_id in sorted(self.nodes):
-            results[node_id] = await self.probe(node_id)
-        return results
-
     async def status(self, node_id: int) -> Dict[str, Any]:
         """STATUS introspection of one node: identity, census, and its
         full metrics-registry snapshot (served even while gossip
@@ -205,16 +189,16 @@ class LiveCluster:
         """All running nodes agree (equal checksums, non-empty stores);
         with ``key``, every node must additionally have received it."""
         try:
-            probes = await self.probe_all()
+            statuses = await self.status_all()
         except PeerError:
             return False
-        if not probes:
+        if not statuses:
             return False
-        checksums = {p["checksum"] for p in probes.values()}
-        if len(checksums) != 1 or not all(p["entries"] for p in probes.values()):
+        checksums = {s["checksum"] for s in statuses.values()}
+        if len(checksums) != 1 or not all(s["entries"] for s in statuses.values()):
             return False
         if key is not None:
-            return all(key in p["received"] for p in probes.values())
+            return all(key in s["received"] for s in statuses.values())
         return True
 
     async def wait_converged(
@@ -255,7 +239,7 @@ class ClusterReport:
     The headline numbers (``t_ave``, ``t_last``, ``residue``,
     ``updates_per_site``) come from the cluster-wide event stream via
     :class:`~repro.obs.convergence.ConvergenceTracker`; the per-node
-    rows come from each node's own counters, probed over the wire.
+    rows come from each node's own counters, read over the wire.
     """
 
     n: int
@@ -310,6 +294,11 @@ class ClusterReport:
 LiveDemoReport = ClusterReport
 
 
+def _counter_total(status: Dict[str, Any], family: str) -> int:
+    """A STATUS snapshot's counter, summed over its labeled series."""
+    return int(sum(cell["value"] for cell in status["metrics"][family]["series"]))
+
+
 async def live_demo(
     nodes: int = 8,
     config: NodeConfig = NodeConfig(),
@@ -346,7 +335,6 @@ async def live_demo(
     )
     if writer is not None:
         bus.add_sink(writer)
-    statuses: Dict[int, Dict[str, Any]] = {}
     try:
         cluster = await LiveCluster.launch(nodes, config, bus=bus)
         victim = max(cluster.nodes) if churn else None
@@ -370,9 +358,7 @@ async def live_demo(
             else:
                 converged = await cluster.wait_converged(key, timeout=timeout)
             wall = time.time() - injected_at
-            probes = await cluster.probe_all()
-            if metrics_file is not None:
-                statuses = await cluster.status_all()
+            statuses = await cluster.status_all()
         finally:
             await cluster.stop()
     finally:
@@ -390,17 +376,19 @@ async def live_demo(
             handle.write("\n")
 
     rows: List[NodeReport] = []
-    for node_id, payload in sorted(probes.items()):
+    for node_id, status in sorted(statuses.items()):
+        total = functools.partial(_counter_total, status)
         rows.append(
             NodeReport(
                 node_id=node_id,
-                entries=payload["entries"],
-                exchanges=payload["exchanges"],
-                updates_shipped=payload["updates_shipped"],
-                updates_absorbed=payload["updates_absorbed"],
-                frames_sent=sum(payload["frames_sent"].values()),
-                frames_received=sum(payload["frames_received"].values()),
-                rejections=payload["rejections_in"] + payload["rejections_out"],
+                entries=status["entries"],
+                exchanges=total("repro_exchanges_total"),
+                updates_shipped=total("repro_updates_shipped_total"),
+                updates_absorbed=total("repro_updates_absorbed_total"),
+                frames_sent=total("repro_frames_sent_total"),
+                frames_received=total("repro_frames_received_total"),
+                rejections=total("repro_rejections_in_total")
+                + total("repro_rejections_out_total"),
                 receipt_delay=tracker.delay_of(node_id),
             )
         )

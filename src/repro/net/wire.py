@@ -39,8 +39,7 @@ Message types map onto the paper's mechanisms:
                           entries the initiator lacks in a ``PULL_REPLY``
 ``PULL_REPLY``            the responder's half of an exchange
 ``CHECKSUM``              Section 1.3's cheap first phase (recent update list
-                          + database checksum), and — with ``{"probe": true}``
-                          — a read-only status probe used by the demo harness
+                          + database checksum)
 ``RUMOR``                 a Section 1.4 conversation: a push answered by an
                           ``ACK`` of per-update was-news feedback, or a pull
                           answered by the responder's hot rumors in a
@@ -52,7 +51,7 @@ Message types map onto the paper's mechanisms:
                           its metrics-registry snapshot and S/I/R census; the
                           reply is a ``STATUS`` frame and is served even when
                           the node is refusing gossip conversations
-``ACK``                   generic reply: feedback, probe results, rejections
+``ACK``                   generic reply: feedback, client results, rejections
 ``TREE``                  one level of a hierarchical-checksum
                           drill-down: the initiator sends checksum-tree
                           nodes, the responder answers with the children

@@ -19,11 +19,17 @@ so they ride along in every metrics snapshot (live ``STATUS`` replies,
 
 The simulator's hot loop runs millions of callbacks, so its hooks are
 pay-for-what-you-use: :data:`NULL_PROFILER` is installed by default
-and call sites test ``profiler.enabled`` (or ``is None``) before
-entering per-event phases.  ``Cluster.enable_profiling()`` swaps in a
-real profiler.  The live runtime always profiles — its phase
-granularity is one network conversation, where a ``perf_counter`` pair
-is noise.
+and ``Cluster.enable_profiling()`` swaps in a real profiler.  The
+engine's per-event ``engine`` phase is entered only once profiling is
+on (the engine's profiler is ``None`` until then) and the cluster's
+``emit`` phase only when the event bus has a consumer.  The
+per-conversation ``partner-selection`` and ``exchange`` phases of
+``GossipProtocol.pair_up`` are always entered: with profiling off that
+is the null profiler's one shared do-nothing phase, a method call and
+an empty ``with`` per phase, next to a conversation that costs
+microseconds to milliseconds.  The live runtime always profiles — its
+phase granularity is one network conversation, where a
+``perf_counter`` pair is noise.
 """
 
 from __future__ import annotations

@@ -29,8 +29,8 @@ from typing import Dict, Hashable, Optional, Set
 
 from repro.core.store import ApplyResult, StoreUpdate
 from repro.core.timestamps import Timestamp
-from repro.protocols.base import Protocol
-from repro.topology.spatial import PartnerSelector, UniformSelector
+from repro.protocols.base import GossipProtocol
+from repro.topology.spatial import PartnerSelector
 
 CertId = tuple  # (key, ordinary timestamp) uniquely names a certificate
 
@@ -42,14 +42,16 @@ class AckGcStats:
     discarded: int = 0
 
 
-class AckBasedCertificateGC(Protocol):
-    """Discard a certificate once every site is known to hold it."""
+class AckBasedCertificateGC(GossipProtocol):
+    """Discard a certificate once every site is known to hold it.
+
+    Only the selector and the partner draw are shared: the ack-set
+    gossip is not connection-limited and counts no comparisons."""
 
     name = "ack-gc"
 
     def __init__(self, selector: Optional[PartnerSelector] = None):
-        super().__init__()
-        self._selector = selector
+        super().__init__(selector)
         # acks[site][cert] = set of sites known (by `site`) to hold cert
         self._acks: Dict[int, Dict[CertId, Set[int]]] = {}
         # Certificates a site has already determined complete and
@@ -61,8 +63,6 @@ class AckBasedCertificateGC(Protocol):
 
     def attach(self, cluster) -> None:
         super().attach(cluster)
-        if self._selector is None:
-            self._selector = UniformSelector(cluster.site_ids)
         self._acks = {site_id: {} for site_id in cluster.site_ids}
         self._completed = {site_id: set() for site_id in cluster.site_ids}
         # Account for certificates already present.
@@ -74,14 +74,12 @@ class AckBasedCertificateGC(Protocol):
     def on_site_added(self, site_id: int) -> None:
         self._acks[site_id] = {}
         self._completed[site_id] = set()
-        if self._selector is not None:
-            self._selector.rebuild(self.cluster.site_ids)
+        super().on_site_added(site_id)
 
     def on_site_removed(self, site_id: int) -> None:
         self._acks.pop(site_id, None)
         self._completed.pop(site_id, None)
-        if self._selector is not None:
-            self._selector.rebuild(self.cluster.site_ids)
+        super().on_site_removed(site_id)
 
     # ------------------------------------------------------------------
 
@@ -113,13 +111,10 @@ class AckBasedCertificateGC(Protocol):
         cluster = self.cluster
         membership = set(cluster.site_ids)
         # Gossip ack-sets pairwise.
-        for site_id in cluster.site_ids:
-            if not cluster.sites[site_id].up:
-                continue
-            partner = self._selector.choose(site_id, cluster.sites[site_id].rng)
-            if partner is None or not cluster.can_communicate(site_id, partner):
-                continue
-            self._merge_acks(site_id, partner)
+        for site_id in cluster.up_site_ids():
+            partner = self._choose_up_partner(site_id)
+            if partner is not None:
+                self._merge_acks(site_id, partner)
         # Discard fully-acknowledged certificates.
         for site_id in cluster.site_ids:
             site = cluster.sites[site_id]

@@ -25,7 +25,7 @@ Two driving modes are provided:
 * ``synchronous=False``: exchanges operate on live stores through a
   configurable :class:`ExchangeStrategy` (full compare, checksums with
   recent-update lists, or peel back), which is how a deployment would
-  actually run.
+  actually run.  Only this mode takes a strategy.
 
 The synchronous mode is the *reference* engine: for uniform partner
 selection :func:`repro.sim.batch.anti_entropy_trial` runs the same
@@ -36,18 +36,19 @@ golden tests in ``tests/test_batch_engine.py`` hold the two equal.
 from __future__ import annotations
 
 import dataclasses
+from functools import partial
 from typing import Callable, Dict, Hashable, List, Optional
 
 from repro.core.items import Entry
 from repro.core.store import ApplyResult, StoreUpdate
-from repro.protocols.base import ExchangeMode, Protocol, entry_beats
+from repro.protocols.base import ExchangeMode, GossipProtocol, entry_beats
 from repro.protocols.exchange import (
     ExchangeStrategy,
     FullCompare,
     resolve_difference as resolve_difference,  # re-exported via repro.protocols
 )
-from repro.sim.transport import ConnectionLedger, ConnectionPolicy, UNLIMITED
-from repro.topology.spatial import PartnerSelector, UniformSelector
+from repro.sim.transport import ConnectionPolicy, UNLIMITED
+from repro.topology.spatial import PartnerSelector
 
 TransferHook = Callable[[int, int, StoreUpdate, ApplyResult], None]
 
@@ -98,7 +99,7 @@ class ExchangeStats:
     rejected: int = 0
 
 
-class AntiEntropyProtocol(Protocol):
+class AntiEntropyProtocol(GossipProtocol):
     name = "anti-entropy"
 
     def __init__(
@@ -107,37 +108,16 @@ class AntiEntropyProtocol(Protocol):
         config: AntiEntropyConfig = AntiEntropyConfig(),
         strategy: Optional[ExchangeStrategy] = None,
     ):
-        super().__init__()
+        if strategy is not None and config.synchronous:
+            raise ValueError(
+                "the synchronous engine runs its own full compare and would ignore "
+                "the strategy: pass AntiEntropyConfig(synchronous=False) with it"
+            )
+        super().__init__(selector, config.policy)
         self.config = config
-        self._selector = selector
         self.strategy = strategy if strategy is not None else FullCompare()
-        self.ledger = ConnectionLedger(config.policy)
         self.stats = ExchangeStats()
         self._transfer_hooks: List[TransferHook] = []
-
-    def attach(self, cluster) -> None:
-        super().attach(cluster)
-        if self._selector is None:
-            self._selector = UniformSelector(cluster.site_ids)
-
-    def _refresh_selector(self) -> None:
-        # Any rebuildable selector — auto-created or handed in
-        # explicitly — follows the membership; topology-bound selectors
-        # decline (rebuild returns False) and keep their tables.
-        if self._selector is not None:
-            self._selector.rebuild(self.cluster.site_ids)
-
-    def on_site_added(self, site_id: int) -> None:
-        self._refresh_selector()
-
-    def on_site_removed(self, site_id: int) -> None:
-        self._refresh_selector()
-
-    @property
-    def selector(self) -> PartnerSelector:
-        if self._selector is None:
-            raise RuntimeError("protocol not attached yet")
-        return self._selector
 
     def on_transfer(self, hook: TransferHook) -> None:
         """Register a callback fired for every update anti-entropy ships.
@@ -155,50 +135,14 @@ class AntiEntropyProtocol(Protocol):
         if (cycle - config.offset) % config.period != 0:
             return
         cluster = self.cluster
-        self.ledger.reset()
-        snapshots: Optional[Dict[int, Dict[Hashable, Entry]]] = None
+        talk = self._exchange_live
         if config.synchronous:
             snapshots = {
                 site_id: cluster.sites[site_id].store.snapshot()
                 for site_id in cluster.site_ids
             }
-        profiler = cluster.profiler if cluster.profiler.enabled else None
-        for site_id in cluster.site_ids:
-            site = cluster.sites[site_id]
-            if not site.up:
-                continue
-            if profiler is not None:
-                with profiler.phase("partner-selection"):
-                    partner_id = self.ledger.connect_with_hunting(
-                        self._choose_up_partner, site_id
-                    )
-            else:
-                partner_id = self.ledger.connect_with_hunting(
-                    self._choose_up_partner, site_id
-                )
-            if partner_id is None:
-                self.stats.rejected += 1
-                cluster.count_rejection()
-                continue
-            cluster.count_comparison(site_id, partner_id)
-            self.stats.exchanges += 1
-            if profiler is not None:
-                with profiler.phase("exchange"):
-                    if config.synchronous:
-                        self._exchange_synchronous(site_id, partner_id, snapshots)
-                    else:
-                        self._exchange_live(site_id, partner_id)
-            elif config.synchronous:
-                self._exchange_synchronous(site_id, partner_id, snapshots)
-            else:
-                self._exchange_live(site_id, partner_id)
-
-    def _choose_up_partner(self, site_id: int):
-        """One partner draw; down partners count as failed attempts."""
-        partner = self.selector.choose(site_id, self.cluster.sites[site_id].rng)
-        if partner is None or not self.cluster.can_communicate(site_id, partner):
-            return None
-        return partner
+            talk = partial(self._exchange_synchronous, snapshots=snapshots)
+        self.stats.exchanges += self.pair_up(cluster.up_site_ids(), talk)
 
     # ------------------------------------------------------------------
 

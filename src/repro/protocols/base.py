@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from repro.core.items import DeathCertificate, Entry
 from repro.core.store import ApplyResult, StoreUpdate
@@ -72,6 +72,82 @@ class Protocol:
         so they do not block quiescence detection.
         """
         return False
+
+
+# Imported below Protocol, not at the top: importing repro.sim (directly
+# or through repro.topology) runs sim/faults.py, which imports Protocol.
+from repro.sim.transport import ConnectionLedger, ConnectionPolicy, UNLIMITED  # noqa: E402
+from repro.topology.spatial import PartnerSelector, UniformSelector  # noqa: E402
+
+
+class GossipProtocol(Protocol):
+    """A pairwise epidemic: every cycle each initiator draws an up
+    partner and, if one accepts, holds one conversation with it.
+
+    Owns what anti-entropy, rumor mongering and the hot-list scheme
+    share: the partner ``selector`` (uniform by default; a rebuildable
+    one follows the membership, a topology-bound one keeps its tables),
+    the :class:`ConnectionLedger` enforcing Section 1.4's connection
+    limit and hunting, and :meth:`pair_up`, the one loop that draws,
+    counts refusals and times both phases — the in-process counterpart
+    of ``GossipNode._hunt``.  Subclasses keep a ``stats`` object with a
+    ``rejected`` counter.
+    """
+
+    def __init__(
+        self,
+        selector: Optional[PartnerSelector] = None,
+        policy: ConnectionPolicy = UNLIMITED,
+    ):
+        super().__init__()
+        self._selector = selector
+        self.ledger = ConnectionLedger(policy)
+
+    def attach(self, cluster: "Cluster") -> None:
+        super().attach(cluster)
+        if self._selector is None:
+            self._selector = UniformSelector(cluster.site_ids)
+
+    def on_site_added(self, site_id: int) -> None:
+        self._selector.rebuild(self.cluster.site_ids)
+
+    def on_site_removed(self, site_id: int) -> None:
+        self._selector.rebuild(self.cluster.site_ids)
+
+    @property
+    def selector(self) -> PartnerSelector:
+        if self._selector is None:
+            raise RuntimeError("protocol not attached yet")
+        return self._selector
+
+    def _choose_up_partner(self, site_id: int) -> Optional[int]:
+        """One partner draw; down partners count as failed attempts."""
+        partner = self._selector.choose(site_id, self.cluster.sites[site_id].rng)
+        if partner is None or not self.cluster.can_communicate(site_id, partner):
+            return None
+        return partner
+
+    def pair_up(self, initiators: Iterable[int], talk: Callable[[int, int], None]) -> int:
+        """One cycle's conversations: each initiator hunts for a partner
+        under the ledger and, if one accepts, ``talk(site, partner)``
+        runs.  Returns the number of conversations held."""
+        cluster = self.cluster
+        ledger = self.ledger
+        phase = cluster.profiler.phase
+        ledger.reset()
+        held = 0
+        for site_id in initiators:
+            with phase("partner-selection"):
+                partner_id = ledger.connect_with_hunting(self._choose_up_partner, site_id)
+            if partner_id is None:
+                self.stats.rejected += 1
+                cluster.count_rejection()
+                continue
+            cluster.count_comparison(site_id, partner_id)
+            held += 1
+            with phase("exchange"):
+                talk(site_id, partner_id)
+        return held
 
 
 def entry_beats(challenger: Entry | None, incumbent: Entry | None) -> bool:

@@ -27,9 +27,9 @@ from typing import Dict, Optional
 
 from repro.core.activity import ActivityOrder
 from repro.core.store import ApplyResult, StoreUpdate
-from repro.protocols.base import Protocol
-from repro.sim.transport import ConnectionLedger, ConnectionPolicy, UNLIMITED
-from repro.topology.spatial import PartnerSelector, UniformSelector
+from repro.protocols.base import GossipProtocol
+from repro.sim.transport import ConnectionPolicy, UNLIMITED
+from repro.topology.spatial import PartnerSelector
 
 
 @dataclasses.dataclass(slots=True)
@@ -42,7 +42,7 @@ class HotListStats:
     rejected: int = 0
 
 
-class HotListProtocol(Protocol):
+class HotListProtocol(GossipProtocol):
     """Anti-entropy by activity-ordered batches ("peel back + rumors")."""
 
     name = "hot-list"
@@ -54,24 +54,19 @@ class HotListProtocol(Protocol):
         policy: ConnectionPolicy = UNLIMITED,
         max_batches_per_exchange: Optional[int] = None,
     ):
-        super().__init__()
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        super().__init__(selector, policy)
         self.batch_size = batch_size
         # Bounding batches per exchange turns the scheme into an
         # incremental one: the pair may stay unequal after one cycle
         # but convergence still follows over subsequent cycles.
         self.max_batches_per_exchange = max_batches_per_exchange
-        self._selector = selector
-        self.policy = policy
-        self.ledger = ConnectionLedger(policy)
         self.stats = HotListStats()
         self._orders: Dict[int, ActivityOrder] = {}
 
     def attach(self, cluster) -> None:
         super().attach(cluster)
-        if self._selector is None:
-            self._selector = UniformSelector(cluster.site_ids)
         self._orders = {site_id: ActivityOrder() for site_id in cluster.site_ids}
         # Seed the activity orders with whatever the stores already hold.
         for site_id in cluster.site_ids:
@@ -82,26 +77,14 @@ class HotListProtocol(Protocol):
         for update in self.cluster.sites[site_id].store.updates_newest_first():
             order.touch(update.key)
 
-    def _refresh_selector(self) -> None:
-        # Rebuildable selectors (uniform, auto or explicit) follow the
-        # membership; topology-bound selectors keep their tables.
-        if self._selector is not None:
-            self._selector.rebuild(self.cluster.site_ids)
-
     def on_site_added(self, site_id: int) -> None:
         self._orders[site_id] = ActivityOrder()
         self._seed_order(site_id)
-        self._refresh_selector()
+        super().on_site_added(site_id)
 
     def on_site_removed(self, site_id: int) -> None:
         self._orders.pop(site_id, None)
-        self._refresh_selector()
-
-    @property
-    def selector(self) -> PartnerSelector:
-        if self._selector is None:
-            raise RuntimeError("protocol not attached yet")
-        return self._selector
+        super().on_site_removed(site_id)
 
     def order_of(self, site_id: int) -> ActivityOrder:
         return self._orders[site_id]
@@ -123,32 +106,12 @@ class HotListProtocol(Protocol):
     # ------------------------------------------------------------------
 
     def run_cycle(self, cycle: int) -> None:
-        cluster = self.cluster
-        self.ledger.reset()
-        for site_id in cluster.site_ids:
-            if not cluster.sites[site_id].up:
-                continue
-            partner_id = self.ledger.connect_with_hunting(
-                self._choose_up_partner, site_id
-            )
-            if partner_id is None:
-                self.stats.rejected += 1
-                cluster.count_rejection()
-                continue
-            self._exchange(site_id, partner_id)
-
-    def _choose_up_partner(self, site_id: int):
-        partner = self.selector.choose(site_id, self.cluster.sites[site_id].rng)
-        if partner is None or not self.cluster.can_communicate(site_id, partner):
-            return None
-        return partner
+        self.stats.exchanges += self.pair_up(self.cluster.up_site_ids(), self._exchange)
 
     def _exchange(self, site_id: int, partner_id: int) -> None:
         cluster = self.cluster
         store_a = cluster.sites[site_id].store
         store_b = cluster.sites[partner_id].store
-        cluster.count_comparison(site_id, partner_id)
-        self.stats.exchanges += 1
         self.stats.checksum_rounds += 1
         if store_a.checksum == store_b.checksum:
             return
@@ -220,6 +183,7 @@ class HotListProtocol(Protocol):
             result = cluster.apply_at(target, update, via=self, source=source)
             if result.was_news:
                 # Useful: hot at both ends, like a rumor.
+                cluster.count_useful_update_send(source, target, 1)
                 self.stats.useful_updates += 1
                 order.touch(key)
                 self._orders[target].touch(key)

@@ -54,10 +54,10 @@ from typing import Callable, Dict, Generator, Hashable, List, Optional, Tuple
 
 from repro.core.items import Entry
 from repro.core.store import ApplyResult, StoreUpdate, UpdateList
-from repro.protocols.base import ExchangeMode, Protocol, entry_beats
+from repro.protocols.base import ExchangeMode, GossipProtocol, entry_beats
 from repro.protocols.exchange import ExchangeError, Frame, _expect
-from repro.sim.transport import ConnectionLedger, ConnectionPolicy, UNLIMITED
-from repro.topology.spatial import PartnerSelector, UniformSelector
+from repro.sim.transport import ConnectionPolicy, UNLIMITED
+from repro.topology.spatial import PartnerSelector
 
 _WAS_NEWS = attrgetter("was_news")
 
@@ -341,7 +341,7 @@ class RumorStats:
     rejected: int = 0
 
 
-class RumorMongeringProtocol(Protocol):
+class RumorMongeringProtocol(GossipProtocol):
     """The in-process driver: one cycle is every initiator's
     conversation over the start-of-cycle snapshots, then every up site's
     :meth:`HotList.settle`."""
@@ -353,38 +353,22 @@ class RumorMongeringProtocol(Protocol):
         config: RumorConfig = RumorConfig(),
         selector: Optional[PartnerSelector] = None,
     ):
-        super().__init__()
+        super().__init__(selector, config.policy)
         self.config = config
-        self._selector = selector
-        self.ledger = ConnectionLedger(config.policy)
         self.stats = RumorStats()
         self._hot: Dict[int, HotList] = {}
 
     def attach(self, cluster) -> None:
         super().attach(cluster)
-        if self._selector is None:
-            self._selector = UniformSelector(cluster.site_ids)
         self._hot = {site_id: HotList() for site_id in cluster.site_ids}
-
-    def _refresh_selector(self) -> None:
-        # Rebuildable selectors (uniform, auto or explicit) follow the
-        # membership; topology-bound selectors keep their tables.
-        if self._selector is not None:
-            self._selector.rebuild(self.cluster.site_ids)
 
     def on_site_added(self, site_id: int) -> None:
         self._hot[site_id] = HotList()
-        self._refresh_selector()
+        super().on_site_added(site_id)
 
     def on_site_removed(self, site_id: int) -> None:
         self._hot.pop(site_id, None)
-        self._refresh_selector()
-
-    @property
-    def selector(self) -> PartnerSelector:
-        if self._selector is None:
-            raise RuntimeError("protocol not attached yet")
-        return self._selector
+        super().on_site_removed(site_id)
 
     # ------------------------------------------------------------------
     # Hot-rumor bookkeeping
@@ -429,42 +413,28 @@ class RumorMongeringProtocol(Protocol):
     def run_cycle(self, cycle: int) -> None:
         cluster = self.cluster
         config = self.config
-        self.ledger.reset()
         # Start-of-cycle snapshots: who is infective with what.
-        up = [site_id for site_id in cluster.site_ids if cluster.sites[site_id].up]
+        up = cluster.up_site_ids()
         for site_id in up:
             self._hot[site_id].begin()
         # Push: the infective sites talk; pull and push-pull: every up site.
         initiators = up if config.mode.pulls else [s for s in up if self._hot[s].served]
-
-        for site_id in initiators:
-            partner_id = self.ledger.connect_with_hunting(self._choose_up_partner, site_id)
-            if partner_id is None:
-                self.stats.rejected += 1
-                cluster.count_rejection()
-                continue
-            cluster.count_comparison(site_id, partner_id)
-            self.stats.conversations += 1
-            conversation = converse(config, self._hot[site_id], self._absorber(site_id, partner_id))
-            answer = partial(
-                respond, self._hot[partner_id], absorb=self._absorber(partner_id, site_id)
-            )
-            try:  # the in-process driver: each frame handed over as it is
-                request = next(conversation)
-                while True:
-                    request = conversation.send(answer(request))
-            except StopIteration:
-                pass
-
+        self.stats.conversations += self.pair_up(initiators, self._talk)
         for site_id in up:
             dead = self._hot[site_id].settle(config, cluster.sites[site_id].rng)
             self.stats.deactivations += len(dead)
 
-    def _choose_up_partner(self, site_id: int):
-        partner = self.selector.choose(site_id, self.cluster.sites[site_id].rng)
-        if partner is None or not self.cluster.can_communicate(site_id, partner):
-            return None
-        return partner
+    def _talk(self, site_id: int, partner_id: int) -> None:
+        """The in-process driver: each frame handed over as it is."""
+        hot = self._hot
+        conversation = converse(self.config, hot[site_id], self._absorber(site_id, partner_id))
+        answer = partial(respond, hot[partner_id], absorb=self._absorber(partner_id, site_id))
+        try:
+            request = next(conversation)
+            while True:
+                request = conversation.send(answer(request))
+        except StopIteration:
+            pass
 
     def _absorber(self, target: int, source: int):
         """Deliveries from ``source`` merged at ``target``, counted as

@@ -180,6 +180,12 @@ class TestLiveStrategies:
         cluster.run_until(cluster.converged, max_cycles=100)
         assert cluster.converged()
 
+    def test_a_strategy_is_refused_by_the_synchronous_engine(self):
+        """The synchronous engine runs its own snapshot full compare; a
+        strategy handed to it would be silently ignored."""
+        with pytest.raises(ValueError, match="synchronous=False"):
+            AntiEntropyProtocol(strategy=ChecksumWithRecent(5.0))
+
     def test_checksum_successes_tracked(self):
         cluster = Cluster(n=10, seed=1)
         protocol = AntiEntropyProtocol(

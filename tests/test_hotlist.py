@@ -5,6 +5,7 @@ import pytest
 from repro.cluster.cluster import Cluster
 from repro.protocols.hotlist import HotListProtocol
 from repro.sim.transport import ConnectionPolicy
+from repro.topology import builders
 
 
 def hotlist_cluster(n, seed=0, **kwargs):
@@ -94,6 +95,18 @@ class TestEfficiency:
         for site in cluster.site_ids:
             if cluster.sites[site].store.get("hot") == "x":
                 assert protocol.order_of(site).position("hot") == 0
+
+    def test_deliveries_count_as_useful_link_traffic(self):
+        """Table 4's "had to be sent" traffic, as for anti-entropy and
+        rumor mongering: every delivery that was news to its receiver."""
+        cluster = Cluster(topology=builders.line(6), seed=0)
+        protocol = HotListProtocol()
+        cluster.add_protocol(protocol)
+        cluster.inject_update(0, "k", "v")
+        cluster.run_until(cluster.converged, max_cycles=60)
+        assert cluster.converged()
+        assert protocol.stats.useful_updates == 5
+        assert cluster.traffic.useful_update.total > 0
 
     def test_incremental_mode_converges_over_cycles(self):
         cluster, protocol = hotlist_cluster(

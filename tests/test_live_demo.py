@@ -30,17 +30,17 @@ class TestThreeNodeConvergence:
                 converged = await cluster.wait_converged(
                     "printer:bldg-35", timeout=BOUND_SECONDS
                 )
-                probes = await cluster.probe_all()
+                statuses = await cluster.status_all()
             finally:
                 await cluster.stop()
-            return converged, probes
+            return converged, statuses
 
-        converged, probes = asyncio.run(scenario())
+        converged, statuses = asyncio.run(scenario())
         assert converged, "3-node cluster failed to converge within the bound"
-        assert sorted(probes) == [0, 1, 2]
-        checksums = {p["checksum"] for p in probes.values()}
+        assert sorted(statuses) == [0, 1, 2]
+        checksums = {s["checksum"] for s in statuses.values()}
         assert len(checksums) == 1
-        for payload in probes.values():
+        for payload in statuses.values():
             assert payload["entries"] == 1
             assert "printer:bldg-35" in payload["received"]
 

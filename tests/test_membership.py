@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster.cluster import Cluster
+from repro.protocols.ackgc import AckBasedCertificateGC
 from repro.protocols.anti_entropy import AntiEntropyConfig, AntiEntropyProtocol
 from repro.protocols.backup import AntiEntropyBackup
 from repro.protocols.base import ExchangeMode
@@ -230,6 +231,18 @@ class TestExplicitSelectorRebuild:
     def test_rumor_selector_follows_membership(self):
         cluster, selector = self._cluster_with_explicit_selector(
             lambda s: RumorMongeringProtocol(RumorConfig(k=2), selector=s)
+        )
+        newcomer = cluster.add_site()
+        cluster.remove_site(1)
+        assert selector.probability(0, newcomer) > 0.0
+        assert selector.probability(0, 1) == 0.0
+
+    @pytest.mark.parametrize(
+        "protocol", [HotListProtocol, AckBasedCertificateGC], ids=["hot-list", "ack-gc"]
+    )
+    def test_selector_follows_membership(self, protocol):
+        cluster, selector = self._cluster_with_explicit_selector(
+            lambda s: protocol(selector=s)
         )
         newcomer = cluster.add_site()
         cluster.remove_site(1)

@@ -249,14 +249,12 @@ class TestWireClients:
         assert value == 7
         assert hot == 1   # a client write starts spreading as a rumor
 
-    def test_checksum_probe_reports_status(self):
+    def test_status_reports_the_store(self):
         async def scenario():
             async with cluster(2) as (a, b):
                 a.inject("k", 1)
                 client = Peer(a.info, RetryPolicy(attempts=1))
-                reply = await client.call(
-                    Message(MessageType.CHECKSUM, sender=-1, payload={"probe": True})
-                )
+                reply = await client.call(Message(MessageType.STATUS, sender=-1))
                 await client.close()
                 return reply.payload, a.store.checksum
 
@@ -556,12 +554,12 @@ class TestStopClosesInboundConnections:
                 survivor, doomed = live.nodes[0], live.nodes[1]
                 doomed.store.update("only-on-the-dead-node", 1)
                 cached = survivor.peers[1]
-                probe = Message(MessageType.CHECKSUM, sender=0, payload={"probe": True})
-                before = (await cached.call(probe)).payload["entries"]
+                status = Message(MessageType.STATUS, sender=0)
+                before = (await cached.call(status)).payload["entries"]
                 assert cached.connected
                 await live.kill(1)
                 restarted = await live.restart(1)
-                after = (await cached.call(probe)).payload["entries"]
+                after = (await cached.call(status)).payload["entries"]
                 # ... and a whole conversation lands in the new store.
                 survivor.store.update("fresh", 2)
                 assert await survivor.run_anti_entropy_once()

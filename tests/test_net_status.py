@@ -74,6 +74,27 @@ class TestStatusOverTheWire:
         assert payload["config"]["mode"] == FAST.mode.value
 
 
+    def test_converged_reads_a_node_that_is_refusing_gossip(self):
+        """A node at its connection limit refuses conversations, not
+        introspection, so the harness can still tell it has converged."""
+
+        async def scenario():
+            parked = NodeConfig(anti_entropy_interval=3600.0, rumor_interval=3600.0)
+            cluster = await LiveCluster.launch(2, parked)
+            try:
+                await cluster.inject(0, KEY, "x")
+                assert await cluster.nodes[0].run_anti_entropy_once()
+                busy = cluster.nodes[1]
+                busy._inbound_active = busy.config.connection_limit
+                try:
+                    return await cluster.converged(KEY)
+                finally:
+                    busy._inbound_active = 0
+            finally:
+                await cluster.stop()
+
+        assert asyncio.run(scenario()) is True
+
     def test_bogus_senders_leave_no_state(self):
         """``sender`` is whatever the connecting socket wrote: a
         thousand distinct made-up ids grow no attribute of the node,
@@ -135,17 +156,13 @@ class TestStatusStaysSmall:
         updates = [source.update(f"key-{index:07d}", index) for index in range(50_000)]
         node._absorb({"updates": encode_batch(updates)}, src=1)
         assert len(node.stats.received) == 50_000
-        for request in (
-            Message(MessageType.STATUS, sender=-1),
-            Message(MessageType.CHECKSUM, sender=-1, payload={"probe": True}),
-        ):
-            reply = node._dispatch(request)
-            assert len(encode_message(reply)) < 256 * 1024
-            assert reply.payload["received_total"] == 50_000
-            receipts = reply.payload["received"]
-            # The newest receipts, oldest of them first.
-            assert list(receipts) == [f"key-{index:07d}" for index in range(48_976, 50_000)]
-            assert receipts["key-0049999"] == node.stats.received["key-0049999"]
+        reply = node._dispatch(Message(MessageType.STATUS, sender=-1))
+        assert len(encode_message(reply)) < 256 * 1024
+        assert reply.payload["received_total"] == 50_000
+        receipts = reply.payload["received"]
+        # The newest receipts, oldest of them first.
+        assert list(receipts) == [f"key-{index:07d}" for index in range(48_976, 50_000)]
+        assert receipts["key-0049999"] == node.stats.received["key-0049999"]
 
     def test_a_small_node_reports_every_receipt(self):
         node = GossipNode(0, Membership.localhost([1, 2]), NodeConfig())

@@ -1,10 +1,28 @@
 """Phase timers: the Profiler, its null variant, and runtime wiring."""
 
+import pytest
+
 from repro.cluster.cluster import Cluster
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiling import NULL_PROFILER, PHASES, Profiler
 from repro.protocols.anti_entropy import AntiEntropyConfig, AntiEntropyProtocol
 from repro.protocols.base import ExchangeMode
+from repro.protocols.hotlist import HotListProtocol
+from repro.protocols.rumor import RumorConfig, RumorMongeringProtocol
+from repro.sim.transport import ConnectionPolicy
+
+#: Connection-limited, so some initiators draw and are refused.
+LIMITED = ConnectionPolicy(connection_limit=1, hunt_limit=1)
+
+GOSSIP = {
+    "anti-entropy": lambda: AntiEntropyProtocol(
+        config=AntiEntropyConfig(mode=ExchangeMode.PUSH_PULL, policy=LIMITED)
+    ),
+    "rumor-mongering": lambda: RumorMongeringProtocol(
+        RumorConfig(mode=ExchangeMode.PUSH_PULL, k=2, policy=LIMITED)
+    ),
+    "hot-list": lambda: HotListProtocol(policy=LIMITED),
+}
 
 
 class TestProfiler:
@@ -64,16 +82,23 @@ class TestClusterProfiling:
         self.epidemic(cluster)
         assert cluster.profiler.snapshot() == {}
 
-    def test_enable_profiling_times_the_phases(self):
+    @pytest.mark.parametrize("protocol", sorted(GOSSIP))
+    def test_enable_profiling_times_the_phases(self, protocol):
         cluster = Cluster(n=8, seed=0)
         profiler = cluster.enable_profiling()
         assert profiler is cluster.profiler
         assert cluster.simulator.profiler is profiler
-        self.epidemic(cluster)
+        cluster.add_protocol(GOSSIP[protocol]())
+        cluster.inject_update(0, "k", "v", track=True)
+        cluster.run_cycles(8)
         snap = profiler.snapshot()
-        # Anti-entropy rounds exercise selection + exchange every cycle.
+        # One partner selection per initiator, one exchange per
+        # conversation it won.
+        held = cluster.metrics.comparisons
+        assert held > 0
+        assert snap["partner-selection"]["calls"] == held + cluster.metrics.rejected_connections
+        assert snap["exchange"]["calls"] == held
         for phase in ("partner-selection", "exchange"):
-            assert snap[phase]["calls"] > 0, phase
             assert snap[phase]["seconds"] >= 0.0
         assert set(snap) <= set(PHASES)
 
