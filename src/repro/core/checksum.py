@@ -89,28 +89,36 @@ def key_digest(key: Hashable) -> int:
     Used both as the fixed-width key prefix inside :func:`entry_digest`
     and — via its low bits — as the key's bucket assignment in
     :class:`ChecksumTree`.  The hash step is memoized on the canonical
-    encoding (safe even for ``1`` vs ``True``, whose encodings differ):
-    a simulation's sites all write the same few keys, so across a
-    thousand stores each key's digest is computed once, not once per
-    site per mutation.
+    encoding (safe even for ``1`` vs ``True``, whose encodings differ).
     """
     return _encoded_key_digest(encode_key(key))
 
 
-def entry_digest_with(kd: int, encoded_entry: bytes) -> int:
-    """128-bit digest of one entry given a precomputed :func:`key_digest`.
+def key_digest_bytes(key: Hashable) -> bytes:
+    """:func:`key_digest` as its 16 big-endian bytes, hashed afresh.
 
-    The store's hot path computes the key digest once per mutation (it
-    also needs it for bucket assignment) and folds both entry digests of
-    a replace from it.
+    What the store's flush digests keys with.  It is not memoized: a
+    flush digests each dirty key once, no benchmarked workload runs
+    faster with the memo in the flush (docs/performance.md), and one
+    bulk fold would evict every warm entry of :func:`key_digest`'s memo
+    for digests nobody asks for again.
     """
+    return hashlib.blake2b(encode_key(key), digest_size=_DIGEST_BYTES).digest()
+
+
+def entry_digest_of(kd: bytes, encoded_entry: bytes) -> int:
+    """128-bit digest of one entry given its key's
+    :func:`key_digest_bytes`: the store's flush digests a key once and
+    folds both entry digests of a replace from it."""
     return int.from_bytes(
-        hashlib.blake2b(
-            kd.to_bytes(_DIGEST_BYTES, "big") + b"\x00" + encoded_entry,
-            digest_size=_DIGEST_BYTES,
-        ).digest(),
+        hashlib.blake2b(kd + b"\x00" + encoded_entry, digest_size=_DIGEST_BYTES).digest(),
         "big",
     )
+
+
+def entry_digest_with(kd: int, encoded_entry: bytes) -> int:
+    """128-bit digest of one entry given a precomputed :func:`key_digest`."""
+    return entry_digest_of(kd.to_bytes(_DIGEST_BYTES, "big"), encoded_entry)
 
 
 def entry_digest(key: Hashable, encoded_entry: bytes) -> int:

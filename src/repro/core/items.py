@@ -44,12 +44,17 @@ class _Nil:
 NIL = _Nil()
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
+@dataclasses.dataclass(frozen=True, slots=True, init=False)
 class VersionedValue:
     """An ordinary database entry: ``(v, t)`` with ``v != NIL``."""
 
     value: Any
     timestamp: Timestamp
+
+    def __init__(self, value: Any, timestamp: Timestamp) -> None:
+        # Slot descriptors, not the generated frozen __init__ (see Timestamp).
+        _set_value(self, value)
+        _set_timestamp(self, timestamp)
 
     @property
     def is_deletion(self) -> bool:
@@ -60,8 +65,16 @@ class VersionedValue:
         return other is None or self.timestamp > other.timestamp
 
     def encode(self) -> bytes:
-        """Canonical encoding used by the database checksum."""
-        return b"V|" + repr(self.value).encode("utf-8") + b"|" + self.timestamp.encode()
+        """Canonical encoding used by the database checksum: ``V|``, the
+        value's ``repr``, ``|`` and :meth:`Timestamp.encode`, in one format."""
+        stamp = self.timestamp
+        return (
+            "V|%r|(%r, %r, %r)" % (self.value, stamp.time, stamp.site, stamp.sequence)
+        ).encode("utf-8")
+
+
+_set_value = VersionedValue.__dict__["value"].__set__
+_set_timestamp = VersionedValue.__dict__["timestamp"].__set__
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -128,7 +141,8 @@ class DeathCertificate:
         visible contents agree must produce equal checksums even if one
         has reactivated a certificate the other has not yet seen.
         """
-        return b"D|" + self.timestamp.encode()
+        stamp = self.timestamp
+        return ("D|(%r, %r, %r)" % (stamp.time, stamp.site, stamp.sequence)).encode("utf-8")
 
 
 Entry = VersionedValue | DeathCertificate
@@ -138,7 +152,7 @@ def make_entry(value: Any, timestamp: Timestamp) -> Entry:
     """Build the right entry type for ``value``: NIL becomes a certificate."""
     if value is NIL or value is None:
         return DeathCertificate(timestamp=timestamp, activation_timestamp=timestamp)
-    return VersionedValue(value=value, timestamp=timestamp)
+    return VersionedValue(value, timestamp)
 
 
 def newer(a: Entry | None, b: Entry | None) -> Entry | None:

@@ -35,8 +35,9 @@ from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, Tupl
 from repro.core.checksum import (
     ChecksumTree,
     DatabaseChecksum,
-    entry_digest_with,
+    entry_digest_of,
     key_digest,
+    key_digest_bytes,
 )
 from repro.core.items import (
     NIL,
@@ -72,18 +73,25 @@ class ApplyResult(enum.Enum):
         self.was_news: bool = label in ("applied", "reactivated", "resurrection-blocked")
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
+@dataclasses.dataclass(frozen=True, slots=True, init=False)
 class StoreUpdate:
     """A ``(key, entry)`` pair as shipped between sites."""
 
     key: Hashable
     entry: Entry
 
+    def __init__(self, key: Hashable, entry: Entry) -> None:
+        # Slot descriptors, not the generated frozen __init__ (see Timestamp).
+        _set_key(self, key)
+        _set_entry(self, entry)
+
     @property
     def timestamp(self) -> Timestamp:
         return self.entry.timestamp
 
 
+_set_key = StoreUpdate.__dict__["key"].__set__
+_set_entry = StoreUpdate.__dict__["entry"].__set__
 _KEY_AND_ENTRY = attrgetter("key", "entry")
 
 
@@ -219,9 +227,9 @@ class ReplicaStore:
         validate_key(key)
         if value is NIL or value is None:
             raise ValueError("use delete() to remove a key")
-        entry = VersionedValue(value=value, timestamp=self.clock.next_timestamp())
+        entry = VersionedValue(value, self.clock.next_timestamp())
         self._put(key, entry)
-        return StoreUpdate(key=key, entry=entry)
+        return StoreUpdate(key, entry)
 
     def delete(self, key: Hashable, retention_sites: Tuple[int, ...] = ()) -> StoreUpdate:
         """Client delete: install a death certificate for ``key``.
@@ -238,7 +246,7 @@ class ReplicaStore:
             retention_sites=tuple(retention_sites),
         )
         self._put(key, certificate)
-        return StoreUpdate(key=key, entry=certificate)
+        return StoreUpdate(key, certificate)
 
     def get(self, key: Hashable) -> Any:
         """Client read: the value, or ``None`` when absent or deleted."""
@@ -589,26 +597,28 @@ class ReplicaStore:
 
         Runs as the tree's refresh hook and before every read of
         ``_bucket_keys``, i.e. on the first such read after a mutation.
-        Each dirty key is digested once; that one digest files a new
-        key in its bucket (or unfiles a dropped one) and prefixes both
-        entry digests of its delta — old XOR current, so intermediate
-        states of a multiply-rewritten key cancel without ever being
-        hashed.  Deltas are XORed together per bucket first, so the
-        tree is walked once per dirty bucket, not once per entry.
+        Each dirty key is digested once, as bytes and past the key-digest
+        memo (:func:`key_digest_bytes`); that one digest files a new key
+        in its bucket (or unfiles a dropped one) and prefixes both entry
+        digests of its delta — old XOR current, so intermediate states
+        of a multiply-rewritten key cancel without ever being hashed.
+        Deltas are XORed together per bucket first, so the tree is
+        walked once per dirty bucket, not once per entry.
         """
         if not self._dirty:
             return
         dirty, self._dirty = self._dirty, {}
         entries_get = self._entries.get
         bucket_keys = self._bucket_keys
-        bucket_of = self._tree.bucket_of
+        mask = self._tree.buckets - 1
+        from_bytes = int.from_bytes
         deltas: Dict[int, int] = {}
         for key, old in dirty.items():
             current = entries_get(key)
             if current is old:
                 continue
-            kd = key_digest(key)
-            bucket = bucket_of(kd)
+            kd = key_digest_bytes(key)
+            bucket = from_bytes(kd, "big") & mask
             delta = 0
             if old is None:
                 keys = bucket_keys.get(bucket)
@@ -617,14 +627,14 @@ class ReplicaStore:
                 else:
                     keys.add(key)
             else:
-                delta = entry_digest_with(kd, old.encode())
+                delta = entry_digest_of(kd, old.encode())
             if current is None:
                 keys = bucket_keys[bucket]
                 keys.discard(key)
                 if not keys:
                     del bucket_keys[bucket]
             else:
-                delta ^= entry_digest_with(kd, current.encode())
+                delta ^= entry_digest_of(kd, current.encode())
             deltas[bucket] = deltas.get(bucket, 0) ^ delta
         apply = self._tree.apply
         for bucket, delta in deltas.items():

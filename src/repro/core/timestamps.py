@@ -24,7 +24,7 @@ import itertools
 from typing import Iterator
 
 
-@dataclasses.dataclass(frozen=True, order=True, slots=True)
+@dataclasses.dataclass(frozen=True, order=True, slots=True, init=False)
 class Timestamp:
     """A point in the totally ordered timestamp set ``T``.
 
@@ -37,27 +37,39 @@ class Timestamp:
     site: int = 0
     sequence: int = 0
 
+    def __init__(self, time: float, site: int = 0, sequence: int = 0) -> None:
+        # The generated frozen __init__ goes through object.__setattr__
+        # once per field; the slots' own descriptors cost half as much.
+        _set_time(self, time)
+        _set_site(self, site)
+        _set_sequence(self, sequence)
+
     def advanced_to(self, time: float) -> "Timestamp":
         """Return a copy of this timestamp moved to ``time``.
 
         Used by death-certificate *activation*: the activation timestamp
         is set forward while the ordinary timestamp stays put.
         """
-        return Timestamp(time=time, site=self.site, sequence=self.sequence)
+        return Timestamp(time, self.site, self.sequence)
 
     def age(self, now: float) -> float:
         """Age of this timestamp relative to a local clock reading."""
         return now - self.time
 
     def encode(self) -> bytes:
-        """Canonical byte encoding used for checksumming."""
-        return repr((self.time, self.site, self.sequence)).encode("utf-8")
+        """Canonical byte encoding used for checksumming: the ``repr``
+        of the ``(time, site, sequence)`` tuple."""
+        return ("(%r, %r, %r)" % (self.time, self.site, self.sequence)).encode("utf-8")
 
     def __str__(self) -> str:  # pragma: no cover - display helper
         return f"T({self.time:g}@{self.site}#{self.sequence})"
 
 
-Timestamp.MIN = Timestamp(time=float("-inf"), site=-1, sequence=-1)
+_set_time = Timestamp.__dict__["time"].__set__
+_set_site = Timestamp.__dict__["site"].__set__
+_set_sequence = Timestamp.__dict__["sequence"].__set__
+
+Timestamp.MIN = Timestamp(float("-inf"), -1, -1)
 
 
 class Clock:
@@ -93,7 +105,7 @@ class SequenceClock(Clock):
 
     def next_timestamp(self) -> Timestamp:
         self._time += 1.0
-        return Timestamp(time=self._time, site=self._site, sequence=next(self._seq))
+        return Timestamp(self._time, self._site, next(self._seq))
 
 
 class SimClock(Clock):
@@ -135,7 +147,7 @@ class SimClock(Clock):
         if time < self._last_time:
             time = self._last_time
         self._last_time = time
-        return Timestamp(time=time, site=self._site, sequence=next(self._seq))
+        return Timestamp(time, self._site, next(self._seq))
 
 
 def merge_max(*stamps: Timestamp) -> Timestamp:

@@ -5,11 +5,14 @@ never settle an anti-entropy exchange by checksum, so the values for a
 fixed corpus are pinned in ``tests/data/checksum_golden.json`` — written
 by the commit *before* the flush learned to digest in bulk, and only
 ever regenerated (``python tests/test_store_pins.py``) by a change that
-means to break wire compatibility.
+means to break wire compatibility; CI fails a pull request that touches
+the file.
 
 The cost guards count calls and never read a clock: what the write path
 must not do (hash) and what the flush may do at most (one key digest per
-dirty key, one tree walk per dirty bucket) holds on any machine.
+dirty key, one tree walk per dirty bucket) holds on any machine.  The
+flush digests keys past the ``key_digest`` cache, so one bulk fold
+leaves the digests other stores share warm.
 """
 
 import json
@@ -18,13 +21,15 @@ import pathlib
 import pytest
 
 import repro.core.store as store_module
-from repro.core.checksum import ChecksumTree
+from repro.core.checksum import ChecksumTree, _encoded_key_digest, key_digest
 from repro.core.items import DeathCertificate, VersionedValue
 from repro.core.store import ReplicaStore, StoreUpdate
 from repro.core.timestamps import Timestamp
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "checksum_golden.json"
 BUCKET_BITS = (0, 4, 6, 10)
+#: More dirty keys than the key-digest cache holds (65 536 entries).
+BULK = 70_000
 
 
 def _stamp(time, site=0, seq=0):
@@ -141,9 +146,11 @@ class _Counter:
 
 @pytest.fixture
 def digests(monkeypatch):
-    """Counts the store's ``key_digest`` calls."""
-    counter = _Counter(store_module.key_digest)
-    monkeypatch.setattr(store_module, "key_digest", counter)
+    """Counts the key digests the store computes: ``key_digest_bytes``
+    (the flush's) and ``key_digest`` (``bucket_of``'s), as one count."""
+    counter = _Counter(store_module.key_digest_bytes)
+    monkeypatch.setattr(store_module, "key_digest_bytes", counter)
+    monkeypatch.setattr(store_module, "key_digest", lambda key: int.from_bytes(counter(key), "big"))
     return counter
 
 
@@ -202,6 +209,13 @@ class TestWorkCounts:
         store.checksum
         assert digests.calls == 1
 
+    def test_a_fold_past_the_key_cache_still_digests_each_key_once(self, digests):
+        store = ReplicaStore(site_id=0, bucket_bits=10)
+        for index in range(BULK):
+            store.update(f"bulk-{index}", index)
+        store.checksum
+        assert digests.calls == BULK
+
     def test_cold_fold_walks_the_tree_once_per_bucket(self, tree_walks):
         store = ReplicaStore(site_id=0, bucket_bits=4)
         for index in range(self.N):
@@ -224,6 +238,21 @@ class TestWorkCounts:
         recent = store.recent_updates(1e9, bucket=store.bucket_of("k3"))
         assert "k3" in [u.key for u in recent]
         assert sum(store.bucket_len(b) for b in range(store.bucket_count)) == len(store)
+
+
+class TestTheSharedKeyCache:
+    def test_a_bulk_fold_keeps_the_warm_digests(self):
+        warm = [f"warm-{index}" for index in range(1000)]
+        for key in warm:
+            key_digest(key)
+        store = ReplicaStore(site_id=0, bucket_bits=10)
+        for index in range(BULK):
+            store.update(f"cold-{index}", index)
+        store.checksum
+        hits = _encoded_key_digest.cache_info().hits
+        for key in warm:
+            key_digest(key)
+        assert _encoded_key_digest.cache_info().hits == hits + len(warm)
 
 
 if __name__ == "__main__":  # regenerate the golden file (see module docstring)
