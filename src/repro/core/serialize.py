@@ -26,8 +26,8 @@ anti-entropy transfer moves tens of thousands of entries in one frame,
 where the nested form costs the frame codec ~24 objects per update and
 the columnar one 5 scalars.  Both decode to the same updates under the
 same strictness: the row form to a list of :class:`StoreUpdate` rows,
-the batch to an :class:`UpdateList` of columns, one timestamp and one
-entry per row and no row object.
+the batch to an :class:`UpdateList` of columns whose value rows stay raw
+until read: a receiver that holds a row already compares three numbers.
 """
 
 from __future__ import annotations
@@ -128,10 +128,10 @@ def decode_entry(payload: Dict[str, Any]) -> Entry:
             retention,
         )
     if kind == "value":
-        return VersionedValue(
-            value=_require(payload, "value", "value entry"),
-            timestamp=decode_timestamp(_require(payload, "timestamp", "value entry")),
-        )
+        value = _require(payload, "value", "value entry")
+        if value is None:
+            raise SerializeError("value entry: value is null (a deletion is a certificate)")
+        return VersionedValue(value, decode_timestamp(_require(payload, "timestamp", "value entry")))
     raise SerializeError(f"unknown entry kind: {kind!r}")
 
 
@@ -247,8 +247,10 @@ def _column(batch: Dict[str, Any], field: str, count: int, types=None) -> list:
 
 def decode_batch(batch: Any) -> UpdateList:
     """Decode :func:`encode_batch` output, exactly as strictly as
-    :func:`decode_updates` decodes the row form, into columns: one
-    :class:`Timestamp` and one entry per row, no :class:`StoreUpdate`."""
+    :func:`decode_updates` decodes the row form, into columns.  Every
+    column is checked here, but only certificates become entries: a value
+    row's :class:`Timestamp` and entry wait until the row is read
+    (:meth:`UpdateList.decoded`), its :class:`StoreUpdate` until rows are."""
     count = _require(batch, "n", "update batch")
     if type(count) is not int or count < 0:
         raise SerializeError(f"update batch: n must be a count, got {count!r}")
@@ -258,32 +260,29 @@ def decode_batch(batch: Any) -> UpdateList:
     # something that is no key at all.
     if not SCALAR_KEY_TYPES.issuperset(map(type, keys)):
         keys = list(map(decode_key, keys))
-    stamps = list(
-        map(
-            Timestamp,
-            _column(batch, "times", count, _NUMBER_TYPES),
-            _column(batch, "sites", count, _INT_TYPES),
-            _column(batch, "seqs", count, _INT_TYPES),
-        )
-    )
-    entries: List[Entry] = list(
-        map(VersionedValue, _column(batch, "values", count), stamps)
-    )
+    times = _column(batch, "times", count, _NUMBER_TYPES)
+    sites = _column(batch, "sites", count, _INT_TYPES)
+    seqs = _column(batch, "seqs", count, _INT_TYPES)
+    values = _column(batch, "values", count)
     certs = _require(batch, "certs", "update batch")
     if not isinstance(certs, list):
         raise SerializeError("update batch: 'certs' must be an array")
+    certificates: Dict[int, Entry] = {}
     for cert in certs:
         if not isinstance(cert, list) or len(cert) != 5:
             raise SerializeError(f"update batch: bad certificate row {cert!r}")
         index, time, site, seq, retention = cert
         if type(index) is not int or not 0 <= index < count:
             raise SerializeError(f"update batch: certificate index {index!r} out of range")
-        entries[index] = _decode_certificate(
-            stamps[index],
+        certificates[index] = _decode_certificate(
+            Timestamp(times[index], sites[index], seqs[index]),
             decode_timestamp({"time": time, "site": site, "seq": seq}),
             retention,
         )
-    return UpdateList(keys, entries)
+    # A null value is a deletion, and a deletion travels as a certificate.
+    if None in values and any(v is None and i not in certificates for i, v in enumerate(values)):
+        raise SerializeError("update batch: a value row holds null and no certificate")
+    return UpdateList.decoded(keys, values, times, sites, seqs, certificates)
 
 
 def batch_trace_context(

@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from operator import attrgetter
+from itertools import compress, repeat
+from operator import attrgetter, is_not, ne
 from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.core.checksum import (
@@ -93,6 +94,11 @@ class StoreUpdate:
 _set_key = StoreUpdate.__dict__["key"].__set__
 _set_entry = StoreUpdate.__dict__["entry"].__set__
 _KEY_AND_ENTRY = attrgetter("key", "entry")
+_HELD_ORDER = attrgetter("timestamp.time", "timestamp.site", "timestamp.sequence")
+
+#: The held entry :meth:`UpdateList.settle` reads for an absent key:
+#: its ``(None, None, None)`` equals no offered timestamp.  Never stored.
+ABSENT = VersionedValue(None, Timestamp(None, None, None))
 
 
 class UpdateList:
@@ -103,19 +109,83 @@ class UpdateList:
     exchange endpoints read its columns, and a whole-table offer is one
     over a snapshot dict (as its key column) and its ``values()`` view.
     A column is anything that iterates in row order and has the list's
-    length.  It has the list's
-    length and iterates as its :class:`StoreUpdate` rows — built on
-    first use and kept, for a caller that reads rows (a delivery span, a
-    transfer hook); the bulk paths never do, so a catch-up builds none.
-    Only an instance over lists may be extended.
+    length.  The list has the length of its columns and iterates as its
+    :class:`StoreUpdate` rows — built on first use and kept, for a caller
+    that reads rows (a delivery span, a transfer hook); the bulk paths
+    never do, so a catch-up builds none.  Only an instance over lists may
+    be extended.
+
+    A list decoded from a wire (:meth:`decoded`) keeps its value and
+    timestamp columns raw: a row's entry is built when the row is read —
+    alone through :meth:`entries_where`, with every other at the first
+    read of ``entries`` — and kept, so one row is always one object.
     """
 
-    __slots__ = ("keys", "entries", "_rows")
+    __slots__ = ("keys", "_entries", "_rows", "_raw", "_built")
 
     def __init__(self, keys=None, entries=None):
         self.keys = [] if keys is None else keys
-        self.entries = [] if entries is None else entries
+        self._entries = [] if entries is None else entries
         self._rows: Optional[List[StoreUpdate]] = None
+        self._raw = self._built = None
+
+    @classmethod
+    def decoded(cls, keys, values, times, sites, seqs, built: Dict[int, Entry]) -> "UpdateList":
+        """Rows as a wire carries them, already checked: raw value and
+        timestamp columns, and ``built`` (row → entry) the rows that are
+        entries already, the certificates."""
+        columns = cls(keys)
+        columns._entries, columns._raw, columns._built = None, (values, times, sites, seqs), built
+        return columns
+
+    @property
+    def entries(self):
+        """The entry column; a decoded list builds the rows not yet built."""
+        if self._entries is None:
+            values, times, sites, seqs = self._raw
+            entries = list(map(VersionedValue, values, map(Timestamp, times, sites, seqs)))
+            for row, entry in self._built.items():
+                entries[row] = entry
+            self._entries, self._raw, self._built = entries, None, None
+        return self._entries
+
+    def _entry(self, row: int) -> Entry:
+        entry = self._built.get(row)
+        if entry is None:
+            values, times, sites, seqs = self._raw
+            entry = VersionedValue(values[row], Timestamp(times[row], sites[row], seqs[row]))
+            self._built[row] = entry
+        return entry
+
+    def entries_where(self, mask: List[bool]) -> Iterator[Entry]:
+        """The entries of the rows ``mask`` selects, building only those."""
+        if self._entries is not None:
+            return compress(self._entries, mask)
+        return map(self._entry, compress(range(len(self.keys)), mask))
+
+    def settle(self, store: "ReplicaStore") -> Tuple[List[Entry], List[bool]]:
+        """``(held, unsettled)``: the entries ``store`` holds under ``keys``
+        (``None``, or :data:`ABSENT`, where none) and the rows a judgement
+        must see.  A built entry settles when it *is* the held one (stores
+        in one process share what they ship); a raw row, at C speed, when
+        its ``(time, site, sequence)`` equals the held one's: one update.
+        Built rows of a decoded list, certificates among them, are seen."""
+        if self._entries is not None:
+            held = store.entries_for(self.keys)
+            return held, list(map(is_not, held, self._entries))
+        held = store.entries_for(self.keys, ABSENT)
+        __, times, sites, seqs = self._raw
+        unsettled = list(map(ne, zip(times, sites, seqs), map(_HELD_ORDER, held)))
+        for row in self._built:
+            unsettled[row] = True
+        return held, unsettled
+
+    def rows_of(self, entries: Iterable[Entry]) -> List[int]:
+        """The row of each of ``entries``, built entries of this list, by
+        identity: two versions of one key are two rows."""
+        built = enumerate(self._entries) if self._entries is not None else self._built.items()
+        row_of = {id(entry): row for row, entry in built}
+        return [row_of[id(entry)] for entry in entries]
 
     @classmethod
     def of(cls, updates: Iterable[StoreUpdate]) -> "UpdateList":
@@ -268,9 +338,10 @@ class ReplicaStore:
         """The raw active entry for ``key`` (certificates included)."""
         return self._entries.get(key)
 
-    def entries_for(self, keys: Iterable[Hashable]) -> List[Entry | None]:
-        """:meth:`entry` for each of ``keys``, in one pass at C speed."""
-        return list(map(self._entries.get, keys))
+    def entries_for(self, keys: Iterable[Hashable], absent: Any = None) -> List[Entry | None]:
+        """:meth:`entry` for each of ``keys`` (else ``absent``), at C speed."""
+        get = self._entries.get
+        return list(map(get, keys) if absent is None else map(get, keys, repeat(absent)))
 
     def dormant_certificate(self, key: Hashable) -> DeathCertificate | None:
         return self._dormant.get(key)

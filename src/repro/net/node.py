@@ -62,7 +62,7 @@ from repro.net.peer import InFlightBudget, Peer, PeerError, RetryPolicy
 from repro.obs.events import EventBus, EventKind
 from repro.obs.metrics import MetricsRegistry, linear_buckets
 from repro.obs.profiling import Profiler
-from repro.obs.spans import TraceHopLru, emit_delivery_span, trace_id_of
+from repro.obs.spans import TraceHopLru, emit_delivery_span, trace_id, trace_id_of
 from repro.net.wire import (
     MAX_FRAME_BYTES,
     Message,
@@ -87,6 +87,7 @@ _EXCHANGE_REQUESTS = frozenset(
 )
 
 _WAS_NEWS = attrgetter("was_news")
+_TIMESTAMP = attrgetter("timestamp")
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -744,8 +745,10 @@ class GossipNode:
             key = decode_key(payload["key"])
             if payload.get("delete"):
                 update = self.delete(key)
+            elif payload.get("value") is None:
+                return self._ack({"error": "a write needs a value; a delete says \"delete\": true"})
             else:
-                update = self.inject(key, payload.get("value"))
+                update = self.inject(key, payload["value"])
             return self._ack(
                 {"applied": True, "timestamp": encode_timestamp(update.timestamp)}
             )
@@ -834,7 +837,7 @@ class GossipNode:
         hops, the send time ``now`` — rides inside the batch; an offer
         the partner only reads as a digest goes without.
         """
-        updates = fields["updates"]
+        updates = UpdateList.of(fields["updates"])
         if traced:
             batch = encode_batch(
                 updates, self._known_hops(updates), time.time() if now is None else now
@@ -886,14 +889,15 @@ class GossipNode:
         self.stats.updates_absorbed += len(news)
         return now
 
-    def _known_hops(self, updates: Iterable[StoreUpdate]) -> Optional[List[Optional[int]]]:
+    def _known_hops(self, updates: UpdateList) -> Optional[List[Optional[int]]]:
         """This node's hop distance from each update's origin, or
         ``None`` when it knows none of them — then no trace id is even
-        formatted, which is what a bulk transfer of old entries sees."""
+        formatted, which is what a bulk transfer of old entries sees.
+        Read from the key and entry columns: no row is built."""
         if not len(self._span_hops):
             return None
-        known = self._span_hops.get
-        hops = [known(trace_id_of(update)) for update in updates]
+        stamps = map(_TIMESTAMP, updates.entries)
+        hops = list(map(self._span_hops.get, map(trace_id, updates.keys, stamps)))
         return None if hops.count(None) == len(hops) else hops
 
     def _record_deliveries(
@@ -972,12 +976,11 @@ class GossipNode:
 
 def _hops_of(chosen: UpdateList, offered: UpdateList, hops: Optional[list]) -> Optional[list]:
     """The hops of ``chosen``, rows of ``offered`` (``hops`` parallel to
-    it), paired by entry identity: a frame carrying two versions of one
-    key must not hand version A's context to version B."""
+    it), paired row by row: a frame carrying two versions of one key must
+    not hand version A's context to version B."""
     if hops is None or len(chosen) == len(offered):
         return hops  # all of the offer, in its order
-    hop_of = {id(entry): hop for entry, hop in zip(offered.entries, hops)}
-    return [hop_of[id(entry)] for entry in chosen.entries]
+    return [hops[row] for row in offered.rows_of(chosen.entries)]
 
 
 def _frame_of(message: Message) -> Tuple[Frame, Optional[list], Optional[float]]:

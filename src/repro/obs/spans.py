@@ -33,9 +33,10 @@ from __future__ import annotations
 
 import dataclasses
 from collections import OrderedDict
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Hashable, Optional
 
 from repro.core.store import ApplyResult, StoreUpdate
+from repro.core.timestamps import Timestamp
 from repro.obs.events import Event, EventBus, EventKind
 
 #: The span payload fields, in canonical order.  Both runtimes emit
@@ -43,16 +44,20 @@ from repro.obs.events import Event, EventBus, EventKind
 SPAN_FIELDS = ("key", "trace", "src", "hop", "first", "sent_at", "result")
 
 
-def trace_id_of(update: StoreUpdate) -> str:
-    """The trace id of ``update``: its origin identity, derived locally.
+def trace_id(key: Hashable, stamp: Timestamp) -> str:
+    """The trace id of ``key`` as written at ``stamp``, derived locally.
 
     Timestamps are globally unique (Section 1.1), so ``key`` plus the
     ``(time, site, sequence)`` triple names one written version of one
     key everywhere, with no wire coordination.  A superseding write is
     a new trace; a death certificate for the same key likewise.
     """
-    stamp = update.entry.timestamp
-    return f"{update.key}@{stamp.time:g}#{stamp.site}.{stamp.sequence}"
+    return f"{key}@{stamp.time:g}#{stamp.site}.{stamp.sequence}"
+
+
+def trace_id_of(update: StoreUpdate) -> str:
+    """The trace id of ``update`` (:func:`trace_id`)."""
+    return trace_id(update.key, update.entry.timestamp)
 
 
 #: Default bound for :class:`TraceHopLru` — comfortably above the number

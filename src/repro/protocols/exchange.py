@@ -42,13 +42,13 @@ from __future__ import annotations
 
 import dataclasses
 from itertools import chain, compress, filterfalse
-from operator import attrgetter, is_not
+from operator import attrgetter
 from typing import (
     Any, Callable, Dict, Generator, Hashable, Iterable, Iterator, List, NamedTuple, Optional, Tuple,
 )
 
 from repro.core.checksum import ChecksumTree
-from repro.core.store import ApplyResult, ReplicaStore, StoreUpdate, UpdateList
+from repro.core.store import ABSENT, ApplyResult, ReplicaStore, StoreUpdate, UpdateList
 from repro.protocols.base import ExchangeMode, entry_beats
 
 Conversation = Generator["Frame", "Frame", "ExchangeReport"]
@@ -188,18 +188,19 @@ class ExchangeSession:
 
         ``offered`` is an :class:`UpdateList` — a table offer, columns
         decoded from a wire — or a list of rows, and is read column by
-        column.  Entries are immutable and stores in one process share
-        the ones they ship, so the offer is settled by identity first: an
-        offered entry that *is* the object held here beats nothing and is
-        beaten by nothing.  Two passes at C speed find the rows that are
-        not — every row of an offer decoded from a wire — and only those
-        meet the last-writer-wins / death-certificate judgement, each
-        against the pre-exchange state of the store: mutations are
-        deferred until every decision is made.  A third pass serves the
-        local entries the offer does not name.  Every offered row still
-        counts as examined: the table was compared, only faster.  What is
-        applied holds the offer's own entry objects; what is sent back,
-        the local ones.
+        column.  First the offer is settled (:meth:`UpdateList.settle`):
+        a row that neither beats nor is beaten by the entry held here is
+        dropped unjudged — in process, an offered entry that *is* the
+        held object (stores share the immutable entries they ship); off a
+        wire, a row whose raw timestamp equals the held one's, found by a
+        column comparison before any entry is built.  Only the rows left
+        are built and meet the last-writer-wins / death-certificate
+        judgement, each against the pre-exchange state of the store:
+        mutations are deferred until every decision is made.  A last pass
+        serves the local entries the offer does not name.  Every offered
+        row still counts as examined: the table was compared, only
+        faster.  What is applied holds the offer's own entry objects; what
+        is sent back, the local ones.
 
         ``scope`` restricts the local-only pass to the given keys instead
         of the whole table.  A hierarchical exchange resolves only the
@@ -212,16 +213,17 @@ class ExchangeSession:
         pushes = self.mode.pushes
         pulls = self.mode.pulls
         offer = UpdateList.of(offered)
-        keys, entries = offer.keys, offer.entries
+        keys = offer.keys
         # A table offer's key column is its snapshot dict: the membership
         # test already.
         named = keys if isinstance(keys, dict) else set(keys)
-        held = store.entries_for(keys)
-        unshared = list(map(is_not, held, entries))
+        held, unsettled = offer.settle(store)
         applied_keys, applied_entries, back_keys, back_entries = [], [], [], []
         for key, entry, local in zip(
-            compress(keys, unshared), compress(entries, unshared), compress(held, unshared)
+            compress(keys, unsettled), offer.entries_where(unsettled), compress(held, unsettled)
         ):
+            if local is ABSENT:
+                local = None
             if pushes and entry_beats(entry, local):
                 applied_keys.append(key)
                 applied_entries.append(entry)

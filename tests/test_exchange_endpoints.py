@@ -69,7 +69,7 @@ STAMPS = st.builds(
     st.integers(0, 1),
 )
 VALUES = st.one_of(
-    st.none(), st.integers(-5, 5), st.text(max_size=3),
+    st.integers(-5, 5), st.text(max_size=3),
     st.lists(st.integers(0, 3), max_size=2),
     st.dictionaries(st.sampled_from(["a", "b"]), st.integers(0, 3), max_size=2),
 )

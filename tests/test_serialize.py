@@ -76,6 +76,12 @@ class TestStrictDecoding:
         with pytest.raises(SerializeError, match="timestamp"):
             decode_entry({"kind": "value", "value": 1})
 
+    def test_value_entry_with_a_null_value(self):
+        """``VersionedValue(None, …)`` is an entry no store would make:
+        a null value is a deletion, and a deletion is a certificate."""
+        with pytest.raises(SerializeError, match="null"):
+            decode_entry({"kind": "value", "value": None, "timestamp": encode_timestamp(ts(1.0))})
+
     def test_certificate_missing_fields(self):
         stamp = encode_timestamp(ts(1.0))
         with pytest.raises(SerializeError, match="retention"):

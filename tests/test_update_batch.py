@@ -62,7 +62,7 @@ _values = st.recursive(
         st.dictionaries(st.text(max_size=4), inner, max_size=3),
     ),
     max_leaves=6,
-)
+).filter(lambda value: value is not None)  # a null value is a deletion: a certificate
 _times = st.one_of(st.integers(0, 10**6), st.floats(0, 1e9, allow_nan=False))
 _stamps = st.builds(Timestamp, _times, st.integers(0, 50), st.integers(0, 10**6))
 
@@ -193,6 +193,7 @@ MALFORMED = {
     "activation before timestamp": lambda b: b["certs"][0].__setitem__(1, 1.0),
     "retention is not a list": lambda b: b["certs"][0].__setitem__(4, 7),
     "retention holds a non-site": lambda b: b["certs"][0].__setitem__(4, ["site-3"]),
+    "null value and no certificate": lambda b: b["values"].__setitem__(2, None),
 }
 
 

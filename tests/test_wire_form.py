@@ -361,6 +361,45 @@ class TestNothingEscapesServe:
         assert alive["payload"] == {"found": False, "timestamp": None}
         assert entries == 0 and counted == 0
 
+    @pytest.mark.parametrize(
+        "payload", [{"key": "k"}, {"key": "k", "value": None}], ids=["value-missing", "value-null"]
+    )
+    def test_write_without_a_value_gets_an_error_ack(self, payload):
+        """A write with nothing to write used to reach ``store.update``,
+        whose ``ValueError`` dropped the connection as a handler bug."""
+
+        async def scenario():
+            async with cluster(1) as (node,):
+                refused, alive = await raw_exchange(
+                    node, frame("mail", payload), frame("mail", {"read": "k"})
+                )
+                return refused, alive, len(node.store), node.stats.inbound_errors
+
+        refused, alive, entries, counted = asyncio.run(scenario())
+        assert refused["type"] == "ack" and "needs a value" in refused["payload"]["error"]
+        assert alive["payload"] == {"found": False, "timestamp": None}
+        assert entries == 0 and counted == 0
+
+    def test_a_null_value_row_gets_an_error_ack(self):
+        """A batch row holding ``null`` and no certificate would decode
+        to an entry ``k in store`` counts but ``store.get`` cannot read."""
+        batch = encode_batch([StoreUpdate("k", VersionedValue("v", Timestamp(1.0, 9, 0)))])
+        batch["values"] = [None]
+
+        async def scenario():
+            async with cluster(1) as (node,):
+                refused, alive = await raw_exchange(
+                    node,
+                    frame("push", {"mode": "push-pull", "updates": batch}),
+                    frame("mail", {"read": "k"}),
+                )
+                return refused, alive, len(node.store), node.stats.inbound_errors
+
+        refused, alive, entries, counted = asyncio.run(scenario())
+        assert refused["type"] == "ack" and "null" in refused["payload"]["error"]
+        assert alive["payload"] == {"found": False, "timestamp": None}
+        assert entries == 0 and counted == 0
+
     def test_handler_bug_costs_one_connection_and_is_counted(self):
         async def scenario():
             async with cluster(1) as (node,):
