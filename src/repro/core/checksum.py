@@ -196,8 +196,9 @@ class ChecksumTree:
 
     Two replicas with equal ``bucket_bits`` locate their differing
     buckets by comparing roots and recursing only into differing
-    children (:meth:`diff_buckets`); an exchange does the same walk one
-    level per round trip (:meth:`compare`, :meth:`expand`).
+    children (:meth:`diff_buckets`); an exchange does the same walk two
+    levels per round trip, one compared on each side (:meth:`compare`,
+    :meth:`expand`).
 
     An owner maintaining the tree lazily (the :class:`ReplicaStore`
     defers digest folding until a checksum is actually read) registers a

@@ -60,7 +60,7 @@ from repro.core.timestamps import SimClock
 from repro.net.membership import Membership, PeerInfo
 from repro.net.peer import InFlightBudget, Peer, PeerError, RetryPolicy
 from repro.obs.events import EventBus, EventKind
-from repro.obs.metrics import MetricsRegistry, linear_buckets
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiling import Profiler
 from repro.obs.spans import TraceHopLru, emit_delivery_span, trace_id, trace_id_of
 from repro.net.wire import (
@@ -88,6 +88,13 @@ _EXCHANGE_REQUESTS = frozenset(
 
 _WAS_NEWS = attrgetter("was_news")
 _TIMESTAMP = attrgetter("timestamp")
+
+#: A node's store has 1024 hash buckets, not the simulator's
+#: ``DEFAULT_BUCKET_BITS`` 64: a simulation holds n small stores, a node
+#: one large one, whose hierarchical repair ships whole leaves — at
+#: 20 000 keys ≈ 20 rows per differing key here, ≈ 313 at 64.  Past 10
+#: bits the cold fold slows down measurably.
+NODE_BUCKET_BITS = 10
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -209,7 +216,8 @@ class NodeStats:
         self.dirty_buckets = self.registry.histogram(
             "repro_dirty_buckets",
             "Differing buckets found per hierarchical drill-down",
-            buckets=linear_buckets(0.0, 8.0, 16),
+            # Up to a catch-up's every bucket.
+            buckets=(0.0,) + tuple(float(1 << bits) for bits in range(NODE_BUCKET_BITS + 1)),
         )
         self._scalars = {
             attr: self.registry.counter(name, help)
@@ -287,7 +295,9 @@ class GossipNode:
         self.config = config
         self.bus = bus if bus is not None else EventBus()
         self.store = ReplicaStore(
-            site_id=node_id, clock=SimClock(site=node_id, time_source=time.time)
+            site_id=node_id,
+            clock=SimClock(site=node_id, time_source=time.time),
+            bucket_bits=NODE_BUCKET_BITS,
         )
         self.peers: Dict[int, Peer] = {
             peer.node_id: Peer(

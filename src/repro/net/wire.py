@@ -52,10 +52,11 @@ Message types map onto the paper's mechanisms:
                           reply is a ``STATUS`` frame and is served even when
                           the node is refusing gossip conversations
 ``ACK``                   generic reply: feedback, client results, rejections
-``TREE``                  one level of a hierarchical-checksum
+``TREE``                  two levels of a hierarchical-checksum
                           drill-down: the initiator sends checksum-tree
                           nodes, the responder answers with the children
-                          that differ and the dirty buckets reached
+                          of those that differ and the dirty buckets
+                          reached
 ========================  ====================================================
 
 All decoding is strict: malformed frames raise :class:`WireError`, and

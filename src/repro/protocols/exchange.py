@@ -580,20 +580,28 @@ class HierarchicalChecksum(ExchangeStrategy):
 
     If the peers disagree on bucket count their trees do not line up
     node-for-node; the exchange falls back to a full comparison rather
-    than guessing at a mapping.
+    than guessing at a mapping.  An initiator holding no entry skips the
+    walk and offers every bucket, which the responder's scoped
+    :func:`respond` answers with its whole table.
     """
 
     def converse(self, store, mode, absorb=None):
         if mode is not ExchangeMode.PUSH_PULL:
             raise ValueError("hierarchical checksum requires push-pull exchanges")
         absorb = absorb or store.apply_updates
+        if not len(store):
+            # An empty store differs wherever the partner holds anything,
+            # so a walk would prune nothing: offer every bucket at once.
+            buckets = list(range(store.bucket_count))
+            return (yield from _offer(store, mode, absorb, ExchangeReport(via="tree"), buckets))
         report = ExchangeReport(checksum_rounds=1, via="tree")
         tree = store.checksum_tree
-        # Walk down level by level: each round sends this side's values
-        # for the nodes still in dispute and learns the partner's
-        # children of those that differ.  Equal subtrees are pruned on
-        # both sides, so a round's size follows the difference and the
-        # number of rounds ``bucket_bits``.
+        # Walk down two levels per round trip: the partner compares the
+        # nodes sent and answers with its children of those that differ;
+        # this side compares those and sends its own children of the ones
+        # that differ in turn.  Equal subtrees are pruned on both sides,
+        # no node crosses the wire twice, a round's size follows the
+        # difference and the number of rounds is ⌈(bucket_bits + 1) / 2⌉.
         nodes = [(1, tree.root)]
         dirty: List[int] = []
         while nodes:
@@ -605,10 +613,16 @@ class HierarchicalChecksum(ExchangeStrategy):
                 report.via = "tree+full"
                 return (yield from _offer(store, mode, absorb, report))
             frontier = reply.fields.get("frontier", [])
-            report.tree_comparisons += len(frontier)
+            # A frontier that does not descend could keep a walk going
+            # forever: refuse it before comparing anything.
+            sent = {node for node, __ in nodes}
+            if not all(node >> 1 in sent for node, __ in frontier):
+                raise ExchangeError("tree frontier names a node that is no child of the request's")
             dirty.extend(reply.fields.get("dirty", []))
-            nodes, leaves = _compare(tree, frontier)
+            inner, leaves = _compare(tree, frontier)
             dirty.extend(leaves)
+            nodes = tree.expand(inner)
+            report.tree_comparisons += len(frontier) + len(nodes)
         if dirty:
             report.tree_comparisons += 1  # the root: it differed
             # One offer for the whole conversation: buckets are

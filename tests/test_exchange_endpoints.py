@@ -5,9 +5,10 @@ exchange ``Frame`` objects; the simulator's in-process driver and the
 TCP node only move those frames.  These tests hold the properties that
 make the two runtimes one protocol: a conversation pushed through the
 node's real codec merges exactly what the in-process driver merges, the
-level-by-level tree walk finds what the recursive ``diff_buckets`` finds
-at the same price, a refused request touches nothing, and the module
-can be imported without the network runtime.
+two-sided tree walk finds what the recursive ``diff_buckets`` finds at
+the same price (and still meets a one-level initiator), a refused
+request touches nothing, and the module can be imported without the
+network runtime.
 """
 
 import subprocess
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.items import DeathCertificate, VersionedValue
-from repro.core.store import ReplicaStore
+from repro.core.store import DEFAULT_BUCKET_BITS, ReplicaStore
 from repro.core.timestamps import SequenceClock, Timestamp
 from repro.net.membership import Membership
 from repro.net.node import GossipNode, NodeConfig, _frame_of
@@ -26,9 +27,11 @@ from repro.protocols.base import ExchangeMode
 from repro.protocols.exchange import (
     ChecksumWithRecent,
     ExchangeError,
+    ExchangeReport,
     Frame,
     FullCompare,
     HierarchicalChecksum,
+    _offer,
     drive,
     respond,
 )
@@ -47,16 +50,19 @@ def over_the_wire(frame: Frame, sender: GossipNode) -> Frame:
     return _frame_of(decode_body(body))[0]
 
 
-def wired(conversation, seen=None):
+def wired(conversation, seen=None, answers=None):
     """The initiator ``conversation`` with every request and every reply
-    passed through the node's codec; ``seen`` collects the requests."""
+    passed through the node's codec; ``seen`` collects the requests,
+    ``answers`` the replies."""
     try:
         request = next(conversation)
         while True:
             if seen is not None:
                 seen.append(request)
-            reply = yield over_the_wire(request, NODE_A)
-            request = conversation.send(over_the_wire(reply, NODE_B))
+            reply = over_the_wire((yield over_the_wire(request, NODE_A)), NODE_B)
+            if answers is not None:
+                answers.append(reply)
+            request = conversation.send(reply)
     except StopIteration as settled:
         return settled.value
 
@@ -138,23 +144,95 @@ def diverged(common: int, a_only: int, b_only: int, bits: int = 6):
     return a, b
 
 
+def one_level_walk(store):
+    """An initiator that walks one tree level per round trip: it sends
+    the inner nodes the responder's frontier showed to differ, for the
+    responder to compare again.  The loop this build's initiator replaced,
+    kept to hold this build's ``respond`` to it."""
+    tree = store.checksum_tree
+    nodes, dirty = [(1, tree.root)], []
+    while nodes:
+        reply = yield Frame("tree", {"mode": "push-pull", "bits": store.bucket_bits, "nodes": nodes})
+        dirty.extend(reply.fields["dirty"])
+        nodes, leaves = tree.compare(reply.fields["frontier"])
+        dirty.extend(leaves)
+    report = ExchangeReport(via="tree")
+    return (yield from _offer(
+        store, ExchangeMode.PUSH_PULL, store.apply_updates, report, sorted(set(dirty))
+    ))
+
+
+def scripted(conversation, frontier, limit=100):
+    """Drive ``conversation`` against a responder that answers every TREE
+    request with ``frontier`` and no dirty bucket, for ``limit`` rounds."""
+    request = next(conversation)
+    for __ in range(limit):
+        if request.kind != "tree":
+            return
+        request = conversation.send(Frame("tree", {"bits": 6, "frontier": frontier, "dirty": []}))
+    raise AssertionError(f"still walking after {limit} rounds")
+
+
+WALKS = [(0, 1, 0, 0), (40, 3, 2, 6), (300, 25, 40, 6), (300, 5, 5, 10), (50, 0, 1, 3)]
+
+
 class TestTreeWalk:
-    @pytest.mark.parametrize(
-        "common,a_only,b_only,bits",
-        [(0, 1, 0, 0), (40, 3, 2, 6), (300, 25, 40, 6), (300, 5, 5, 10), (50, 0, 1, 3)],
-    )
+    @pytest.mark.parametrize("common,a_only,b_only,bits", WALKS)
     def test_walk_is_diff_buckets_level_by_level(self, common, a_only, b_only, bits):
         """The reference stays the recursive ``diff_buckets``: same
         dirty buckets, and ``tree_comparisons`` keeps its meaning (the
-        root, then two per differing internal node)."""
+        root, then two per differing internal node).  Each round trip
+        covers two levels, one compared on each side, and every node
+        compared crossed the wire once."""
         a, b = diverged(common, a_only, b_only, bits)
         dirty, comparisons = a.checksum_tree.diff_buckets(b.checksum_tree)
-        requests = []
-        report = drive(wired(HierarchicalChecksum().converse(a, ExchangeMode.PUSH_PULL), requests), b)
+        requests, replies = [], []
+        conversation = HierarchicalChecksum().converse(a, ExchangeMode.PUSH_PULL)
+        report = drive(wired(conversation, requests, replies), b)
         assert report.tree_comparisons == comparisons
         assert requests[-1].kind == "push" and requests[-1].fields["buckets"] == dirty
         assert report.buckets_resolved == len(dirty)
-        assert [r.kind for r in requests[:-1]] == ["tree"] * max(bits, 1)
+        assert [r.kind for r in requests[:-1]] == ["tree"] * ((bits + 2) // 2)
+        sent = sum(len(r.fields["nodes"]) for r in requests[:-1])
+        sent += sum(len(r.fields["frontier"]) for r in replies[:-1])
+        assert sent == comparisons
+        assert report.via == "tree" and not report.full_compare
+        assert a.agrees_with(b)
+
+    @pytest.mark.parametrize("common,a_only,b_only,bits", WALKS)
+    def test_one_level_initiator_meets_this_responder(self, common, a_only, b_only, bits):
+        """``respond`` compares whatever nodes arrive, so an initiator
+        that walks one level per round trip reaches the same dirty
+        buckets and the same two stores, in ``bits`` round trips."""
+        a, b = diverged(common, a_only, b_only, bits)
+        old_a, old_b = diverged(common, a_only, b_only, bits)
+        new, old = [], []
+        drive(wired(HierarchicalChecksum().converse(a, ExchangeMode.PUSH_PULL), new), b)
+        drive(wired(one_level_walk(old_a), old), old_b)
+        assert old[-1].fields["buckets"] == new[-1].fields["buckets"]
+        assert [r.kind for r in old[:-1]] == ["tree"] * max(bits, 1)
+        assert old_a.snapshot() == a.snapshot() == old_b.snapshot() == b.snapshot()
+
+    @pytest.mark.parametrize("frontier", [[(1, 5)], [(2, 5), (8, 5)], [(1 << 20, 5)]])
+    def test_a_frontier_that_does_not_descend_is_refused(self, frontier):
+        """A responder echoing the root forever used to hold a walk for
+        good; now a frontier node that is no child of a node sent ends
+        the conversation before anything is compared or applied."""
+        a, __ = diverged(40, 3, 2)
+        before = a.snapshot()
+        with pytest.raises(ExchangeError, match="no child"):
+            scripted(HierarchicalChecksum().converse(a, ExchangeMode.PUSH_PULL), frontier)
+        assert a.snapshot() == before
+
+    def test_an_empty_initiator_skips_the_walk(self):
+        """Nothing to prune from an empty store: one offer names every
+        bucket and the scoped responder serves its whole table."""
+        a, b = diverged(0, 0, 50)
+        requests = []
+        report = drive(wired(HierarchicalChecksum().converse(a, ExchangeMode.PUSH_PULL), requests), b)
+        (offer,) = requests
+        assert offer.kind == "push" and offer.fields["buckets"] == list(range(a.bucket_count))
+        assert report.tree_comparisons == 0 and len(report.sent_ba) == 50
         assert report.via == "tree" and not report.full_compare
         assert a.agrees_with(b)
 
@@ -187,7 +265,11 @@ class TestResponderValidatesThenMutates:
             ("checksum", {"mode": "push-pull", "checksum": 0, "tau": float("nan")}, "bad tau nan"),
             ("checksum", {"mode": "sideways", "checksum": 0, "tau": 5}, "bad exchange mode 'sideways'"),
             ("push", {"mode": None}, "bad exchange mode None"),
-            ("push", {"mode": "push-pull", "buckets": [64], "bits": 6}, "bucket index out of range"),
+            (
+                "push",
+                {"mode": "push-pull", "buckets": [1 << DEFAULT_BUCKET_BITS], "bits": DEFAULT_BUCKET_BITS},
+                "bucket index out of range",
+            ),
         ],
     )
     def test_refused_request_leaves_the_store_alone(self, kind, fields, message):
@@ -198,9 +280,9 @@ class TestResponderValidatesThenMutates:
 
     def test_tree_node_out_of_range_is_refused(self):
         store = make_store(1)
-        for node_id in (0, 128, 10**6):
+        for node_id in (0, 2 * store.bucket_count, 10**6):
             with pytest.raises(ExchangeError, match="out of range"):
-                respond(store, Frame("tree", {"bits": 6, "nodes": [(1, 5), (node_id, 5)]}))
+                respond(store, Frame("tree", {"bits": store.bucket_bits, "nodes": [(1, 5), (node_id, 5)]}))
 
     def test_checksum_reply_is_computed_before_the_request_is_merged(self):
         """The simulator's order: what the request delivers is not news

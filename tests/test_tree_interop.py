@@ -2,9 +2,12 @@
 
 Two nodes drill down the checksum tree from their very first
 conversation and ship only dirty buckets, hand-written TREE frames get
-the documented answers, and the live runtime's merge result is
-byte-for-byte the same database the simulator's
-``HierarchicalChecksum`` produces from identical starting states.
+the documented answers, a partner whose frontier never descends is a
+failed peer, a repair between two large nodes ships what differs and an
+empty node catches up without a walk, and the live runtime's merge
+result is byte-for-byte the same database the simulator's
+``HierarchicalChecksum`` produces from identical starting states (at
+the node's bucket count).
 """
 
 import asyncio
@@ -18,13 +21,13 @@ import pytest
 from repro.core.items import make_entry
 from repro.core.store import ReplicaStore
 from repro.core.timestamps import SequenceClock, SimClock, Timestamp
-from repro.net.node import NodeConfig
+from repro.net.node import NODE_BUCKET_BITS, NodeConfig
 from repro.net.peer import RetryPolicy
 from repro.net.runner import LiveCluster
 from repro.net.wire import HEADER_BYTES
 from repro.obs.events import EventKind, RingBufferSink
 from repro.protocols.base import ExchangeMode
-from repro.protocols.exchange import HierarchicalChecksum, strategy_for
+from repro.protocols.exchange import Frame, HierarchicalChecksum, strategy_for
 
 # Loops effectively disabled: every exchange below is driven by hand,
 # so the assertions see exactly one conversation at a time.
@@ -86,7 +89,7 @@ class TestFirstContact:
         rounds0, rounds1, shipped, frames, agrees = asyncio.run(scenario())
         assert rounds0 >= 1 and rounds1 >= 1  # both sides counted the walk
         assert frames["tree"] == rounds0 and frames["push"] == 1
-        assert 1 <= shipped <= 20             # one bucket of ~200/64, not 201 entries
+        assert 1 <= shipped <= 20             # one bucket of ~200/1024, not 201 entries
         assert agrees
 
 
@@ -155,6 +158,93 @@ class TestTreeFrames:
         assert reply["payload"]["mismatch"] is True
         assert reply["payload"]["bits"] == bits
 
+    def test_a_frontier_that_never_descends_is_a_failed_peer(self):
+        """A partner answering every TREE request with the root again
+        used to hold the walk, and an in-flight slot, forever.  Now each
+        conversation ends after one round as a peer failure, and the
+        initiator hunts."""
+
+        async def scenario():
+            cluster = await LiveCluster.launch(2, MANUAL)
+            n0, n1 = cluster.nodes[0], cluster.nodes[1]
+            try:
+                seed(n0, [("k", "v", ts(1.0))])
+                answered = []
+
+                def echo_the_root(message):
+                    answered.append(message)
+                    if len(answered) > 50:  # a walk that is never refused ends here
+                        return n1._ack({"error": "still walking"})
+                    frontier = [(1, 5)]
+                    return n1._message(Frame("tree", {"bits": n1.store.bucket_bits, "frontier": frontier}))
+
+                n1._answer_exchange = echo_the_root
+                ran = await n0.run_anti_entropy_once()
+                stats = n0.stats
+                return ran, stats.tree_rounds, stats.peer_failures, stats.hunts, len(n1.store)
+            finally:
+                await cluster.stop()
+
+        ran, rounds, failures, hunts, held = asyncio.run(scenario())
+        attempts = MANUAL.hunt_limit + 1
+        assert not ran
+        assert rounds == failures == attempts and hunts == attempts - 1
+        assert held == 0
+
+
+class TestLargeStores:
+    """Two 20 000-key nodes, as perfbench's ``live-repair`` holds them."""
+
+    KEYS = 20_000
+
+    def test_repair_ships_what_differs_and_catch_up_skips_the_walk(self):
+        async def scenario():
+            cluster = await LiveCluster.launch(2, MANUAL)
+            n0 = cluster.nodes[0]
+            try:
+                source = ReplicaStore(site_id=2)
+                rows = [source.update(f"key-{i:06d}", f"value-{i}") for i in range(self.KEYS)]
+                for node in cluster.nodes.values():
+                    for row in rows:
+                        node.store.apply_entry(row.key, row.entry)
+                # 16 rewritten keys in 16 buckets.
+                buckets = {}
+                for row in rows:
+                    buckets.setdefault(n0.store.bucket_of(row.key), row.key)
+                    if len(buckets) == 16:
+                        break
+                for key in buckets.values():
+                    n0.store.update(key, "rewritten")
+
+                def shipped():
+                    return sum(node.stats.updates_shipped for node in cluster.nodes.values())
+
+                assert await n0.run_anti_entropy_once()
+                repair = (n0.stats.tree_rounds, shipped(), n0.store.agrees_with(cluster.nodes[1].store))
+
+                await cluster.kill(1)
+                await n0.peers[1].close()  # the killed node's connection
+                restarted = await cluster.restart(1)
+                before = (n0.stats.tree_rounds, n0.stats.frames_received.get("tree", 0))
+                assert await restarted.run_anti_entropy_once()
+                catch_up = (
+                    restarted.stats.tree_rounds,
+                    restarted.stats.frames_sent.get("tree", 0),
+                    (n0.stats.tree_rounds, n0.stats.frames_received.get("tree", 0)) == before,
+                    restarted.stats.exchanges,
+                    len(restarted.store),
+                    restarted.store.agrees_with(n0.store),
+                )
+                return repair, catch_up
+            finally:
+                await cluster.stop()
+
+        (rounds, shipped, agrees), catch_up = asyncio.run(scenario())
+        assert rounds <= 6
+        assert 16 <= shipped < 1_000  # 16 leaves of ≈ 20 keys, not of ≈ 313
+        assert agrees
+        assert catch_up == (0, 0, True, 1, self.KEYS, True)
+
 
 def _divergent_states():
     """Shared history plus one-sided edits, as (key, value, stamp) rows."""
@@ -171,8 +261,8 @@ class TestSimLiveEquivalence:
         live nodes over TREE frames, ends in the identical state."""
         shared, only_a, only_b = _divergent_states()
 
-        sim_a = ReplicaStore(site_id=0, clock=SequenceClock(site=0))
-        sim_b = ReplicaStore(site_id=1, clock=SequenceClock(site=1))
+        sim_a = ReplicaStore(site_id=0, clock=SequenceClock(site=0), bucket_bits=NODE_BUCKET_BITS)
+        sim_b = ReplicaStore(site_id=1, clock=SequenceClock(site=1), bucket_bits=NODE_BUCKET_BITS)
         for store in (sim_a, sim_b):
             for key, value, stamp in shared:
                 store.apply_entry(key, make_entry(value, stamp))
@@ -236,8 +326,14 @@ class TestSimLiveEquivalence:
             only_a.append(("old-a", "a", ts(now - 800.0, site=0)))
             only_b.append(("old-b", "b", ts(now - 700.0, site=1)))
 
+        # At the node's bucket count, so the in-process walk compares and
+        # ships what the live one does.
         sims = [
-            ReplicaStore(site_id=site, clock=SimClock(site=site, time_source=time.time))
+            ReplicaStore(
+                site_id=site,
+                clock=SimClock(site=site, time_source=time.time),
+                bucket_bits=NODE_BUCKET_BITS,
+            )
             for site in (0, 1)
         ]
         for store, own in zip(sims, (only_a, only_b)):

@@ -28,7 +28,7 @@ from repro.core.serialize import (
 from repro.core.store import ReplicaStore, StoreUpdate
 from repro.core.timestamps import Timestamp
 from repro.net.membership import Membership
-from repro.net.node import GossipNode, NodeConfig
+from repro.net.node import NODE_BUCKET_BITS, GossipNode, NodeConfig
 from repro.net.runner import CLIENT_ID
 from repro.net.wire import (
     HEADER_BYTES,
@@ -43,6 +43,7 @@ from repro.obs.spans import trace_id_of
 from test_binwire_interop import QUIET, cluster
 
 TUPLE_KEY = ("svc", ("printer", 2), 1.5, True)
+BUCKETS = 1 << NODE_BUCKET_BITS  # a node's bucket count: the first index out of range
 
 
 async def raw_exchange(node, *bodies: dict) -> list:
@@ -127,11 +128,15 @@ class TestRefusedFrames:
         [
             ("checksum", {"mode": "push-pull", "checksum": 0, "tau": -1}, "bad tau -1"),
             ("checksum", {"mode": "sideways", "checksum": 0}, "bad exchange mode 'sideways'"),
-            ("push", {"mode": "push-pull", "buckets": [64], "bits": 6}, "bucket index out of range"),
-            ("push", {"mode": "push-pull", "buckets": [-1], "bits": 6}, "expected bucket indexes"),
+            ("push", {"mode": "push-pull", "buckets": [BUCKETS], "bits": NODE_BUCKET_BITS},
+             "bucket index out of range"),
+            ("push", {"mode": "push-pull", "buckets": [-1], "bits": NODE_BUCKET_BITS},
+             "expected bucket indexes"),
             ("pull-request", {}, "bad exchange mode None"),
-            ("tree", {"bits": 6, "nodes": [[128, 0]]}, "tree node 128 out of range"),
-            ("tree", {"bits": 6, "nodes": [[1, 0], [1]]}, "expected [node_id, checksum] pairs"),
+            ("tree", {"bits": NODE_BUCKET_BITS, "nodes": [[2 * BUCKETS, 0]]},
+             f"tree node {2 * BUCKETS} out of range"),
+            ("tree", {"bits": NODE_BUCKET_BITS, "nodes": [[1, 0], [1]]},
+             "expected [node_id, checksum] pairs"),
         ],
     )
     def test_refused_request_applies_nothing(self, kind, payload, error):
