@@ -12,15 +12,17 @@ already known nearly everywhere dies out almost immediately.
 from __future__ import annotations
 
 import dataclasses
-import random
 from typing import List, Optional
 
-from repro.cluster.cluster import Cluster
-from repro.experiments.runner import TrialRunner, resolve_runner
+from repro.experiments.runner import (
+    TrialRunner,
+    planted_sites,
+    resolve_runner,
+    single_update,
+)
 from repro.protocols.backup import AntiEntropyBackup, RecoveryStrategy
 from repro.protocols.base import ExchangeMode
 from repro.protocols.rumor import RumorConfig
-from repro.sim.rng import derive_seed
 
 
 @dataclasses.dataclass(slots=True)
@@ -45,7 +47,6 @@ def recovery_cost_experiment(
     """Plant an update at a fraction of sites, then let rumor mongering
     with anti-entropy backup finish the job under the given recovery
     strategy; measure what it cost."""
-    cluster = Cluster(n=n, seed=seed)
     protocol = AntiEntropyBackup(
         rumor_config=RumorConfig(
             mode=ExchangeMode.PUSH, feedback=True, counter=True, k=2
@@ -53,15 +54,11 @@ def recovery_cost_experiment(
         anti_entropy_period=anti_entropy_period,
         recovery=strategy,
     )
-    cluster.add_protocol(protocol)
-    update = cluster.inject_update(0, "the-key", "the-value", track=True)
+    cluster, update = single_update(protocol, seed, n=n)
     metrics = cluster.metrics
     # Plant silently at the initial coverage (a failed initial
     # distribution), without making the planted copies hot.
-    rng = random.Random(derive_seed(seed, "plant"))
-    others = [s for s in cluster.site_ids if s != 0]
-    planted = rng.sample(others, max(0, round(n * initial_coverage) - 1))
-    for site_id in planted:
+    for site_id in planted_sites(cluster, seed, initial_coverage):
         cluster.sites[site_id].store.apply_entry(update.key, update.entry)
         metrics.record_receipt(site_id, 0.0)
     # Kill the seed's own hot rumor so recovery, not the original

@@ -16,11 +16,16 @@ These drivers quantify the claims the paper's design rests on:
 from __future__ import annotations
 
 import dataclasses
-import random
 from typing import List, Optional, Tuple
 
 from repro.cluster.cluster import Cluster
-from repro.experiments.runner import TrialRunner, resolve_runner
+from repro.experiments.runner import (
+    TrialRunner,
+    planted_sites,
+    resolve_runner,
+    single_update,
+)
+from repro.experiments.tables import run_anti_entropy_trial
 from repro.protocols.anti_entropy import AntiEntropyConfig, AntiEntropyProtocol
 from repro.protocols.base import ExchangeMode
 from repro.protocols.direct_mail import DirectMailProtocol
@@ -41,12 +46,10 @@ def run_direct_mail_trial(
     n: int, loss_probability: float, known_fraction: float, seed: int
 ) -> Tuple[float, float, float]:
     """One mailing of one update; returns (residue, messages, delivery)."""
-    cluster = Cluster(n=n, seed=seed)
     protocol = DirectMailProtocol(
         loss_probability=loss_probability, known_fraction=known_fraction
     )
-    cluster.add_protocol(protocol)
-    cluster.inject_update(0, "the-key", "the-value", track=True)
+    cluster, __ = single_update(protocol, seed, n=n)
     metrics = cluster.metrics
     cluster.run_until(lambda: not protocol.active, max_cycles=50)
     return metrics.residue, metrics.update_sends, protocol.mail.stats.delivery_ratio
@@ -109,15 +112,10 @@ def anti_entropy_tail(
     fraction of sites (as if direct mail had delivered there), then
     anti-entropy runs alone.
     """
-    cluster = Cluster(n=n, seed=seed)
     protocol = AntiEntropyProtocol(config=AntiEntropyConfig(mode=mode))
-    cluster.add_protocol(protocol)
-    update = cluster.inject_update(0, "the-key", "the-value", track=True)
+    cluster, update = single_update(protocol, seed, n=n)
     metrics = cluster.metrics
-    rng = random.Random(derive_seed(seed, "plant"))
-    target_infected = round(n * (1.0 - initial_susceptible))
-    others = [s for s in cluster.site_ids if s != 0]
-    for site_id in rng.sample(others, max(0, target_infected - 1)):
+    for site_id in planted_sites(cluster, seed, 1.0 - initial_susceptible):
         cluster.apply_at(site_id, update, via=None)
     fractions = [metrics.residue]
     cycles = 0
@@ -136,19 +134,6 @@ class PushConvergenceResult:
     runs: int
 
 
-def run_push_epidemic_trial(n: int, seed: int, max_cycles: int = 200) -> float:
-    """One push epidemic from site 0 to saturation; returns t_last."""
-    cluster = Cluster(n=n, seed=seed)
-    protocol = AntiEntropyProtocol(
-        config=AntiEntropyConfig(mode=ExchangeMode.PUSH)
-    )
-    cluster.add_protocol(protocol)
-    cluster.inject_update(0, "the-key", "the-value", track=True)
-    metrics = cluster.metrics
-    cluster.run_until(lambda: metrics.infected == n, max_cycles=max_cycles)
-    return metrics.t_last
-
-
 def push_epidemic_cycles(
     n: int = 512,
     runs: int = 10,
@@ -156,19 +141,23 @@ def push_epidemic_cycles(
     max_cycles: int = 200,
     runner: Optional[TrialRunner] = None,
 ) -> PushConvergenceResult:
-    """Cycles for push anti-entropy to infect everyone from one site."""
+    """Cycles for push anti-entropy to infect everyone from one site
+    (uniform selection, so the trials run on the batched engine)."""
     from repro.analysis.epidemic_theory import pittel_push_cycles
 
-    counts = resolve_runner(runner).map(
-        run_push_epidemic_trial,
+    trials = resolve_runner(runner).map(
+        run_anti_entropy_trial,
         [
-            dict(n=n, seed=derive_seed(seed, run), max_cycles=max_cycles)
+            dict(
+                n=n, mode=ExchangeMode.PUSH, seed=derive_seed(seed, run),
+                max_cycles=max_cycles,
+            )
             for run in range(runs)
         ],
     )
     return PushConvergenceResult(
         n=n,
-        mean_cycles=mean(counts),
+        mean_cycles=mean([metrics.t_last for metrics in trials]),
         pittel_prediction=pittel_push_cycles(n),
         runs=runs,
     )
@@ -202,14 +191,10 @@ def remail_blowup_experiment(
         # earlier partial distribution had happened), bypassing the
         # protocols so the initial mailing itself is not counted.
         update = cluster.sites[0].store.update("the-key", "the-value")
-        rng = random.Random(derive_seed(seed, "plant"))
-        others = [s for s in cluster.site_ids if s != 0]
-        planted = rng.sample(others, round(n * initial_coverage) - 1)
-        for site_id in planted:
+        for site_id in planted_sites(cluster, seed, initial_coverage):
             cluster.sites[site_id].store.apply_entry(update.key, update.entry)
-        before = mail.mail.stats.posted
         cluster.run_cycles(cycles)
-        return mail.mail.stats.posted - before
+        return mail.mail.stats.posted
 
     return RemailBlowupResult(
         n=n,

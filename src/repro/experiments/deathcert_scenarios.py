@@ -52,6 +52,24 @@ def _converged_cluster(n: int, seed: int, policy: Optional[CertificatePolicy] = 
     return cluster, manager
 
 
+def _straggler_returns(
+    n: int, seed: int, tau1: float, tau2: float, retention_count: int = 0
+):
+    """Site ``n - 1`` goes down holding 'x' = 'v1', site 0 deletes 'x'
+    and the up sites converge; ``tau1`` + 2 cycles later no active
+    certificate is left and the straggler rejoins with its old copy."""
+    cluster, manager = _converged_cluster(n, seed, CertificatePolicy(tau1=tau1, tau2=tau2))
+    straggler = cluster.sites[n - 1]
+    straggler.up = False                         # long partition begins
+    cluster.inject_delete(0, "x", retention_count=retention_count)
+    cluster.run_until(
+        lambda: cluster.converged(cluster.up_site_ids()), max_cycles=200
+    )
+    cluster.run_cycles(int(tau1) + 2)
+    straggler.up = True                          # rejoins with old data
+    return cluster, manager
+
+
 def resurrection_scenario(n: int = 30, seed: int = 30, use_certificate: bool = False) -> ScenarioResult:
     """Scenario 1: delete at one site; does the item come back?"""
     cluster, __ = _converged_cluster(n, seed)
@@ -74,17 +92,7 @@ def fixed_threshold_scenario(
 ) -> ScenarioResult:
     """Scenario 2: certificate discarded after tau1; an old copy held by
     a long-partitioned site then resurrects the item everywhere."""
-    policy = CertificatePolicy(tau1=tau1, tau2=0.0)
-    cluster, manager = _converged_cluster(n, seed, policy)
-    straggler = n - 1
-    cluster.sites[straggler].up = False          # long partition begins
-    cluster.inject_delete(0, "x")
-    cluster.run_until(
-        lambda: cluster.converged(cluster.up_site_ids()), max_cycles=200
-    )
-    # Wait out the threshold so every up site discards the certificate.
-    cluster.run_cycles(int(tau1) + 2)
-    cluster.sites[straggler].up = True           # rejoins with old data
+    cluster, __ = _straggler_returns(n, seed, tau1, tau2=0.0)
     cluster.run_until(lambda: cluster.converged(), max_cycles=400)
     resurrected = cluster.sites[0].store.get("x") is not None
     return ScenarioResult(
@@ -103,16 +111,7 @@ def dormant_certificate_scenario(
 ) -> ScenarioResult:
     """Scenario 3: same story, but dormant copies at ``r`` retention
     sites awaken and kill the resurrection."""
-    policy = CertificatePolicy(tau1=tau1, tau2=tau2)
-    cluster, manager = _converged_cluster(n, seed, policy)
-    straggler = n - 1
-    cluster.sites[straggler].up = False
-    cluster.inject_delete(0, "x", retention_count=retention_count)
-    cluster.run_until(
-        lambda: cluster.converged(cluster.up_site_ids()), max_cycles=200
-    )
-    cluster.run_cycles(int(tau1) + 2)
-    cluster.sites[straggler].up = True
+    cluster, manager = _straggler_returns(n, seed, tau1, tau2, retention_count)
     cluster.run_until(lambda: cluster.converged(), max_cycles=600)
     resurrected = any(
         cluster.sites[s].store.get("x") is not None for s in cluster.site_ids
@@ -120,7 +119,7 @@ def dormant_certificate_scenario(
     return ScenarioResult(
         description=f"dormant r={retention_count}",
         resurrected=resurrected,
-        reactivations=manager.stats.reactivations if manager else 0,
+        reactivations=manager.stats.reactivations,
         cycles=cluster.cycle,
     )
 
@@ -139,19 +138,10 @@ def reinstatement_scenario(
     (only the activation timestamp moves), so the reinstating update —
     which is newer than the deletion — wins everywhere.
     """
-    policy = CertificatePolicy(tau1=tau1, tau2=tau2)
-    cluster, manager = _converged_cluster(n, seed, policy)
-    straggler = n - 1
-    cluster.sites[straggler].up = False
-    cluster.inject_delete(0, "x", retention_count=retention_count)
-    cluster.run_until(
-        lambda: cluster.converged(cluster.up_site_ids()), max_cycles=200
-    )
-    # Let the certificate expire into dormancy at the retention sites.
-    cluster.run_cycles(int(tau1) + 2)
-    # The straggler rejoins with the obsolete value and spreads it until
-    # a dormant certificate wakes up.
-    cluster.sites[straggler].up = True
+    # The certificate expires into dormancy at the retention sites; the
+    # straggler rejoins with the obsolete value and spreads it until a
+    # dormant certificate wakes up.
+    cluster, manager = _straggler_returns(n, seed, tau1, tau2, retention_count)
     cluster.run_until(lambda: manager.stats.reactivations > 0, max_cycles=400)
     # Now the dangerous interleaving: a legitimate reinstating update,
     # newer than the deletion but issued while a reactivated certificate
@@ -165,7 +155,7 @@ def reinstatement_scenario(
         description="reinstatement survives reactivation",
         resurrected=not visible_everywhere,
         value_visible_everywhere=visible_everywhere,
-        reactivations=manager.stats.reactivations if manager else 0,
+        reactivations=manager.stats.reactivations,
         cycles=cluster.cycle,
     )
 

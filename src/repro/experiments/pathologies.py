@@ -22,10 +22,9 @@ with anti-entropy.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Tuple
+from typing import List, Optional
 
-from repro.cluster.cluster import Cluster
-from repro.experiments.runner import TrialRunner, resolve_runner
+from repro.experiments.runner import TrialRunner, resolve_runner, single_update
 from repro.protocols.backup import AntiEntropyBackup, RecoveryStrategy
 from repro.protocols.base import ExchangeMode
 from repro.protocols.rumor import RumorConfig, RumorMongeringProtocol
@@ -49,23 +48,6 @@ class PathologyResult:
         return self.failures / self.trials if self.trials else 0.0
 
 
-def _run_rumor(
-    topology: Topology,
-    selector: PartnerSelector,
-    config: RumorConfig,
-    start_site: int,
-    seed: int,
-    max_cycles: int = 2000,
-) -> Tuple[Cluster, "object"]:
-    cluster = Cluster(topology=topology, seed=seed)
-    protocol = RumorMongeringProtocol(config, selector=selector)
-    cluster.add_protocol(protocol)
-    cluster.inject_update(start_site, "the-key", "the-value", track=True)
-    metrics = cluster.metrics
-    cluster.run_until(lambda: not protocol.active, max_cycles=max_cycles)
-    return cluster, metrics
-
-
 def run_pathology_trial(
     topology: Topology,
     selector: PartnerSelector,
@@ -74,12 +56,34 @@ def run_pathology_trial(
     seed: int,
     max_cycles: int = 2000,
 ) -> EpidemicMetrics:
-    """One pathology trial, returning only the (picklable) metrics."""
-    __, metrics = _run_rumor(
-        topology, selector, config, start_site=start_site,
-        seed=seed, max_cycles=max_cycles,
+    """One rumor from ``start_site`` until it goes quiet; its metrics."""
+    protocol = RumorMongeringProtocol(config, selector=selector)
+    cluster, __ = single_update(protocol, seed, start=start_site, topology=topology)
+    cluster.run_until(lambda: not protocol.active, max_cycles=max_cycles)
+    return cluster.metrics
+
+
+def _failed_runs(
+    runner: Optional[TrialRunner],
+    topology: Topology,
+    config: RumorConfig,
+    starts: List[int],
+    seed: int,
+) -> List[EpidemicMetrics]:
+    """One trial per start site under the ``Q^-2`` distribution; the
+    metrics of those that left some site susceptible."""
+    selector = QPowerSelector(SiteDistances(topology), a=2.0)
+    results = resolve_runner(runner).map(
+        run_pathology_trial,
+        [
+            dict(
+                topology=topology, selector=selector, config=config,
+                start_site=start, seed=derive_seed(seed, trial),
+            )
+            for trial, start in enumerate(starts)
+        ],
     )
-    return metrics
+    return [metrics for metrics in results if not metrics.complete]
 
 
 def figure1_experiment(
@@ -92,28 +96,13 @@ def figure1_experiment(
 ) -> PathologyResult:
     """Inject at ``s`` and watch push (or pull) rumors die near home."""
     topology, s, t, group = builders.figure1_topology(m)
-    distances = SiteDistances(topology)
-    selector = QPowerSelector(distances, a=2.0)
     config = RumorConfig(mode=mode, feedback=True, counter=True, k=k)
-    results = resolve_runner(runner).map(
-        run_pathology_trial,
-        [
-            dict(
-                topology=topology, selector=selector, config=config,
-                start_site=s, seed=derive_seed(seed, trial),
-            )
-            for trial in range(trials)
-        ],
-    )
-    failures = 0
-    died_in_pair = 0
-    for metrics in results:
-        if not metrics.complete:
-            failures += 1
-            if set(metrics.receipt_times) <= {s, t}:
-                died_in_pair += 1
+    failed = _failed_runs(runner, topology, config, [s] * trials, seed)
     return PathologyResult(
-        trials=trials, failures=failures, died_in_pair=died_in_pair, missed_lonely=0
+        trials=trials,
+        failures=len(failed),
+        died_in_pair=sum(set(f.receipt_times) <= {s, t} for f in failed),
+        missed_lonely=0,
     )
 
 
@@ -127,28 +116,14 @@ def figure1_pull_experiment(
     """Figure 1 under pull: update starts in the main group; do the
     isolated pair ``{s, t}`` ever learn it?"""
     topology, s, t, group = builders.figure1_topology(m)
-    distances = SiteDistances(topology)
-    selector = QPowerSelector(distances, a=2.0)
     config = RumorConfig(mode=ExchangeMode.PULL, feedback=True, counter=True, k=k)
-    results = resolve_runner(runner).map(
-        run_pathology_trial,
-        [
-            dict(
-                topology=topology, selector=selector, config=config,
-                start_site=group[trial % len(group)], seed=derive_seed(seed, trial),
-            )
-            for trial in range(trials)
-        ],
-    )
-    failures = 0
-    pair_missed = 0
-    for metrics in results:
-        if not metrics.complete:
-            failures += 1
-            if s not in metrics.receipt_times or t not in metrics.receipt_times:
-                pair_missed += 1
+    starts = [group[trial % len(group)] for trial in range(trials)]
+    failed = _failed_runs(runner, topology, config, starts, seed)
     return PathologyResult(
-        trials=trials, failures=failures, died_in_pair=pair_missed, missed_lonely=0
+        trials=trials,
+        failures=len(failed),
+        died_in_pair=sum(not {s, t} <= set(f.receipt_times) for f in failed),
+        missed_lonely=0,
     )
 
 
@@ -162,30 +137,15 @@ def figure2_experiment(
 ) -> PathologyResult:
     """Inject inside the tree; does lonely site ``s`` ever hear of it?"""
     topology, s, root = builders.figure2_topology(depth, spur_length)
-    distances = SiteDistances(topology)
-    selector = QPowerSelector(distances, a=2.0)
     config = RumorConfig(mode=ExchangeMode.PUSH, feedback=True, counter=True, k=k)
     tree_sites = [site for site in topology.sites if site != s]
-    results = resolve_runner(runner).map(
-        run_pathology_trial,
-        [
-            dict(
-                topology=topology, selector=selector, config=config,
-                start_site=tree_sites[trial % len(tree_sites)],
-                seed=derive_seed(seed, trial),
-            )
-            for trial in range(trials)
-        ],
-    )
-    failures = 0
-    missed = 0
-    for metrics in results:
-        if not metrics.complete:
-            failures += 1
-            if s not in metrics.receipt_times:
-                missed += 1
+    starts = [tree_sites[trial % len(tree_sites)] for trial in range(trials)]
+    failed = _failed_runs(runner, topology, config, starts, seed)
     return PathologyResult(
-        trials=trials, failures=failures, died_in_pair=0, missed_lonely=missed
+        trials=trials,
+        failures=len(failed),
+        died_in_pair=0,
+        missed_lonely=sum(s not in f.receipt_times for f in failed),
     )
 
 
@@ -240,7 +200,6 @@ def run_backup_trial(
     max_cycles: int = 3000,
 ) -> bool:
     """One rumor + anti-entropy-backup trial; True when coverage was total."""
-    cluster = Cluster(topology=topology, seed=seed)
     protocol = AntiEntropyBackup(
         rumor_config=RumorConfig(
             mode=ExchangeMode.PUSH, feedback=True, counter=True, k=k
@@ -249,11 +208,9 @@ def run_backup_trial(
         recovery=RecoveryStrategy.HOT_RUMOR,
         selector=selector,
     )
-    cluster.add_protocol(protocol)
-    cluster.inject_update(start_site, "the-key", "the-value", track=True)
-    metrics = cluster.metrics
-    cluster.run_until(lambda: metrics.infected == cluster.n, max_cycles=max_cycles)
-    return metrics.complete
+    cluster, __ = single_update(protocol, seed, start=start_site, topology=topology)
+    cluster.run_until(lambda: cluster.metrics.complete, max_cycles=max_cycles)
+    return cluster.metrics.complete
 
 
 def backup_fixes_pathology(
@@ -268,8 +225,7 @@ def backup_fixes_pathology(
     """Figure 1 again, but with anti-entropy backing up the rumor:
     coverage must now be total in every trial."""
     topology, s, t, group = builders.figure1_topology(m)
-    distances = SiteDistances(topology)
-    selector = QPowerSelector(distances, a=2.0)
+    selector = QPowerSelector(SiteDistances(topology), a=2.0)
     complete = resolve_runner(runner).map(
         run_backup_trial,
         [
@@ -281,7 +237,6 @@ def backup_fixes_pathology(
             for trial in range(trials)
         ],
     )
-    failures = sum(1 for ok in complete if not ok)
     return PathologyResult(
-        trials=trials, failures=failures, died_in_pair=0, missed_lonely=0
+        trials=trials, failures=complete.count(False), died_in_pair=0, missed_lonely=0
     )

@@ -26,16 +26,26 @@ exploits that while keeping the repo's reproducibility contract:
 Used by every experiment driver (``tables``, ``spatial``, ``workloads``,
 ``baselines``, ``pathologies``, ``backup_scenarios``,
 ``deathcert_scenarios``) and exposed on the CLI as ``--jobs N``.
+
+The trial those drivers share lives here too: :func:`single_update`
+injects one tracked update into a fresh cluster (§1.4's residue,
+traffic and delay all follow that one update), and
+:func:`planted_sites` picks the sites an earlier, partial distribution
+already reached.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import random
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence
+from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
+from repro.cluster.cluster import Cluster
+from repro.core.store import StoreUpdate
 from repro.sim.rng import RngRegistry, derive_seed
+from repro.topology.graph import Topology
 
 
 def default_jobs() -> int:
@@ -112,11 +122,36 @@ def resolve_runner(runner: Optional[TrialRunner]) -> TrialRunner:
     return runner if runner is not None else SERIAL
 
 
+def single_update(
+    protocol,
+    seed: int,
+    start: int = 0,
+    n: Optional[int] = None,
+    topology: Optional[Topology] = None,
+) -> Tuple[Cluster, StoreUpdate]:
+    """A cluster of ``n`` sites (or ``topology``'s) running ``protocol``,
+    with one update injected at site ``start`` and tracked by
+    ``cluster.metrics``.  Returns the cluster and that update."""
+    cluster = Cluster(topology=topology, n=n, seed=seed)
+    cluster.add_protocol(protocol)
+    return cluster, cluster.inject_update(start, "the-key", "the-value", track=True)
+
+
+def planted_sites(cluster: Cluster, seed: int, coverage: float) -> List[int]:
+    """The seeded sample of sites other than site 0 that, with site 0,
+    make up a ``coverage`` fraction of the cluster."""
+    others = [site_id for site_id in cluster.site_ids if site_id != 0]
+    count = max(0, round(cluster.n * coverage) - 1)
+    return random.Random(derive_seed(seed, "plant")).sample(others, count)
+
+
 __all__ = [
     "TrialRunner",
     "SERIAL",
     "default_jobs",
     "derive_seed",
+    "planted_sites",
     "resolve_runner",
+    "single_update",
     "trial_seeds",
 ]

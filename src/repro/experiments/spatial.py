@@ -23,10 +23,10 @@ Also here: the rumor-mongering variants of the same experiment
 from __future__ import annotations
 
 import dataclasses
+import random
 from typing import List, Optional, Sequence, Tuple
 
-from repro.cluster.cluster import Cluster
-from repro.experiments.runner import TrialRunner, resolve_runner
+from repro.experiments.runner import TrialRunner, resolve_runner, single_update
 from repro.protocols.anti_entropy import AntiEntropyConfig, AntiEntropyProtocol
 from repro.protocols.base import ExchangeMode
 from repro.protocols.rumor import RumorConfig, RumorMongeringProtocol
@@ -43,8 +43,6 @@ from repro.topology.spatial import (
     SortedListSelector,
     UniformSelector,
 )
-
-import random
 
 
 @dataclasses.dataclass(slots=True)
@@ -95,31 +93,10 @@ def run_anti_entropy_trial(
     max_cycles: int = 500,
 ) -> TrialResult:
     """One update propagated by anti-entropy until full coverage."""
-    cluster = Cluster(topology=topology, seed=seed)
     protocol = AntiEntropyProtocol(
         selector=selector, config=AntiEntropyConfig(mode=mode, policy=policy)
     )
-    cluster.add_protocol(protocol)
-    start_site = random.Random(derive_seed(seed, "start")).choice(cluster.site_ids)
-    cluster.inject_update(start_site, "the-key", "the-value", track=True)
-    metrics = cluster.metrics
-    complete = True
-    try:
-        cluster.run_until(lambda: metrics.infected == cluster.n, max_cycles=max_cycles)
-    except RuntimeError:
-        complete = False
-    traffic = cluster.traffic
-    special = special_link
-    return TrialResult(
-        t_last=metrics.t_last,
-        t_ave=metrics.t_ave,
-        cycles=cluster.cycle,
-        compare_total=traffic.compare.total,
-        compare_special=traffic.compare.on_link(*special) if special else 0.0,
-        update_total=traffic.update.total,
-        update_special=traffic.update.on_link(*special) if special else 0.0,
-        complete=complete,
-    )
+    return _trial(protocol, topology, seed, special_link, max_cycles, rumor=False)
 
 
 def run_rumor_spatial_trial(
@@ -131,27 +108,41 @@ def run_rumor_spatial_trial(
     max_cycles: int = 1000,
 ) -> TrialResult:
     """One update spread by rumor mongering on a routed topology."""
-    cluster = Cluster(topology=topology, seed=seed)
     protocol = RumorMongeringProtocol(config, selector=selector)
-    cluster.add_protocol(protocol)
-    start_site = random.Random(derive_seed(seed, "start")).choice(cluster.site_ids)
-    cluster.inject_update(start_site, "the-key", "the-value", track=True)
+    return _trial(protocol, topology, seed, special_link, max_cycles, rumor=True)
+
+
+def _trial(
+    protocol, topology: Topology, seed: int, special: Optional[Edge],
+    max_cycles: int, rumor: bool,
+) -> TrialResult:
+    """One update from a seeded random site, run until the rumors go
+    quiet (``rumor``) or every site holds it; an anti-entropy run cut
+    short by ``max_cycles`` is reported incomplete."""
+    start = random.Random(derive_seed(seed, "start")).choice(topology.sites)
+    cluster, __ = single_update(protocol, seed, start=start, topology=topology)
     metrics = cluster.metrics
-    cluster.run_until(lambda: not protocol.active, max_cycles=max_cycles)
+    if rumor:
+        cluster.run_until(lambda: not protocol.active, max_cycles=max_cycles)
+    else:
+        try:
+            cluster.run_until(lambda: metrics.complete, max_cycles=max_cycles)
+        except RuntimeError:
+            pass
     traffic = cluster.traffic
-    special = special_link
-    # Report *useful* update traffic (the receiver needed it): that is
-    # the Table 4 notion, making the Section 3.2 rumor-vs-anti-entropy
-    # comparison apples to apples.  Redundant rumor shipments are still
-    # visible in metrics.update_sends.
+    # A rumor reports *useful* update traffic (the receiver needed it):
+    # that is the Table 4 notion, making the Section 3.2
+    # rumor-vs-anti-entropy comparison apples to apples.  Redundant
+    # rumor shipments are still visible in metrics.update_sends.
+    updates = traffic.useful_update if rumor else traffic.update
     return TrialResult(
         t_last=metrics.t_last,
         t_ave=metrics.t_ave,
         cycles=cluster.cycle,
         compare_total=traffic.compare.total,
         compare_special=traffic.compare.on_link(*special) if special else 0.0,
-        update_total=traffic.useful_update.total,
-        update_special=traffic.useful_update.on_link(*special) if special else 0.0,
+        update_total=updates.total,
+        update_special=updates.on_link(*special) if special else 0.0,
         complete=metrics.complete,
     )
 

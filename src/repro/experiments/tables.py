@@ -16,8 +16,7 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional, Sequence
 
-from repro.cluster.cluster import Cluster
-from repro.experiments.runner import TrialRunner, resolve_runner
+from repro.experiments.runner import TrialRunner, resolve_runner, single_update
 from repro.protocols.base import ExchangeMode
 from repro.protocols.rumor import RumorConfig, RumorMongeringProtocol
 from repro.sim.metrics import EpidemicMetrics, mean
@@ -69,10 +68,8 @@ def run_rumor_trial(
         return rumor_trial(
             n, config, seed, max_cycles=max_cycles, injection_site=injection_site
         )
-    cluster = Cluster(n=n, seed=seed)
     protocol = RumorMongeringProtocol(config, selector=selector)
-    cluster.add_protocol(protocol)
-    cluster.inject_update(injection_site, "the-key", "the-value", track=True)
+    cluster, __ = single_update(protocol, seed, start=injection_site, n=n)
     cluster.run_until(lambda: not protocol.active, max_cycles=max_cycles)
     return cluster.metrics
 
@@ -99,12 +96,10 @@ def run_anti_entropy_trial(
         )
     from repro.protocols.anti_entropy import AntiEntropyConfig, AntiEntropyProtocol
 
-    cluster = Cluster(n=n, seed=seed)
-    cluster.add_protocol(AntiEntropyProtocol(config=AntiEntropyConfig(mode=mode)))
-    cluster.inject_update(injection_site, "the-key", "the-value", track=True)
-    metrics = cluster.metrics
-    cluster.run_until(lambda: metrics.infected == n, max_cycles=max_cycles)
-    return metrics
+    protocol = AntiEntropyProtocol(config=AntiEntropyConfig(mode=mode))
+    cluster, __ = single_update(protocol, seed, start=injection_site, n=n)
+    cluster.run_until(lambda: cluster.metrics.complete, max_cycles=max_cycles)
+    return cluster.metrics
 
 
 def rumor_table(

@@ -290,10 +290,6 @@ class ClusterReport:
         return out
 
 
-#: Backwards-compatible alias for the pre-rename report type.
-LiveDemoReport = ClusterReport
-
-
 def _counter_total(status: Dict[str, Any], family: str) -> int:
     """A STATUS snapshot's counter, summed over its labeled series."""
     return int(sum(cell["value"] for cell in status["metrics"][family]["series"]))

@@ -200,7 +200,7 @@ class AntiEntropyProtocol(GossipProtocol):
         self.stats.updates_shipped += report.updates_shipped
         if report.full_compare:
             self.stats.full_compares += 1
-        elif report.checksum_rounds:
+        else:
             self.stats.checksum_successes += 1
             self.stats.entries_avoided += max(
                 0, len(store_s) + len(store_p) - report.entries_examined

@@ -6,7 +6,12 @@ import pytest
 from repro.cluster.cluster import Cluster
 from repro.protocols.anti_entropy import AntiEntropyConfig, AntiEntropyProtocol
 from repro.protocols.base import ExchangeMode
-from repro.protocols.exchange import ChecksumWithRecent, HierarchicalChecksum, PeelBack
+from repro.protocols.exchange import (
+    ChecksumWithRecent,
+    FullCompare,
+    HierarchicalChecksum,
+    PeelBack,
+)
 from repro.sim.transport import ConnectionPolicy
 
 
@@ -214,6 +219,30 @@ class TestLiveStrategies:
         assert protocol.stats.bucket_rounds > 0
         assert protocol.stats.checksum_successes > 0
         assert protocol.stats.full_compares == 0
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [FullCompare(), ChecksumWithRecent(tau=50.0), PeelBack(), HierarchicalChecksum()],
+        ids=lambda strategy: strategy.describe(),
+    )
+    @pytest.mark.parametrize("empty_initiator", [True, False])
+    def test_every_exchange_is_booked_once(self, strategy, empty_initiator):
+        """``full_compares`` and ``checksum_successes`` partition the
+        exchanges, including an empty initiator's, which walks no tree."""
+        cluster = Cluster(n=2, seed=1)
+        protocol = AntiEntropyProtocol(
+            config=AntiEntropyConfig(mode=ExchangeMode.PUSH_PULL, synchronous=False),
+            strategy=strategy,
+        )
+        cluster.add_protocol(protocol)
+        cluster.sites[1].store.update("a", 1)
+        cluster.sites[1].store.update("b", 2)
+        if not empty_initiator:
+            cluster.sites[0].store.update("c", 3)
+        cluster.run_cycles(1)
+        stats = protocol.stats
+        assert stats.exchanges == 2
+        assert stats.full_compares + stats.checksum_successes == stats.exchanges
 
     def test_transfer_hook_fires(self):
         transfers = []

@@ -1,5 +1,7 @@
 """The parallel trial engine: fan-out, seeding, determinism."""
 
+import importlib
+
 import pytest
 
 from repro.experiments.runner import (
@@ -83,6 +85,34 @@ class TestTrialSeeds:
         assert trial_seeds(1, "x", count=5) != trial_seeds(2, "x", count=5)
 
 
+def _small_cin():
+    from repro.topology.cin import CinParameters, build_cin_like_topology
+
+    return build_cin_like_topology(
+        CinParameters(
+            backbone_hubs=4,
+            metro_ethernets=(2, 2),
+            sites_per_ethernet=(2, 3),
+            linear_chains=1,
+            linear_chain_length=4,
+            europe_ethernets=2,
+            europe_sites_per_ethernet=(2, 3),
+        )
+    )
+
+
+#: driver -> (its module under repro.experiments, small-size kwargs).
+DRIVERS = {
+    "spatial_table": ("spatial", dict(runs=2, a_values=(2.0,))),
+    "figure1_experiment": ("pathologies", dict(m=10, k=2, trials=4)),
+    "figure2_experiment": ("pathologies", dict(depth=3, spur_length=5, k=3, trials=4)),
+    "backup_fixes_pathology": ("pathologies", dict(m=10, k=1, trials=3)),
+    "direct_mail_experiment": ("baselines", dict(n=40, loss_probability=0.1, runs=3)),
+    "push_epidemic_cycles": ("baselines", dict(n=64, runs=3)),
+    "compare_recovery_strategies": ("backup_scenarios", dict(n=30)),
+}
+
+
 class TestExperimentDeterminism:
     """Parallel and serial runs must produce identical table rows."""
 
@@ -114,3 +144,13 @@ class TestExperimentDeterminism:
         assert [(label, result.resurrected) for label, result in serial] == [
             (label, result.resurrected) for label, result in parallel
         ]
+
+    @pytest.mark.parametrize("name", sorted(DRIVERS))
+    def test_drivers_identical_across_jobs(self, name):
+        module, kwargs = DRIVERS[name]
+        driver = getattr(importlib.import_module(f"repro.experiments.{module}"), name)
+        if name == "spatial_table":
+            kwargs = dict(kwargs, cin=_small_cin())
+        serial = driver(runner=TrialRunner(jobs=1), **kwargs)
+        pooled = driver(runner=TrialRunner(jobs=2), **kwargs)
+        assert repr(serial) == repr(pooled)
