@@ -12,7 +12,7 @@ Responsibilities:
 * account traffic: update sends and comparisons globally, and per
   link (routed over shortest paths) when the topology has links;
 * track the spread of one designated update for residue / delay
-  metrics, and notify observers whenever any site learns news.
+  metrics, and emit a delivery span whenever any site learns news.
 """
 
 from __future__ import annotations
@@ -24,13 +24,11 @@ from repro.core.timestamps import SimClock
 from repro.obs.events import EventBus, EventKind
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiling import NULL_PROFILER, Profiler
-from repro.obs.spans import TraceHopLru, emit_delivery_span, trace_id_of
+from repro.obs.spans import emit_delivery_span
 from repro.sim.engine import Simulator
 from repro.sim.metrics import EpidemicMetrics, LinkTraffic
 from repro.sim.rng import RngRegistry
 from repro.topology.graph import Topology, sites_only
-
-NewsObserver = Callable[[int, StoreUpdate, ApplyResult], None]
 
 
 class Cluster:
@@ -92,18 +90,12 @@ class Cluster:
         self.wan = None
         self.metrics: Optional[EpidemicMetrics] = None
         self._tracked: Optional[StoreUpdate] = None
-        self._observers: List[NewsObserver] = []
         self._routable = topology.edge_count > 0
         # Partition state: site -> group id; None means fully connected.
         self._partition: Optional[Dict[int, int]] = None
         # Phase timers (repro.obs.profiling); the null profiler keeps the
         # hot path free of perf_counter calls until enable_profiling().
         self.profiler: Profiler = NULL_PROFILER
-        # trace id -> {site -> hop count}, maintained only while the bus
-        # has sinks; lets delivery spans carry distance-from-origin.
-        # LRU-bounded so long workloads don't accumulate one entry per
-        # update ever injected.
-        self._span_hops = TraceHopLru()
 
     # ------------------------------------------------------------------
     # Composition
@@ -254,9 +246,6 @@ class Cluster:
         wan.reset_cycle()
         return self
 
-    def add_observer(self, observer: NewsObserver) -> None:
-        self._observers.append(observer)
-
     def enable_profiling(self, registry: Optional[MetricsRegistry] = None) -> Profiler:
         """Swap the null profiler for a real one; returns it.
 
@@ -323,18 +312,9 @@ class Cluster:
                 deletion=update.entry.is_deletion,
             )
             # The injection is the root span of this update's trace:
-            # hop 0, no delivering source.
-            trace = trace_id_of(update)
-            self._span_hops.setdefault(trace, {})[site_id] = 0
+            # no delivering source.
             emit_delivery_span(
-                self.bus,
-                node=site_id,
-                update=update,
-                result=ApplyResult.APPLIED,
-                trace=trace,
-                src=None,
-                hop=0,
-                first=True,
+                self.bus, node=site_id, update=update, result=ApplyResult.APPLIED
             )
         for protocol in self.protocols:
             protocol.on_local_update(site_id, update)
@@ -382,17 +362,12 @@ class Cluster:
         elif self.bus.has_sinks and source is not None:
             # A targeted delivery the receiver already knew: redundant
             # traffic, attributed to its link in the infection tree.
-            trace = trace_id_of(update)
-            hops = self._span_hops.get(trace)
-            src_hop = None if hops is None else hops.get(source)
             emit_delivery_span(
                 self.bus,
                 node=site_id,
                 update=update,
                 result=result,
-                trace=trace,
                 src=source,
-                hop=None if src_hop is None else src_hop + 1,
                 first=False,
             )
         return result
@@ -418,27 +393,12 @@ class Cluster:
                 self.bus.emit(
                     EventKind.DEATH_CERT_ACTIVATED, node=site_id, key=str(update.key)
                 )
-            trace = trace_id_of(update)
-            hops = self._span_hops.setdefault(trace, {})
-            src_hop = None if source is None else hops.get(source)
-            hop = None if src_hop is None else src_hop + 1
-            if hop is not None:
-                hops.setdefault(site_id, hop)
             emit_delivery_span(
-                self.bus,
-                node=site_id,
-                update=update,
-                result=result,
-                trace=trace,
-                src=source,
-                hop=hop,
-                first=True,
+                self.bus, node=site_id, update=update, result=result, src=source
             )
         for protocol in self.protocols:
             if protocol is not via:
                 protocol.on_news(site_id, update, result)
-        for observer in self._observers:
-            observer(site_id, update, result)
 
     def count_comparison(self, src: int, dst: int) -> None:
         """Record one conversation (anti-entropy comparison or rumor

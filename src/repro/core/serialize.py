@@ -180,21 +180,19 @@ def decode_updates(payload: Any) -> List[StoreUpdate]:
 
 def encode_batch(
     updates: Iterable[StoreUpdate],
-    hops: List[int | None] | None = None,
     sent_at: float | None = None,
 ) -> Dict[str, Any]:
     """An update list — an :class:`UpdateList`, read column by column,
     or a list of rows — as columns: the shape every wire frame carries.
 
     ``{"n", "keys", "values", "times", "sites", "seqs", "certs",
-    "hops", "sent_at"}``: one plain list per field instead of one nested
-    dict per update, so a frame codec handles five scalars per update
-    rather than two dozen objects.  ``values`` holds ``None`` in a death
+    "sent_at"}``: one plain list per field instead of one nested dict
+    per update, so a frame codec handles five scalars per update rather
+    than two dozen objects.  ``values`` holds ``None`` in a death
     certificate's row; ``certs`` lists those rows as ``[index, act_time,
-    act_site, act_seq, retention]``.  ``hops`` (the sender's distance
-    from each update's origin, see :mod:`repro.obs.spans`) and
-    ``sent_at`` ride along as opaque trace context and are omitted when
-    unknown.  Times stay plain numbers, never packed floats:
+    act_site, act_seq, retention]``.  ``sent_at`` (the sender's clock,
+    see :mod:`repro.obs.spans`) rides along as opaque trace context and
+    is omitted when unknown.  Times stay plain numbers, never packed floats:
     ``Timestamp.encode`` feeds ``repr(time)`` into the checksum, so an
     ``int`` time must arrive an ``int``.
     """
@@ -221,8 +219,6 @@ def encode_batch(
         "seqs": [stamp.sequence for stamp in stamps],
         "certs": certs,
     }
-    if hops is not None:
-        batch["hops"] = hops
     if sent_at is not None:
         batch["sent_at"] = sent_at
     return batch
@@ -285,23 +281,16 @@ def decode_batch(batch: Any) -> UpdateList:
     return UpdateList.decoded(keys, values, times, sites, seqs, certificates)
 
 
-def batch_trace_context(
-    batch: Dict[str, Any], count: int
-) -> Tuple[List[int | None] | None, float | None]:
-    """The ``(hops, sent_at)`` riding in a batch of ``count`` updates.
+def batch_sent_at(batch: Dict[str, Any]) -> float | None:
+    """The sender's clock riding in a batch, or ``None``.
 
-    Trace context is observability, not data: a missing, ragged or
-    ill-typed ``hops`` column degrades to "no hop known" (``None``), a
-    bad item to ``None`` in its slot, a bad ``sent_at`` to ``None`` —
-    never an error, exactly as the row form's span contexts degrade.
+    Trace context is observability, not data: a missing or ill-typed
+    ``sent_at`` degrades to ``None``, never an error.  A field no
+    reader names, such as a per-update hop column older senders added,
+    is ignored.
     """
-    hops = batch.get("hops")
-    if not isinstance(hops, list) or len(hops) != count:
-        hops = None
-    else:
-        hops = [hop if type(hop) is int and hop >= 0 else None for hop in hops]
     sent_at = batch.get("sent_at")
-    return hops, float(sent_at) if type(sent_at) in _NUMBER_TYPES else None
+    return float(sent_at) if type(sent_at) in _NUMBER_TYPES else None
 
 
 def dump_store(store: ReplicaStore) -> Dict[str, Any]:

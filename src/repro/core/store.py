@@ -180,13 +180,6 @@ class UpdateList:
             unsettled[row] = True
         return held, unsettled
 
-    def rows_of(self, entries: Iterable[Entry]) -> List[int]:
-        """The row of each of ``entries``, built entries of this list, by
-        identity: two versions of one key are two rows."""
-        built = enumerate(self._entries) if self._entries is not None else self._built.items()
-        row_of = {id(entry): row for row, entry in built}
-        return [row_of[id(entry)] for entry in entries]
-
     @classmethod
     def of(cls, updates: Iterable[StoreUpdate]) -> "UpdateList":
         """``updates`` as columns: an :class:`UpdateList` itself, any

@@ -62,7 +62,7 @@ from repro.net.peer import InFlightBudget, Peer, PeerError, RetryPolicy
 from repro.obs.events import EventBus, EventKind
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiling import Profiler
-from repro.obs.spans import TraceHopLru, emit_delivery_span, trace_id, trace_id_of
+from repro.obs.spans import emit_delivery_span
 from repro.net.wire import (
     MAX_FRAME_BYTES,
     Message,
@@ -87,7 +87,6 @@ _EXCHANGE_REQUESTS = frozenset(
 )
 
 _WAS_NEWS = attrgetter("was_news")
-_TIMESTAMP = attrgetter("timestamp")
 
 #: A node's store has 1024 hash buckets, not the simulator's
 #: ``DEFAULT_BUCKET_BITS`` 64: a simulation holds n small stores, a node
@@ -322,11 +321,6 @@ class GossipNode:
         # travel in every STATUS snapshot.  Live granularity is one
         # network conversation — timing overhead is noise at that scale.
         self.profiler = Profiler(registry=self.stats.registry)
-        # trace id -> this node's hop distance from the update's origin,
-        # forwarded as the trace context of outbound update lists.
-        # LRU-bounded: hop data only matters while a trace circulates,
-        # and an unbounded map would grow with every update ever seen.
-        self._span_hops = TraceHopLru()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -451,8 +445,6 @@ class GossipNode:
         """Emit the injection events with one shared timestamp, so the
         trace replay and the node's own receipt record agree exactly."""
         now = time.time()
-        trace = trace_id_of(update)
-        self._span_hops.setdefault(trace, 0)
         self.bus.emit(
             EventKind.UPDATE_INJECTED,
             node=self.node_id,
@@ -467,10 +459,6 @@ class GossipNode:
                 node=self.node_id,
                 update=update,
                 result=ApplyResult.APPLIED,
-                trace=trace,
-                src=None,
-                hop=0,
-                first=True,
                 time=now,
             )
 
@@ -502,10 +490,10 @@ class GossipNode:
         """Hold the conversation ``start(absorb)`` builds with ``peer``:
         encode each request, decode each reply and resume the initiator.
         Returns what it returns, ``None`` when the partner refused."""
-        context = (None, None)  # trace context (hops, sent_at) of the reply being absorbed
+        sent_at = None  # the send clock of the reply being absorbed
 
         def absorb(updates: UpdateList) -> List[ApplyResult]:
-            return self._merge(updates, peer.node_id, *context)
+            return self._merge(updates, peer.node_id, sent_at)
 
         conversation = start(absorb)
         try:
@@ -518,7 +506,7 @@ class GossipNode:
                     self.stats.tree_rounds += 1
                 elif request.kind != "pull-request":  # whose offer is a digest only
                     self.stats.updates_shipped += len(request.fields.get("updates", ()))
-                answer, *context = _frame_of(reply)
+                answer, sent_at = _frame_of(reply)
                 request = conversation.send(answer)
         except StopIteration as settled:
             return settled.value
@@ -709,11 +697,10 @@ class GossipNode:
     def _answer_exchange(self, message: Message) -> Message:
         """One anti-entropy request in, the responder's reply out; what
         the responder applied is accounted for as one batch."""
-        request, hops, sent_at = _frame_of(message)
+        request, sent_at = _frame_of(message)
         with self.profiler.phase("merge"):
             reply, applied, __ = respond(self.store, request, self.config.tau)
-        hops = _hops_of(applied.updates, request.fields["updates"], hops)
-        now = self._account(applied.updates, applied.results, message.sender, hops, sent_at)
+        now = self._account(applied.updates, applied.results, message.sender, sent_at)
         if message.type is MessageType.TREE:
             self.stats.tree_rounds += 1
         self.stats.updates_shipped += len(reply.fields.get("updates", ()))
@@ -721,13 +708,10 @@ class GossipNode:
 
     def _answer_rumor(self, message: Message) -> Message:
         """One rumor frame in, the responder's reply out."""
-        request, hops, sent_at = _frame_of(message)
-
-        def absorb(updates: UpdateList) -> List[ApplyResult]:
-            context = _hops_of(updates, request.fields["updates"], hops)
-            return self._merge(updates, message.sender, context, sent_at)
-
-        reply = rumor.respond(self._hot, request, absorb)
+        request, sent_at = _frame_of(message)
+        reply = rumor.respond(
+            self._hot, request, partial(self._merge, src=message.sender, sent_at=sent_at)
+        )
         self.stats.updates_shipped += len(reply.fields.get("updates", ()))
         return self._message(reply)
 
@@ -843,18 +827,13 @@ class GossipNode:
         """The one way out: the payload for ``fields``, whose
         ``"updates"`` list of store updates becomes a columnar batch.
 
-        ``traced`` says whether the trace context — this node's known
-        hops, the send time ``now`` — rides inside the batch; an offer
-        the partner only reads as a digest goes without.
+        ``traced`` says whether the send time ``now`` rides inside the
+        batch; an offer the partner only reads as a digest goes without.
         """
-        updates = UpdateList.of(fields["updates"])
+        sent_at = None
         if traced:
-            batch = encode_batch(
-                updates, self._known_hops(updates), time.time() if now is None else now
-            )
-        else:
-            batch = encode_batch(updates)
-        return {**fields, "updates": batch}
+            sent_at = time.time() if now is None else now
+        return {**fields, "updates": encode_batch(UpdateList.of(fields["updates"]), sent_at)}
 
     def _absorb(
         self, payload: Dict[str, Any], src: int
@@ -862,15 +841,15 @@ class GossipNode:
         """The one way in: apply the update list ``payload`` carries
         from node ``src`` and account for it.  Returns every
         ``(update, result)`` pair, news or not."""
-        updates, hops, sent_at = payload_update_list(payload)
-        return list(zip(updates, self._merge(updates, src, hops, sent_at)))
+        updates, sent_at = payload_update_list(payload)
+        return list(zip(updates, self._merge(updates, src, sent_at)))
 
-    def _merge(self, updates: UpdateList, src: int, hops, sent_at) -> List[ApplyResult]:
-        """Apply a decoded update list from ``src`` with its trace
-        context; one result per update, in order."""
+    def _merge(self, updates: UpdateList, src: int, sent_at: Optional[float]) -> List[ApplyResult]:
+        """Apply a decoded update list from ``src`` sent at ``sent_at``;
+        one result per update, in order."""
         with self.profiler.phase("merge"):
             results = self.store.apply_updates(updates)
-        self._account(updates, results, src, hops, sent_at)
+        self._account(updates, results, src, sent_at)
         return results
 
     def _account(
@@ -878,7 +857,6 @@ class GossipNode:
         updates: UpdateList,
         results: List[ApplyResult],
         src: int,
-        hops: Optional[List[Optional[int]]],
         sent_at: Optional[float],
     ) -> float:
         """Account for entries just applied from node ``src`` (``results``
@@ -886,7 +864,7 @@ class GossipNode:
         reactivated death certificates, the absorbed counter.  Returns
         the receipt time it stamped."""
         now = time.time()
-        self._record_deliveries(updates, results, src, hops, sent_at, now)
+        self._record_deliveries(updates, results, src, sent_at, now)
         if ApplyResult.RESURRECTION_BLOCKED in results:
             for key, result in zip(updates.keys, results):
                 if result is ApplyResult.RESURRECTION_BLOCKED:
@@ -899,64 +877,32 @@ class GossipNode:
         self.stats.updates_absorbed += len(news)
         return now
 
-    def _known_hops(self, updates: UpdateList) -> Optional[List[Optional[int]]]:
-        """This node's hop distance from each update's origin, or
-        ``None`` when it knows none of them — then no trace id is even
-        formatted, which is what a bulk transfer of old entries sees.
-        Read from the key and entry columns: no row is built."""
-        if not len(self._span_hops):
-            return None
-        stamps = map(_TIMESTAMP, updates.entries)
-        hops = list(map(self._span_hops.get, map(trace_id, updates.keys, stamps)))
-        return None if hops.count(None) == len(hops) else hops
-
     def _record_deliveries(
         self,
         updates: UpdateList,
         results: List[ApplyResult],
         src: int,
-        hops: Optional[List[Optional[int]]],
         sent_at: Optional[float],
         now: float,
     ) -> None:
-        """Account one batch of deliveries from peer ``src``.
-
-        Learns this node's hop distance from each update's origin (the
-        sender's hop + 1; ``hops`` is aligned with ``updates``, or
-        ``None`` when the sender knew none) and emits one delivery span
-        per update.  The trace id is always derived locally from the
-        update itself — the wire context only contributes hop and
-        send-time, so a garbled context cannot reroute a span into
-        another update's tree — and only for an update that has a hop to
-        record or a sink to be reported to.  Only then are the batch's
-        ``(update, result)`` rows built.
-        """
-        has_sinks = self.bus.has_sinks
-        if not results or (hops is None and not has_sinks):
+        """Emit one delivery span per update of a batch from peer ``src``
+        when a sink is attached; only then are the batch's rows built.
+        The trace id is derived locally from each update, so the wire
+        contributes only the send time."""
+        if not results or not self.bus.has_sinks:
             return
         with self.profiler.phase("emit"):
-            for index, (update, result) in enumerate(zip(updates, results)):
-                hop = None if hops is None else hops[index]
-                if hop is not None:
-                    hop += 1
-                elif not has_sinks:
-                    continue
-                trace = trace_id_of(update)
-                if result.was_news and hop is not None:
-                    self._span_hops.setdefault(trace, hop)
-                if has_sinks:
-                    emit_delivery_span(
-                        self.bus,
-                        node=self.node_id,
-                        update=update,
-                        result=result,
-                        trace=trace,
-                        src=src,
-                        hop=hop,
-                        sent_at=sent_at,
-                        first=result.was_news,
-                        time=now,
-                    )
+            for update, result in zip(updates, results):
+                emit_delivery_span(
+                    self.bus,
+                    node=self.node_id,
+                    update=update,
+                    result=result,
+                    src=src,
+                    sent_at=sent_at,
+                    first=result.was_news,
+                    time=now,
+                )
 
     def _ack(self, payload: Dict[str, Any]) -> Message:
         return Message(type=MessageType.ACK, sender=self.node_id, payload=payload)
@@ -984,21 +930,12 @@ class GossipNode:
         )
 
 
-def _hops_of(chosen: UpdateList, offered: UpdateList, hops: Optional[list]) -> Optional[list]:
-    """The hops of ``chosen``, rows of ``offered`` (``hops`` parallel to
-    it), paired row by row: a frame carrying two versions of one key must
-    not hand version A's context to version B."""
-    if hops is None or len(chosen) == len(offered):
-        return hops  # all of the offer, in its order
-    return [hops[row] for row in offered.rows_of(chosen.entries)]
-
-
-def _frame_of(message: Message) -> Tuple[Frame, Optional[list], Optional[float]]:
+def _frame_of(message: Message) -> Tuple[Frame, Optional[float]]:
     """A decoded message as the frame the protocol endpoints read —
     update lists, tree nodes and bucket lists as Python values — plus
-    the trace context ``(hops, sent_at)`` that rode in its batch."""
+    the send clock ``sent_at`` that rode in its batch."""
     payload = message.payload
-    updates, hops, sent_at = payload_update_list(payload)
+    updates, sent_at = payload_update_list(payload)
     fields = {**payload, "updates": updates}
     for field in ("nodes", "frontier"):
         if field in payload:
@@ -1008,4 +945,4 @@ def _frame_of(message: Message) -> Tuple[Frame, Optional[list], Optional[float]]
             fields[field] = payload_bucket_list(payload, field)
     if type(payload.get("keys")) is list:
         fields["keys"] = list(map(decode_key, payload["keys"]))
-    return Frame(message.type.value, fields), hops, sent_at
+    return Frame(message.type.value, fields), sent_at

@@ -8,8 +8,8 @@ body::
 There is **one wire form**.  Every frame a node writes — request or
 reply, to a peer or to a client — is this JSON body stamped ``v=3``,
 and every update list in a payload is one columnar batch object
-(:func:`repro.core.serialize.encode_batch`) with its trace context
-(``hops``, ``sent_at``) inside it.  Anything that crosses the wire is
+(:func:`repro.core.serialize.encode_batch`) with its send clock
+(``sent_at``) inside it.  Anything that crosses the wire is
 what a checkpoint would contain — death certificates with activation
 timestamps and retention lists included.
 
@@ -73,7 +73,7 @@ import json
 import struct
 from typing import Any, Dict, Optional
 
-from repro.core.serialize import SerializeError, batch_trace_context, decode_batch
+from repro.core.serialize import SerializeError, batch_sent_at, decode_batch
 from repro.core.store import UpdateList
 
 #: The version every frame this build writes is stamped with.
@@ -278,30 +278,26 @@ async def read_message(
 
 
 def payload_update_list(payload: Dict[str, Any], field: str = "updates") -> tuple:
-    """An inbound update list with its trace context:
-    ``(updates, hops, sent_at)``.
+    """An inbound update list with its sender's clock:
+    ``(updates, sent_at)``.
 
     The list is one columnar batch (:func:`repro.core.serialize.encode_batch`),
     returned as the :class:`~repro.core.store.UpdateList` it decodes to;
-    an absent field is an empty one.  ``hops`` is the sender's hop
-    distance per update, or ``None`` instead of a list when it sent
-    none; ``sent_at`` its clock at send time.  The updates are decoded
-    strictly — :class:`repro.core.serialize.SerializeError` becomes
+    an absent field is an empty one.  ``sent_at`` is the sender's clock
+    at send time, or ``None``.  The updates are decoded strictly —
+    :class:`repro.core.serialize.SerializeError` becomes
     :class:`WireError`, so transport code has a single failure type for
-    "the peer sent garbage", the retired row form included — the context
-    leniently (:func:`repro.core.serialize.batch_trace_context`).
+    "the peer sent garbage", the retired row form included — the clock
+    leniently (:func:`repro.core.serialize.batch_sent_at`).
     """
     batch = payload.get(field)
     if batch is None:
-        return UpdateList(), None, None
+        return UpdateList(), None
     try:
         updates = decode_batch(batch)
     except SerializeError as error:
         raise WireError(f"bad {field!r} in payload: {error}") from None
-    hops, sent_at = batch_trace_context(batch, len(updates))
-    if hops is not None and hops.count(None) == len(hops):
-        hops = None
-    return updates, hops, sent_at
+    return updates, batch_sent_at(batch)
 
 
 def payload_tree_nodes(

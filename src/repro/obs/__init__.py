@@ -35,7 +35,6 @@ from repro.obs.profiling import NULL_PROFILER, Profiler
 from repro.obs.spans import (
     DeliverySpan,
     SpanContext,
-    TraceHopLru,
     emit_delivery_span,
     span_of_event,
     trace_id_of,
@@ -62,7 +61,6 @@ __all__ = [
     "RingBufferSink",
     "SpanContext",
     "TraceError",
-    "TraceHopLru",
     "emit_delivery_span",
     "read_trace",
     "render_analysis",

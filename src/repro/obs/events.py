@@ -149,10 +149,10 @@ class EventBus:
         self._sinks: List[EventSink] = []
         self._seq = itertools.count()
         self.emitted = 0
-        #: Plain attribute mirror of :attr:`active`, maintained by
-        #: add_sink/remove_sink.  Emit call sites on simulator hot paths
-        #: read it to skip building payload kwargs entirely when nobody
-        #: is listening — one attribute load instead of a property call.
+        #: True when at least one sink would see an emitted event,
+        #: maintained by add_sink/remove_sink.  Emit call sites on hot
+        #: paths read it to skip building payload kwargs entirely when
+        #: nobody is listening.
         self.has_sinks = False
 
     def add_sink(self, sink: EventSink) -> EventSink:
@@ -163,11 +163,6 @@ class EventBus:
     def remove_sink(self, sink: EventSink) -> None:
         self._sinks.remove(sink)
         self.has_sinks = bool(self._sinks)
-
-    @property
-    def active(self) -> bool:
-        """True when at least one sink would see an emitted event."""
-        return bool(self._sinks)
 
     def emit(
         self,
@@ -286,6 +281,9 @@ def read_trace(path: Union[str, pathlib.Path]) -> Iterator[Event]:
                 continue
             try:
                 blob = json.loads(line)
+                event = Event.from_dict(blob)
             except json.JSONDecodeError as error:
                 raise TraceError(f"{path}:{lineno}: not valid JSON: {error}") from None
-            yield Event.from_dict(blob)
+            except TraceError as error:
+                raise TraceError(f"{path}:{lineno}: {error}") from None
+            yield event

@@ -81,34 +81,18 @@ class InfectionTree:
         return tree
 
     def depth_of(self, node: int) -> Optional[int]:
-        """Hops from the origin to ``node``'s first delivery.
-
-        Prefers the hop recorded on the span (carried over the wire or
-        computed by the emitting runtime); falls back to walking the
-        tree, so traces without wire hop counts still resolve.
-        """
+        """Hops from the origin to ``node``'s first delivery, walking
+        first-delivery ``src`` links up to the root.  ``None`` for a node
+        never delivered to, an orphan (a link to a node that never
+        appears as a first delivery) and a cycle in the links."""
+        seen = set()
         span = self.first_delivery.get(node)
-        if span is None:
-            return None
-        if span.hop is not None:
-            return span.hop
-        if span.src is None:
-            return 0
-        seen = {node}
-        depth = 0
-        current: Optional[DeliverySpan] = span
-        while current is not None and current.src is not None:
-            if current.src in seen:  # broken lineage: cycle in src links
+        while span is not None and span.src is not None:
+            if span.node in seen:  # broken lineage: cycle in src links
                 return None
-            seen.add(current.src)
-            depth += 1
-            parent = self.first_delivery.get(current.src)
-            if parent is not None and parent.hop is not None:
-                return parent.hop + depth
-            current = parent
-        if current is None:
-            return None
-        return depth
+            seen.add(span.node)
+            span = self.first_delivery.get(span.src)
+        return None if span is None else len(seen)
 
     @property
     def max_depth(self) -> int:

@@ -135,5 +135,14 @@ class TestTraceAnalyze:
         with pytest.raises(SystemExit):
             main(["trace", "analyze", str(tmp_path / "missing.jsonl")])
 
+    def test_a_bad_record_exits_2_naming_its_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.jsonl"
+        good = '{"seq": 0, "t": 1.0, "kind": "census", "node": -1, "payload": {}}'
+        path.write_text(good + '\n{"seq":1,"t":0,"kind":"bogus","node":0,"payload":{}}\n')
+        with pytest.raises(SystemExit) as exit_info:
+            main(["trace", "analyze", str(path)])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err == f"error: {path}:2: unknown event kind 'bogus'\n"
+
     def test_stray_arguments_on_other_commands_rejected(self, capsys):
         assert main(["table1", "analyze"]) == 2

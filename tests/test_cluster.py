@@ -4,6 +4,8 @@ import pytest
 
 from repro.cluster.cluster import Cluster
 from repro.core.store import ApplyResult
+from repro.obs.events import EventKind, RingBufferSink
+from repro.obs.spans import span_of_event
 from repro.protocols.anti_entropy import AntiEntropyConfig, AntiEntropyProtocol
 from repro.protocols.base import ExchangeMode, Protocol
 from repro.topology import builders
@@ -152,12 +154,18 @@ class TestNewsFanout:
         assert log == [1]  # no duplicate notification
 
     def test_observers_see_news(self):
-        seen = []
+        """A bus sink hears each site's news once, as a first-delivery
+        span; a repeat is a redundant span, not news."""
         cluster = Cluster(n=2, seed=0)
-        cluster.add_observer(lambda site, update, result: seen.append(site))
+        sink = cluster.bus.add_sink(RingBufferSink())
         update = cluster.sites[0].store.update("k", "v")
-        cluster.apply_at(1, update, via=None)
-        assert seen == [1]
+        cluster.apply_at(1, update, via=None, source=0)
+        cluster.apply_at(1, update, via=None, source=0)
+        spans = [span_of_event(event) for event in sink.of_kind(EventKind.DELIVERY_SPAN)]
+        assert [(s.node, s.src, s.first, s.result) for s in spans] == [
+            (1, 0, True, "applied"),
+            (1, 0, False, "equal"),
+        ]
 
     def test_protocol_cannot_attach_twice(self):
         cluster = Cluster(n=2, seed=0)

@@ -12,8 +12,8 @@ are rows the responder already has.  These tests hold:
 * the work it saves, as counts (never clocks): a fully held offer
   builds no entry and runs no judgement, 16 differing rows build and
   judge exactly 16;
-* the node's hop pairing and outbound trace ids, which read rows by
-  position and by column, so they build nothing either.
+* the node's side: applying two versions of one key builds only
+  their two rows, and an outbound offer builds none.
 """
 
 import json
@@ -26,8 +26,8 @@ from repro.core.serialize import decode_batch, encode_batch
 from repro.core.store import ReplicaStore, StoreUpdate, UpdateList
 from repro.core.timestamps import SequenceClock, Timestamp
 from repro.net.membership import Membership
-from repro.net.node import GossipNode, NodeConfig, _hops_of
-from repro.obs.spans import trace_id_of
+from repro.net.node import GossipNode, NodeConfig
+from repro.obs import spans
 from repro.protocols.base import ExchangeMode
 from repro.protocols.exchange import ExchangeSession, Frame, respond
 
@@ -117,8 +117,8 @@ class TestTheSettleChangesNoDecision:
         assert state(settled_store) == state(judged_store)
         # What was applied are the offer's own rows, and building the
         # rest later keeps them: one row, one object.
-        rows = lazy.rows_of(settled.applied.entries)
-        assert all(lazy.entries[row] is entry for row, entry in zip(rows, settled.applied.entries))
+        offered = set(map(id, lazy.entries))
+        assert all(id(entry) in offered for entry in settled.applied.entries)
 
 
 class Built:
@@ -177,9 +177,9 @@ class TestWorkFollowsTheDifference:
 
 
 class TestTheNodeReadsRowsByPosition:
-    def test_two_versions_of_one_key_keep_their_hops(self, monkeypatch):
-        """``_hops_of`` pairs applied entries with the offer's rows, not
-        with a map over every offered entry: the settled rows stay raw."""
+    def test_two_versions_of_one_key_build_only_their_rows(self, monkeypatch):
+        """Both versions of ``k`` are applied as the offer's own rows, in
+        offer order; the settled rows stay raw."""
         store = store_of([("a", VersionedValue(1, Timestamp(1, 0, 0))),
                           ("b", VersionedValue(2, Timestamp(2, 0, 0)))])
         offer = decode_batch(wire([
@@ -190,23 +190,25 @@ class TestTheNodeReadsRowsByPosition:
         ]))
         built = Built(monkeypatch)
         __, applied, __ = respond(store, Frame("push", {"mode": "push-pull", "updates": offer}))
-        hops = _hops_of(applied.updates, offer, [7, 1, 8, 5])
-        assert hops == [1, 5]
         assert [entry.value for entry in applied.updates.entries] == ["old", "new"]
         assert built.counts == (2, 2, 2)  # the two rows of "k", nothing else
         monkeypatch.undo()
+        assert applied.updates.entries[0] is offer.entries[1]
+        assert applied.updates.entries[1] is offer.entries[3]
         assert store.get("k") == "new"
 
-    def test_outbound_trace_ids_build_no_rows(self):
-        """A node that knows a hop formats a trace id per offered entry,
-        from the key and entry columns."""
+    def test_outbound_trace_ids_build_no_rows(self, monkeypatch):
+        """An outbound offer carries no per-update trace context: the
+        node formats no trace id and builds no row, only the columns and
+        the send time."""
+        formatted = []
+        monkeypatch.setattr(spans, "trace_id_of", formatted.append)
         node = GossipNode(0, Membership.localhost([1, 2]), NodeConfig(**QUIET))
         updates = [
             StoreUpdate("k", VersionedValue("v", Timestamp(1.5, 0, 7))),
             StoreUpdate(("svc", 7), VersionedValue("w", Timestamp(3, 2, 1))),
         ]
-        node._span_hops.setdefault(trace_id_of(updates[1]), 4)
         offer = UpdateList([update.key for update in updates], [update.entry for update in updates])
         payload = node._update_payload({"updates": offer}, now=1.0)
-        assert payload["updates"]["hops"] == [None, 4]
-        assert offer._rows is None
+        assert payload["updates"] == {**encode_batch(updates), "sent_at": 1.0}
+        assert offer._rows is None and formatted == []

@@ -158,8 +158,8 @@ class TestRespondEqualsTheRowLoop:
 
         assert reply.applied == applied and reply.applied_results == results
         if shape != "table":
-            # The node pairs trace hops with applied rows by the identity
-            # of their entries, one object per row of a decoded offer.
+            # What is applied are the offer's own entries, one object
+            # per row of a decoded offer.
             assert [id(u.entry) for u in reply.applied] == [id(u.entry) for u in applied]
         assert reply.send_back == send_back
         assert reply.entries_examined == examined
@@ -283,8 +283,8 @@ class TestTheWireStillCarriesTheTable:
         assert (request["type"], reply["type"]) == (request_type, reply_type)
         assert list(request["payload"]) == ["mode", "updates"]
         batch = request["payload"]["updates"]
-        # Trace context rides only in an offer the partner may apply;
-        # these entries were never injected, so no hop is known.
+        # Trace context (the send time) rides only in an offer the
+        # partner may apply.
         traced = ["sent_at"] if request_type == "push" else []
         assert list(batch) == ["n", "keys", "values", "times", "sites", "seqs", "certs"] + traced
         assert batch["n"] == len(keys) == 30 and batch["keys"] == keys  # the whole table, store order

@@ -8,14 +8,13 @@ from repro.protocols.anti_entropy import AntiEntropyConfig, AntiEntropyProtocol
 from repro.protocols.base import ExchangeMode
 
 
-def span(node, t, src=None, hop=None, first=True, sent_at=None, trace="k@1#0.0"):
+def span(node, t, src=None, first=True, sent_at=None, trace="k@1#0.0"):
     return DeliverySpan(
         node=node,
         time=float(t),
         key="k",
         trace=trace,
         src=src,
-        hop=hop,
         first=first,
         sent_at=sent_at,
         result="applied" if first else "equal",
@@ -32,10 +31,10 @@ def chain_tree(*spans):
 class TestTreeStructure:
     def test_root_and_children(self):
         tree = chain_tree(
-            span(0, 0.0, hop=0),
-            span(1, 1.0, src=0, hop=1),
-            span(2, 1.5, src=0, hop=1),
-            span(3, 2.0, src=1, hop=2),
+            span(0, 0.0),
+            span(1, 1.0, src=0),
+            span(2, 1.5, src=0),
+            span(3, 2.0, src=1),
         )
         assert tree.root == 0
         assert tree.children() == {0: [1, 2], 1: [3]}
@@ -45,8 +44,8 @@ class TestTreeStructure:
         assert not tree.complete(5)
 
     def test_depth_falls_back_to_tree_walk_without_hops(self):
-        """A trace from v1 peers has no wire hop counts; depth still
-        resolves by walking first-delivery src links."""
+        """Spans carry no hop count; depth is read off the tree by
+        walking first-delivery src links up to the root."""
         tree = chain_tree(
             span(0, 0.0),
             span(1, 1.0, src=0),
@@ -55,6 +54,26 @@ class TestTreeStructure:
         assert tree.depth_of(0) == 0
         assert tree.depth_of(1) == 1
         assert tree.depth_of(2) == 2
+        assert tree.depth_of(7) is None  # never delivered to
+
+    def test_an_orphan_has_no_depth(self):
+        """A node whose lineage leads to a node that never appears as a
+        first delivery cannot be placed in the tree."""
+        tree = chain_tree(span(0, 0.0), span(2, 1.0, src=9), span(3, 2.0, src=2))
+        assert tree.depth_of(0) == 0
+        assert tree.depth_of(2) is None
+        assert tree.depth_of(3) is None
+        assert tree.max_depth == 0
+
+    def test_a_cycle_has_no_depth(self):
+        tree = chain_tree(
+            span(0, 0.0),
+            span(1, 1.0, src=2),
+            span(2, 1.0, src=1),
+            span(3, 2.0, src=1),
+            span(4, 2.0, src=4),  # its own parent
+        )
+        assert [tree.depth_of(node) for node in range(5)] == [0, None, None, None, None]
 
     def test_hop_latency_is_child_minus_parent(self):
         tree = chain_tree(span(0, 0.0), span(1, 2.5, src=0), span(2, 4.0, src=1))
@@ -104,9 +123,9 @@ class TestAnomalies:
 
     def test_hop_budget_exceeded(self):
         # A 12-deep chain in an n=8 tree: way past 2*ceil(log2 8)+2 = 8.
-        spans = [span(0, 0.0, hop=0)]
+        spans = [span(0, 0.0)]
         for i in range(1, 13):
-            spans.append(span(i, float(i), src=i - 1, hop=i))
+            spans.append(span(i, float(i), src=i - 1))
         flags = chain_tree(*spans).anomalies(n=8)
         assert any("O(log n) budget" in f for f in flags)
 

@@ -442,8 +442,9 @@ class TestShutdown:
 class TestSpanContextMapping:
     def test_duplicate_key_frame_maps_contexts_by_trace(self):
         """One PUSH frame may carry two versions of the same key; each
-        applied version must get its own trace context, not whichever
-        context last claimed the bare key."""
+        applied version gets its own span in its own trace, not whichever
+        trace last claimed the bare key.  The frame is one an older
+        sender wrote, ``hops`` column included: it is ignored."""
 
         async def scenario():
             async with cluster(2) as (a, b):
@@ -452,18 +453,21 @@ class TestSpanContextMapping:
                 sink = b.bus.add_sink(RingBufferSink())
                 payload = {
                     "mode": ExchangeMode.PUSH.value,
-                    "updates": encode_batch([u1, u2], hops=[5, 0], sent_at=1.0),
+                    "updates": {**encode_batch([u1, u2], sent_at=1.0), "hops": [5, 0]},
                 }
                 b._dispatch(Message(MessageType.PUSH, sender=0, payload=payload))
-                hops = {
-                    event.payload["trace"]: event.payload["hop"]
+                spans = {
+                    event.payload["trace"]: (
+                        event.payload["key"], event.payload["src"], event.payload["sent_at"]
+                    )
                     for event in sink.of_kind(EventKind.DELIVERY_SPAN)
                 }
-                return trace_id_of(u1), trace_id_of(u2), hops
+                return trace_id_of(u1), trace_id_of(u2), spans, b.store.get("k")
 
-        t1, t2, hops = asyncio.run(scenario())
-        assert hops[t1] == 6  # u1's own context (5) + 1, never u2's
-        assert hops[t2] == 1
+        t1, t2, spans, value = asyncio.run(scenario())
+        assert t1 != t2
+        assert spans == {t1: ("k", 0, 1.0), t2: ("k", 0, 1.0)}
+        assert value == 2
 
 
 class TestAccounting:
@@ -474,7 +478,7 @@ class TestAccounting:
         source = ReplicaStore(site_id=node_id)
         first = source.update("k", 1)
         updates = [first, source.update(("svc", "p"), 2), source.update("k", 3), first]
-        return updates, {"updates": encode_batch(updates, hops=[0, 2, None, 0], sent_at=1.0)}
+        return updates, {"updates": encode_batch(updates, sent_at=1.0)}
 
     def test_events_with_a_sink_attached_keep_kind_order_and_payload(self):
         membership = Membership.localhost([1, 2])
@@ -493,7 +497,6 @@ class TestAccounting:
         )
         spans = events[:4]
         assert [span.payload["key"] for span in spans] == ["k", "('svc', 'p')", "k", "k"]
-        assert [span.payload["hop"] for span in spans] == [1, 3, None, 1]
         assert [span.payload["first"] for span in spans] == [True, True, True, False]
         assert [span.payload["result"] for span in spans] == [
             "applied", "applied", "applied", "stale"
@@ -518,7 +521,6 @@ class TestAccounting:
         assert list(unwatched.stats.received) == list(watched.stats.received) == ["k", ("svc", "p")]
         assert unwatched.stats.updates_absorbed == watched.stats.updates_absorbed == 3
         assert unwatched.store.checksum == watched.store.checksum
-        assert len(unwatched._span_hops) == len(watched._span_hops) == 2
 
     def test_an_awakened_certificate_is_announced_before_the_news(self):
         membership = Membership.localhost([1, 2])

@@ -23,7 +23,7 @@ def make_bus(start: float = 0.0) -> EventBus:
 class TestEventBus:
     def test_emit_without_sinks_is_a_no_op(self):
         bus = make_bus()
-        assert not bus.active
+        assert not bus.has_sinks
         assert bus.emit(EventKind.UPDATE_INJECTED, node=1, key="k") is None
 
     def test_emit_delivers_to_every_sink(self):
@@ -62,7 +62,7 @@ class TestEventBus:
         bus.add_sink(seen.append)
         bus.remove_sink(seen.append)
         bus.emit(EventKind.CENSUS, cycle=1)
-        assert seen == [] and not bus.active
+        assert seen == [] and not bus.has_sinks
 
     def test_failing_sink_does_not_starve_the_others(self):
         bus = make_bus()
@@ -153,3 +153,12 @@ class TestJsonlTrace:
         with pytest.raises(TraceError) as error:
             list(read_trace(path))
         assert ":3:" in str(error.value)
+
+    def test_a_bad_record_names_its_line(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        good = '{"seq": 0, "t": 1.0, "kind": "census", "node": -1, "payload": {}}'
+        bogus = '{"seq":1,"t":0,"kind":"bogus","node":0,"payload":{}}'
+        path.write_text(good + "\n" + bogus + "\n")
+        with pytest.raises(TraceError) as error:
+            list(read_trace(path))
+        assert str(error.value) == f"{path}:2: unknown event kind 'bogus'"

@@ -6,22 +6,19 @@ import pytest
 
 from repro.cluster.cluster import Cluster
 from repro.core.items import VersionedValue
-from repro.core.serialize import batch_trace_context, encode_batch
+from repro.core.serialize import batch_sent_at, decode_batch, encode_batch
 from repro.core.store import ReplicaStore, StoreUpdate
 from repro.core.timestamps import Timestamp
+from repro.obs import spans
 from repro.obs.events import (
+    Event,
     EventKind,
     JsonlTraceWriter,
     RingBufferSink,
     read_trace,
 )
-from repro.obs.spans import (
-    SPAN_FIELDS,
-    SpanContext,
-    TraceHopLru,
-    span_of_event,
-    trace_id_of,
-)
+from repro.obs.lineage import LineageIndex
+from repro.obs.spans import SPAN_FIELDS, SpanContext, span_of_event, trace_id_of
 from repro.protocols.direct_mail import DirectMailProtocol
 from repro.protocols.rumor import RumorConfig, RumorMongeringProtocol
 
@@ -57,21 +54,22 @@ def batch_on_the_wire(**context) -> dict:
 
 
 class TestSpanContext:
-    """The trace context an update carries across the live wire: its
-    slot in the batch's ``hops`` column plus the batch's ``sent_at``,
-    read leniently — a bad annotation is an absent one, never an error."""
+    """The trace context an update carries across the live wire: the
+    batch's ``sent_at``, read leniently — a bad annotation is an absent
+    one, never an error.  A hop count never crosses the wire; an older
+    sender's ``hops`` column, whatever it holds, is ignored."""
 
     def test_wire_round_trip(self):
-        assert batch_trace_context(batch_on_the_wire(hops=[3], sent_at=12.5), 1) == (
-            [3], 12.5,
-        )
-        # The per-update record names the same two facts.
+        assert batch_sent_at(batch_on_the_wire(sent_at=12.5)) == 12.5
+        # The per-update record names the sender's clock too.
         assert SpanContext("k@1#0.0", hop=3, sent_at=12.5).to_wire() == {
             "trace": "k@1#0.0", "hop": 3, "sent_at": 12.5,
         }
 
     def test_optional_fields_round_trip_as_none(self):
-        assert batch_trace_context(batch_on_the_wire(), 1) == (None, None)
+        batch = batch_on_the_wire()
+        assert "sent_at" not in batch and "hops" not in batch
+        assert batch_sent_at(batch) is None
         assert SpanContext(trace="k@1#0.0").to_wire() == {
             "trace": "k@1#0.0", "hop": None, "sent_at": None,
         }
@@ -81,49 +79,22 @@ class TestSpanContext:
         [None, 17, "ctx", [], {}, {"trace": ""}, {"trace": 5}, {"hop": 1}],
     )
     def test_malformed_blob_decodes_to_none(self, blob):
-        """Anything but an array of the batch's length is no column."""
+        """Whatever shape an older sender's ``hops`` column has, the
+        batch decodes as if it were absent."""
         batch = {**batch_on_the_wire(sent_at=1.0), "hops": blob}
-        assert batch_trace_context(batch, 1) == (None, 1.0)
+        assert list(decode_batch(batch)) == [update_of()]
+        assert batch_sent_at(batch) == 1.0
 
     @pytest.mark.parametrize("hop", ["2", -1, True, 1.5, None])
     def test_bad_hop_degrades_to_none(self, hop):
         batch = {**batch_on_the_wire(sent_at=1.0), "hops": [hop]}
-        assert batch_trace_context(batch, 1) == ([None], 1.0)
+        assert list(decode_batch(batch)) == [update_of()]
+        assert batch_sent_at(batch) == 1.0
 
     @pytest.mark.parametrize("sent_at", ["soon", True, None])
     def test_bad_sent_at_degrades_to_none(self, sent_at):
-        batch = {**batch_on_the_wire(hops=[2]), "sent_at": sent_at}
-        assert batch_trace_context(batch, 1) == ([2], None)
-
-
-class TestTraceHopLru:
-    def test_bounded_with_lru_eviction(self):
-        lru = TraceHopLru(maxsize=2)
-        lru.setdefault("a", 1)
-        lru.setdefault("b", 2)
-        assert lru.get("a") == 1  # touch: "a" becomes most recent
-        lru.setdefault("c", 3)  # over the bound: evicts "b", not "a"
-        assert len(lru) == 2
-        assert "b" not in lru and lru.get("b") is None
-        assert lru.get("a") == 1 and lru.get("c") == 3
-
-    def test_setdefault_keeps_existing_and_touches(self):
-        lru = TraceHopLru(maxsize=2)
-        assert lru.setdefault("a", 1) == 1
-        assert lru.setdefault("a", 9) == 1  # existing entry wins…
-        lru.setdefault("b", 2)
-        lru.setdefault("a", 9)  # …and the lookup counts as a touch
-        lru.setdefault("c", 3)
-        assert "a" in lru and "b" not in lru
-
-    def test_missing_trace_degrades_to_default(self):
-        lru = TraceHopLru(maxsize=1)
-        assert lru.get("never-seen") is None
-        assert lru.get("never-seen", 7) == 7
-
-    def test_rejects_nonpositive_bound(self):
-        with pytest.raises(ValueError):
-            TraceHopLru(maxsize=0)
+        batch = {**batch_on_the_wire(), "sent_at": sent_at}
+        assert batch_sent_at(batch) is None
 
 
 def spans_of(sink):
@@ -139,7 +110,6 @@ class TestSimulatorSpans:
         assert span.trace == trace_id_of(update)
         assert span.node == 0
         assert span.src is None
-        assert span.hop == 0
         assert span.first is True
         assert span.sent_at is None  # sim spans never carry a send clock
 
@@ -151,7 +121,10 @@ class TestSimulatorSpans:
         cluster.run_cycle()
         deliveries = [s for s in spans_of(sink) if s.src is not None]
         assert {s.node for s in deliveries} == {1, 2, 3, 4, 5}
-        assert all(s.src == 0 and s.hop == 1 and s.first for s in deliveries)
+        assert all(s.src == 0 and s.first for s in deliveries)
+        # The hop count is the node's depth in the infection tree.
+        tree = LineageIndex.from_events(sink.events).tree_for_key("k")
+        assert [tree.depth_of(node) for node in range(6)] == [0, 1, 1, 1, 1, 1]
 
     def test_redundant_targeted_delivery_is_a_non_first_span(self):
         """A rumor pushed at a site that already knows it shows up as a
@@ -179,12 +152,16 @@ class TestSimulatorSpans:
         for event in events:
             assert tuple(event.payload) == SPAN_FIELDS
 
-    def test_silent_bus_skips_hop_bookkeeping(self):
+    def test_silent_bus_skips_hop_bookkeeping(self, monkeypatch):
+        """With no sink attached the cluster formats no trace id at all."""
+        formatted = []
+        monkeypatch.setattr(spans, "trace_id_of", formatted.append)
         cluster = Cluster(n=4, seed=4)
         cluster.add_protocol(DirectMailProtocol())
         cluster.inject_update(0, "k", "v")
         cluster.run_cycle()
-        assert len(cluster._span_hops) == 0
+        assert cluster.sites[3].store.entry("k") is not None
+        assert formatted == []
 
 
 class TestJsonlWriterFlushing:
@@ -229,12 +206,23 @@ class TestJsonlWriterFlushing:
 
 class TestSpanParsing:
     def test_other_kinds_parse_to_none(self):
-        from repro.obs.events import Event
-
         assert span_of_event(Event(EventKind.NEWS_RECEIVED, 0.0, 0)) is None
 
     def test_malformed_span_payload_parses_to_none(self):
-        from repro.obs.events import Event
-
         event = Event(EventKind.DELIVERY_SPAN, 0.0, 0, payload={"key": "k"})
         assert span_of_event(event) is None
+
+    def test_an_old_span_with_a_hop_still_parses(self):
+        """Traces written while spans carried a wire hop count still
+        read; the hop is ignored (depth comes from the tree)."""
+        blob = {
+            "seq": 4, "t": 2.5, "kind": "delivery-span", "node": 3,
+            "payload": {"key": "k", "trace": "k@1#0.0", "src": 1, "hop": 2,
+                        "first": True, "sent_at": 2.25, "result": "applied"},
+        }
+        span = span_of_event(Event.from_dict(json.loads(json.dumps(blob))))
+        assert (span.node, span.time, span.trace, span.src, span.first) == (
+            3, 2.5, "k@1#0.0", 1, True,
+        )
+        assert (span.sent_at, span.result, span.seq) == (2.25, "applied", 4)
+        assert not hasattr(span, "hop")

@@ -5,8 +5,8 @@ An update list crosses the wire as one object of columns
 rows.  The codec half of this file holds the batch to the row form's
 standard — lossless, type-preserving, strict; the socket half holds
 that every update-carrying frame type is a batch from the first
-conversation on, and that the trace context (hops, send time) survives
-inside it.
+conversation on, and that the trace context (the send time) survives
+inside it, while a hop count is read off the infection tree.
 """
 
 import asyncio
@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.items import DeathCertificate, VersionedValue
 from repro.core.serialize import (
     SerializeError,
-    batch_trace_context,
+    batch_sent_at,
     decode_batch,
     decode_updates,
     encode_batch,
@@ -43,6 +43,7 @@ from repro.net.wire import (
     payload_update_list,
 )
 from repro.obs.events import EventKind, RingBufferSink
+from repro.obs.lineage import LineageIndex
 from repro.obs.spans import trace_id_of
 from repro.protocols.base import ExchangeMode
 
@@ -134,7 +135,6 @@ class TestBatchCodec:
         batch = encode_batch(
             [StoreUpdate("a", VersionedValue("v", Timestamp(1.5, 0, 7))),
              StoreUpdate(5, cert)],
-            hops=[0, None],
             sent_at=12.25,
         )
         assert batch == {
@@ -145,7 +145,6 @@ class TestBatchCodec:
             "sites": [0, 1],
             "seqs": [7, 0],
             "certs": [[1, 9.5, 1, 0, [3, 4]]],
-            "hops": [0, None],
             "sent_at": 12.25,
         }
         assert "hops" not in encode_batch([]) and "sent_at" not in encode_batch([])
@@ -157,7 +156,6 @@ def _good_batch():
         [StoreUpdate("a", VersionedValue(1, Timestamp(1.0, 0, 0))),
          StoreUpdate("b", DeathCertificate(Timestamp(2.0, 1, 1), Timestamp(3.0, 1, 1), (2,))),
          StoreUpdate("c", VersionedValue(3, Timestamp(4, 2, 2)))],
-        hops=[1, 2, 3],
         sent_at=5.0,
     )
 
@@ -214,26 +212,23 @@ class TestStrictDecoding:
                 decode_batch(blob)
 
     @pytest.mark.parametrize(
-        "hops, expected",
-        [
-            ([1, 2, 3], [1, 2, 3]),
-            ([1, None, 3], [1, None, 3]),
-            ([1, -2, True], [1, None, None]),
-            (["x", 2.0, 0], [None, None, 0]),
-            ([1, 2], None),            # ragged: discarded wholesale
-            ("zip", None),
-            (None, None),
-        ],
+        "hops",
+        [[1, 2, 3], [1, None, 3], [1, -2, True], ["x", 2.0, 0], [1, 2], "zip", None],
+        ids=["hops", "unknown", "bad", "junk", "ragged", "string", "null"],
     )
-    def test_malformed_hops_degrade_to_no_hop(self, hops, expected):
+    def test_an_older_senders_hops_column_is_ignored(self, hops):
+        """Senders once shipped a ``hops`` column; well formed or not,
+        it is neither data nor context: the batch decodes as if it were
+        absent and never poisons the data."""
         batch = _mutated(lambda b: b.update(hops=hops))
-        assert batch_trace_context(batch, 3) == (expected, 5.0)
-        assert len(decode_batch(batch)) == 3  # never poisons the data
+        assert batch_sent_at(batch) == 5.0
+        assert payload_update_list({"updates": batch}) == (decode_batch(_good_batch()), 5.0)
 
     @pytest.mark.parametrize("sent_at", ["soon", True, None, [1.0]])
     def test_malformed_sent_at_degrades_to_none(self, sent_at):
         batch = _mutated(lambda b: b.update(sent_at=sent_at))
-        assert batch_trace_context(batch, 3) == ([1, 2, 3], None)
+        assert batch_sent_at(batch) is None
+        assert len(decode_batch(batch)) == 3
 
 
 def _captured_frames(node):
@@ -261,12 +256,12 @@ class TestNegotiatedShape:
 
     def test_untraced_means_no_context_in_the_batch(self):
         """A pull-only offer is a digest the partner never applies: no
-        ``hops``/``sent_at`` goes along, and the caller's fields are
-        not touched either way."""
+        ``sent_at`` goes along, and the caller's fields are not touched
+        either way."""
 
         async def scenario():
             async with cluster(2) as (a, b):
-                update = a.inject("k", "v")  # a known hop (0) to leave out
+                update = a.inject("k", "v")
                 fields = {"mode": "pull", "updates": [update]}
                 traced = a._update_payload(fields, now=5.0)
                 untraced = a._update_payload(fields, now=5.0, traced=False)
@@ -274,7 +269,7 @@ class TestNegotiatedShape:
                 return traced, untraced, encode_batch([update])
 
         traced, untraced, bare = asyncio.run(scenario())
-        assert traced == {"mode": "pull", "updates": {**bare, "hops": [0], "sent_at": 5.0}}
+        assert traced == {"mode": "pull", "updates": {**bare, "sent_at": 5.0}}
         assert untraced == {"mode": "pull", "updates": bare}
 
     def test_every_update_frame_is_a_batch_from_the_first(self):
@@ -347,7 +342,8 @@ class TestNegotiatedShape:
 class TestTraceContextInBatches:
     def test_hops_and_send_time_survive(self):
         """Three hops down a chain of freshly started nodes: each
-        delivery span carries the right hop and the sender's clock."""
+        delivery span carries its sender and the sender's clock, and the
+        infection tree gives each node its hop count."""
 
         async def scenario():
             async with cluster(3) as (a, b, c):
@@ -367,20 +363,23 @@ class TestTraceContextInBatches:
                     e for e in sink.of_kind(EventKind.DELIVERY_SPAN)
                     if e.payload["trace"] == trace
                 ]
-                return spans, c._span_hops.get(trace)
+                return spans, trace
 
-        spans, hop_at_c = asyncio.run(scenario())
-        assert [(e.node, e.payload["src"], e.payload["hop"]) for e in spans] == [
-            (0, None, 0), (1, 0, 1), (2, 1, 2),
+        spans, trace = asyncio.run(scenario())
+        assert [(e.node, e.payload["src"], e.payload["first"]) for e in spans] == [
+            (0, None, True), (1, 0, True), (2, 1, True),
         ]
-        assert hop_at_c == 2
+        tree = LineageIndex.from_events(spans).trees[trace]
+        assert [tree.depth_of(node) for node in (0, 1, 2)] == [0, 1, 2]
         for event in spans[1:]:
             assert event.payload["sent_at"] is not None
             assert 0.0 <= event.time - event.payload["sent_at"] < 5.0
 
     def test_duplicate_key_batch_attributes_hops_per_version(self):
         """The duplicate-key PUSH regression over a real socket: two
-        versions of one key in one frame each keep their own hop."""
+        versions of one key in one frame each get a span in their own
+        trace, so each tree gives its own hop.  The frame is one an
+        older sender wrote, ``hops`` column included: it is ignored."""
 
         async def scenario():
             async with cluster(2) as (a, b):
@@ -389,36 +388,38 @@ class TestTraceContextInBatches:
                 sink = b.bus.add_sink(RingBufferSink())
                 payload = {
                     "mode": ExchangeMode.PUSH.value,
-                    "updates": encode_batch([u1, u2], hops=[5, 0], sent_at=1.0),
+                    "updates": {**encode_batch([u1, u2], sent_at=1.0), "hops": [5, 0]},
                 }
                 __, reply = await raw_round_trip(
                     b.membership.get(b.node_id).port,
                     Message(MessageType.PUSH, sender=0, payload=payload),
                 )
                 assert reply.payload == {"applied": 2}
-                hops = {
-                    event.payload["trace"]: event.payload["hop"]
-                    for event in sink.of_kind(EventKind.DELIVERY_SPAN)
-                }
-                return trace_id_of(u1), trace_id_of(u2), hops
+                return trace_id_of(u1), trace_id_of(u2), sink.events
 
-        t1, t2, hops = asyncio.run(scenario())
-        assert hops[t1] == 6 and hops[t2] == 1
+        t1, t2, events = asyncio.run(scenario())
+        trees = LineageIndex.from_events(events).trees
+        assert sorted(trees) == sorted([t1, t2])
+        for trace in (t1, t2):
+            (span,) = trees[trace].spans
+            assert (span.node, span.src, span.sent_at) == (1, 0, 1.0)
+            # The sender's injection was never traced: an orphan edge.
+            assert trees[trace].depth_of(1) is None
 
     def test_cold_bulk_transfer_formats_no_trace_ids(self, monkeypatch):
-        """Entries nobody knows a hop for, no sink listening: neither
-        side builds a trace id or a span context per update."""
+        """No sink listening: neither side builds a trace id or a span
+        context per update."""
         calls = []
 
         async def scenario():
             async with cluster(2) as (a, b):
                 for index in range(100):
                     a.store.update(f"key-{index}", index)
-                import repro.net.node as node_module
+                import repro.obs.spans as spans_module
 
-                real = node_module.trace_id_of
+                real = spans_module.trace_id_of
                 monkeypatch.setattr(
-                    node_module, "trace_id_of",
+                    spans_module, "trace_id_of",
                     lambda update: calls.append(update) or real(update),
                 )
                 assert await b.run_anti_entropy_once()

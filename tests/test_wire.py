@@ -160,19 +160,14 @@ class TestPayloadUpdates:
                 DeathCertificate(ts(2.0), ts(2.0), retention_sites=(1, 4)).reactivated(9.0),
             ),
         ]
-        payload = {"updates": encode_batch(updates, hops=[2, None], sent_at=9.5)}
+        payload = {"updates": encode_batch(updates, sent_at=9.5)}
         # Through real JSON, as the wire would carry it.
-        assert payload_update_list(json.loads(json.dumps(payload))) == (
-            updates, [2, None], 9.5,
-        )
-        # No context at all — a batch of cold entries — reads as "no
-        # hop known", not as a list of Nones.
-        assert payload_update_list({"updates": encode_batch(updates)}) == (
-            updates, None, None,
-        )
+        assert payload_update_list(json.loads(json.dumps(payload))) == (updates, 9.5)
+        # No send time: the clock reads as unknown.
+        assert payload_update_list({"updates": encode_batch(updates)}) == (updates, None)
 
     def test_missing_field_defaults_empty(self):
-        assert payload_update_list({}) == ([], None, None)
+        assert payload_update_list({}) == ([], None)
 
     def test_garbage_becomes_wire_error(self):
         with pytest.raises(WireError, match="updates"):

@@ -38,7 +38,6 @@ from repro.net.wire import (
     read_message,
 )
 from repro.obs.events import EventKind, RingBufferSink
-from repro.obs.spans import trace_id_of
 
 from test_binwire_interop import QUIET, cluster
 
@@ -242,13 +241,13 @@ class TestFirstFrames:
         for body in (sent[0], sent[1], answered[1]):
             batch = json.loads(body)["payload"]["updates"]
             assert batch["n"] == len(batch["keys"]) == 1
-            assert batch["hops"] == [0]          # each side ships its own injection
+            assert "hops" not in batch           # a hop count never crosses the wire
             assert isinstance(batch["sent_at"], float)
 
     def test_golden_push_frame(self):
         """One PUSH frame, pinned byte for byte: the header, the field
         order of a bucket-scoped offer, a batch holding a value, a death
-        certificate and a tuple key, the trace context inside it."""
+        certificate and a tuple key, the send time inside it."""
         node = GossipNode(0, Membership.localhost([1, 2]), NodeConfig(**QUIET))
         updates = [
             StoreUpdate("printer:bldg-35", VersionedValue("10.0.7.12", Timestamp(1.5, 0, 7))),
@@ -258,7 +257,6 @@ class TestFirstFrames:
             ),
             StoreUpdate(("svc", 7), VersionedValue({"up": True}, Timestamp(3.25, 2, 1))),
         ]
-        node._span_hops.setdefault(trace_id_of(updates[0]), 2)
         payload = node._update_payload(
             {"mode": "push-pull", "updates": updates, "buckets": [4], "bits": 6},
             now=77.5,
@@ -268,7 +266,7 @@ class TestFirstFrames:
             b'"updates":{"n":3,"keys":["printer:bldg-35","gone",["svc",7]],'
             b'"values":["10.0.7.12",null,{"up":true}],"times":[1.5,2,3.25],'
             b'"sites":[0,1,2],"seqs":[7,0,1],"certs":[[1,9.5,1,0,[3,4]]],'
-            b'"hops":[2,null,null],"sent_at":77.5},"buckets":[4],"bits":6}}'
+            b'"sent_at":77.5},"buckets":[4],"bits":6}}'
         )
         assert encode_message(Message(MessageType.PUSH, 0, payload)) == (
             struct.pack(">I", len(body)) + body
