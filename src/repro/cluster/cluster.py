@@ -40,15 +40,9 @@ class Cluster:
         n: Optional[int] = None,
         seed: int = 0,
         clock_skew: Callable[[int], float] | None = None,
-        participants: Optional[Sequence[int]] = None,
         bus: Optional[EventBus] = None,
     ):
-        """``participants`` restricts the replica set to a subset of the
-        topology's sites — the Clearinghouse situation where a domain is
-        stored "on as few as one, or as many as all" of the servers.
-        Traffic is still routed over the full topology.
-
-        ``bus`` attaches an observability event bus
+        """``bus`` attaches an observability event bus
         (:mod:`repro.obs.events`); the cluster then emits the same
         typed events the live runtime does (``update-injected``,
         ``news-received``, ``death-cert-activated``,
@@ -61,15 +55,7 @@ class Cluster:
             raise ValueError("n disagrees with the topology's site count")
         topology.validate()
         self.topology = topology
-        if participants is None:
-            self._participants = list(topology.sites)
-        else:
-            unknown = set(participants) - set(topology.sites)
-            if unknown:
-                raise ValueError(f"participants not in topology: {sorted(unknown)}")
-            if not participants:
-                raise ValueError("participants must not be empty")
-            self._participants = list(participants)
+        self._participants = list(topology.sites)
         self.rng = RngRegistry(seed)
         self.bus = bus if bus is not None else EventBus(clock=lambda: float(self.cycle))
         self.simulator = Simulator()
@@ -129,10 +115,10 @@ class Cluster:
         """Add a site to the replica set at the current cycle.
 
         On an edgeless (uniform) topology a fresh node is created; on a
-        routed topology ``site_id`` must name an existing topology site
-        that is not yet a participant.  The new site starts with an
-        empty store and catches up through whatever distribution
-        mechanisms are attached.  Protocols are notified via
+        routed topology ``site_id`` must name a topology site that is
+        not a participant, i.e. one removed earlier.  The new site
+        starts with an empty store and catches up through whatever
+        distribution mechanisms are attached.  Protocols are notified via
         ``on_site_added`` so they can initialize per-site state; any
         auto-created uniform selectors refresh to include the newcomer.
         """

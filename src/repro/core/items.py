@@ -126,10 +126,6 @@ class DeathCertificate:
         """True when ordinary (non-retention) sites should drop it."""
         return self.activation_timestamp.age(now) > tau1
 
-    def is_dormant(self, now: float, tau1: float) -> bool:
-        """Alias for :meth:`is_expired` from a retention site's view."""
-        return self.is_expired(now, tau1)
-
     def is_discardable(self, now: float, tau1: float, tau2: float) -> bool:
         """True when even retention sites should drop it."""
         return self.activation_timestamp.age(now) > tau1 + tau2

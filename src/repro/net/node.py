@@ -254,10 +254,6 @@ class NodeStats:
     def frames_sent_total(self) -> int:
         return int(self._frames_sent.total())
 
-    @property
-    def frames_received_total(self) -> int:
-        return int(self._frames_received.total())
-
 
 def _scalar_counter_property(attr: str) -> property:
     def getter(self: NodeStats) -> int:

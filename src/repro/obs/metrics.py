@@ -185,9 +185,6 @@ class Gauge(_MetricFamily):
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
         self._slot(labels, _Cell).value += amount
 
-    def dec(self, amount: float = 1.0, **labels: Any) -> None:
-        self.inc(-amount, **labels)
-
     def value(self, **labels: Any) -> float:
         slot = self._series.get(self._key(labels))
         return 0.0 if slot is None else slot.value

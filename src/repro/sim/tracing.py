@@ -1,19 +1,17 @@
-"""Structured tracing of epidemics: per-cycle S/I/R census and news logs.
+"""Structured tracing of epidemics: the per-cycle S/I/R census.
 
 The analysis of Section 1.4 is phrased in the susceptible / infective /
 removed fractions ``s, i, r``.  :class:`EpidemicTracer` samples those
 fractions every cycle for one tracked key, so a stochastic run can be
 laid directly against the deterministic ODE trajectory from
-:mod:`repro.analysis.epidemic_theory`.  :class:`NewsLog` records every
-first delivery (who, what, when, how) for debugging and for building
-custom metrics.
+:mod:`repro.analysis.epidemic_theory`.
 
-Both tracers source their delivery records from the cluster's
-``delivery-span`` event stream (:mod:`repro.obs.spans`) rather than
-keeping private observer bookkeeping — the span stream *is* the
-first-delivery record, so "who knows the key" exists in exactly one
-place.  Consequently both must be attached (``cluster.add_protocol``)
-before the updates they observe are injected.
+"Knows the key" is read off the cluster's ``delivery-span`` event stream
+(:mod:`repro.obs.spans`) rather than kept in private observer
+bookkeeping: the span stream *is* the first-delivery record.  For who
+learned what, when and from whom, index that same stream with
+:class:`repro.obs.lineage.LineageIndex`.  Attach the tracer
+(``cluster.add_protocol``) before the updates it observes are injected.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Hashable, List, Optional, Set
 
-from repro.core.store import ApplyResult
 from repro.obs.events import Event, EventBus, EventKind
 from repro.protocols.base import Protocol
 from repro.protocols.rumor import RumorMongeringProtocol
@@ -147,64 +144,3 @@ class EpidemicTracer(Protocol):
     def curve(self) -> List[tuple]:
         """(cycle, s, i, r) tuples — plot-ready."""
         return [(c.cycle, c.s, c.i, c.r) for c in self.history]
-
-
-@dataclasses.dataclass(frozen=True, slots=True)
-class NewsEvent:
-    cycle: int
-    site: int
-    key: str
-    result: ApplyResult
-
-
-class NewsLog(Protocol):
-    """Records every news delivery cluster-wide (any protocol).
-
-    A thin view over the ``delivery-span`` stream: one entry per
-    first-delivery span with a delivering source (injections, having no
-    source site, are not deliveries).  Keys arrive stringified, exactly
-    as they appear in the trace schema.
-    """
-
-    name = "news-log"
-
-    def __init__(self, capacity: Optional[int] = None):
-        super().__init__()
-        self.capacity = capacity
-        self.events: List[NewsEvent] = []
-        self.dropped = 0
-
-    def attach(self, cluster) -> None:
-        super().attach(cluster)
-        cluster.bus.add_sink(self._on_event)
-
-    def _on_event(self, event: Event) -> None:
-        if event.kind is not EventKind.DELIVERY_SPAN:
-            return
-        payload = event.payload
-        if not payload.get("first") or payload.get("src") is None:
-            return
-        if self.capacity is not None and len(self.events) >= self.capacity:
-            self.dropped += 1
-            return
-        self.events.append(
-            NewsEvent(
-                cycle=int(event.time),
-                site=event.node,
-                key=payload["key"],
-                result=ApplyResult(payload["result"]),
-            )
-        )
-
-    def events_for(self, key: Hashable) -> List[NewsEvent]:
-        wanted = str(key)
-        return [event for event in self.events if event.key == wanted]
-
-    def first_receipts(self, key: Hashable) -> dict:
-        """site -> first cycle it learned ``key``."""
-        wanted = str(key)
-        receipts: dict = {}
-        for event in self.events:
-            if event.key == wanted and event.site not in receipts:
-                receipts[event.site] = event.cycle
-        return receipts

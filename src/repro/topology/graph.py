@@ -11,7 +11,7 @@ shortest path.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.metrics import Edge, canonical_edge
 
@@ -250,7 +250,3 @@ def sites_only(n: int) -> Topology:
     for i in range(n):
         topo.add_node(i, site=True)
     return topo
-
-
-def edges_on_path(path: Sequence[int]) -> Iterable[Tuple[int, int]]:
-    return zip(path, path[1:])

@@ -12,55 +12,52 @@ list under load) shows up as measured efficiency.
 from repro.cluster.cluster import Cluster
 from repro.protocols.base import ExchangeMode
 from repro.protocols.rumor import RumorConfig, RumorMongeringProtocol
-from repro.sim.tracing import NewsLog
 
 
-def rumor_cluster_with_log(n, config, seed=0):
+def rumor_cluster(n, config, seed=0):
     cluster = Cluster(n=n, seed=seed)
-    log = NewsLog()
-    cluster.add_protocol(log)
     rumor = RumorMongeringProtocol(config)
     cluster.add_protocol(rumor)
-    return cluster, rumor, log
+    return cluster, rumor
 
 
 class TestConcurrentSpread:
     def test_ten_concurrent_updates_each_spread_widely(self):
         n, updates = 400, 10
-        cluster, rumor, log = rumor_cluster_with_log(
+        cluster, rumor = rumor_cluster(
             n, RumorConfig(mode=ExchangeMode.PUSH_PULL, k=3), seed=1
         )
-        for i in range(updates):
-            cluster.inject_update(i * 7 % n, f"key-{i}", i)
+        injected = [
+            cluster.inject_update(i * 7 % n, f"key-{i}", i) for i in range(updates)
+        ]
         cluster.run_until(lambda: not rumor.active, max_cycles=200)
-        for i in range(updates):
-            receipts = log.first_receipts(f"key-{i}")
-            coverage = (len(receipts) + 1) / n  # +1 for the origin
+        for i, update in enumerate(injected):
+            coverage = len(cluster.infected_sites(update)) / n
             assert coverage > 0.95, f"key-{i} reached only {coverage:.0%}"
 
     def test_staggered_injection_under_continuous_load(self):
         """Updates injected over time, two per cycle, all delivered."""
         n = 300
-        cluster, rumor, log = rumor_cluster_with_log(
+        cluster, rumor = rumor_cluster(
             n, RumorConfig(mode=ExchangeMode.PULL, k=3), seed=2
         )
-        total = 20
-        for i in range(total):
-            cluster.inject_update((13 * i) % n, f"key-{i}", i)
+        injected = []
+        for i in range(20):
+            injected.append(cluster.inject_update((13 * i) % n, f"key-{i}", i))
             if i % 2 == 1:
                 cluster.run_cycle()
         cluster.run_until(lambda: not rumor.active, max_cycles=200)
         missing = [
             i
-            for i in range(total)
-            if (len(log.first_receipts(f"key-{i}")) + 1) / n < 0.95
+            for i, update in enumerate(injected)
+            if len(cluster.infected_sites(update)) / n < 0.95
         ]
         assert not missing, f"under-covered keys: {missing}"
 
     def test_conversations_batch_multiple_rumors(self):
         """With many hot rumors, one conversation ships several updates:
         updates_sent greatly exceeds conversations."""
-        cluster, rumor, log = rumor_cluster_with_log(
+        cluster, rumor = rumor_cluster(
             200, RumorConfig(mode=ExchangeMode.PUSH, k=3), seed=3
         )
         for i in range(8):
@@ -74,7 +71,7 @@ class TestConcurrentSpread:
         rumor list.  Measure the fraction of pull conversations that
         shipped at least one update early in a busy epidemic."""
         n = 300
-        cluster, rumor, log = rumor_cluster_with_log(
+        cluster, rumor = rumor_cluster(
             n, RumorConfig(mode=ExchangeMode.PULL, k=2), seed=4
         )
         for i in range(30):
@@ -88,7 +85,7 @@ class TestConcurrentSpread:
     def test_quiescent_pull_is_pure_overhead(self):
         """The flip side: with no updates, pull's requests ship nothing
         cycle after cycle (push would go silent)."""
-        cluster, rumor, log = rumor_cluster_with_log(
+        cluster, rumor = rumor_cluster(
             100, RumorConfig(mode=ExchangeMode.PULL, k=2), seed=5
         )
         cluster.run_cycles(5)
@@ -98,7 +95,7 @@ class TestConcurrentSpread:
     def test_each_update_keeps_independent_counters(self):
         """Two rumors at one site deactivate independently: the older
         one can die while the newer stays hot."""
-        cluster, rumor, log = rumor_cluster_with_log(
+        cluster, rumor = rumor_cluster(
             2, RumorConfig(mode=ExchangeMode.PUSH, k=1), seed=6
         )
         cluster.inject_update(0, "old", 1)

@@ -15,7 +15,6 @@ EXPECTED_MARKERS = {
     "death_certificates.py": "resurrected=False",
     "spatial_tuning.py": "asymptotic T(n)",
     "clearinghouse.py": "transatlantic (Bushey)",
-    "nameservice.py": "all domains consistent",
     "epidemic_curves.py": "final residue",
     "operations.py": "all consistent",
     "live_cluster.py": "live cluster converged",

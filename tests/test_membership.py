@@ -50,14 +50,25 @@ class TestAddSite:
             cluster.add_site(0)
 
     def test_routed_topology_requires_existing_topology_site(self):
-        topo = builders.line(6)
-        cluster = Cluster(topology=topo, participants=[0, 1, 2, 3], seed=0)
+        """On a routed topology only a removed site can rejoin, and it
+        comes back with an empty store that anti-entropy refills."""
+        cluster = Cluster(topology=builders.line(6), seed=0)
+        cluster.add_protocol(
+            AntiEntropyProtocol(config=AntiEntropyConfig(mode=ExchangeMode.PUSH_PULL))
+        )
+        cluster.inject_update(0, "k", "v")
+        cluster.run_until(cluster.converged, max_cycles=50)
+        cluster.remove_site(4)
+        assert 4 not in cluster.site_ids
         with pytest.raises(ValueError):
             cluster.add_site()          # must name a site
         with pytest.raises(ValueError):
             cluster.add_site(99)        # not in the topology
-        cluster.add_site(4)
+        assert cluster.add_site(4) == 4
         assert 4 in cluster.site_ids
+        assert cluster.sites[4].store.get("k") is None
+        cluster.run_until(cluster.converged, max_cycles=50)
+        assert cluster.sites[4].store.get("k") == "v"
 
     def test_rumor_state_initialized_for_newcomer(self):
         cluster = Cluster(n=5, seed=2)

@@ -1,12 +1,13 @@
-"""Epidemic tracing: S/I/R census and news logs."""
+"""Epidemic tracing: S/I/R census and first deliveries."""
 
 import pytest
 
 from repro.cluster.cluster import Cluster
+from repro.obs.lineage import LineageIndex
 from repro.protocols.base import ExchangeMode
 from repro.protocols.direct_mail import DirectMailProtocol
 from repro.protocols.rumor import RumorConfig, RumorMongeringProtocol
-from repro.sim.tracing import EpidemicTracer, NewsLog
+from repro.sim.tracing import EpidemicTracer
 
 
 def traced_cluster(n=200, k=3, seed=0, mode=ExchangeMode.PUSH):
@@ -114,58 +115,64 @@ class TestClusterEvents:
         assert tracked.t_last == metrics.t_last
 
 
-class TestNewsLog:
+def first_receipts(index, key):
+    """site -> cycle it first learned ``key`` from another site; the
+    origin's injection span has no source and is not a delivery."""
+    tree = index.tree_for_key(key)
+    return {
+        site: int(span.time)
+        for site, span in tree.first_delivery.items()
+        if span.src is not None
+    }
+
+
+def indexed_cluster(n, seed):
+    """A cluster whose delivery-span stream feeds a lineage index."""
+    cluster = Cluster(n=n, seed=seed)
+    index = LineageIndex()
+    cluster.bus.add_sink(index.observe)
+    return cluster, index
+
+
+class TestFirstDeliveries:
+    """First deliveries read off the lineage index of the span stream."""
+
     def test_records_first_deliveries(self):
-        cluster = Cluster(n=10, seed=4)
-        log = NewsLog()
-        cluster.add_protocol(log)
+        cluster, index = indexed_cluster(n=10, seed=4)
         cluster.add_protocol(DirectMailProtocol())
         cluster.inject_update(0, "k", "v")
         cluster.run_cycle()
-        receipts = log.first_receipts("k")
+        receipts = first_receipts(index, "k")
         assert set(receipts) == set(range(1, 10))
         assert all(cycle == 1 for cycle in receipts.values())
 
     def test_filters_by_key(self):
-        cluster = Cluster(n=5, seed=5)
-        log = NewsLog()
-        cluster.add_protocol(log)
+        cluster, index = indexed_cluster(n=5, seed=5)
         cluster.add_protocol(DirectMailProtocol())
         cluster.inject_update(0, "a", 1)
         cluster.inject_update(1, "b", 2)
         cluster.run_cycle()
-        assert all(e.key == "a" for e in log.events_for("a"))
-        assert len(log.events_for("a")) == 4
+        tree = index.tree_for_key("a")
+        assert all(span.key == "a" for span in tree.first_delivery.values())
+        assert len(first_receipts(index, "a")) == 4
 
     def test_sees_anti_entropy_deliveries(self):
-        """The log is a span-stream view, so exchange-mediated first
+        """The index reads the span stream, so exchange-mediated first
         deliveries land in it exactly like targeted mail does."""
         from repro.protocols.anti_entropy import (
             AntiEntropyConfig,
             AntiEntropyProtocol,
         )
 
-        cluster = Cluster(n=12, seed=8)
-        log = NewsLog()
-        cluster.add_protocol(log)
+        cluster, index = indexed_cluster(n=12, seed=8)
         cluster.add_protocol(
             AntiEntropyProtocol(config=AntiEntropyConfig(mode=ExchangeMode.PUSH_PULL))
         )
         cluster.inject_update(0, "k", "v", track=True)
         metrics = cluster.metrics
         cluster.run_until(lambda: metrics.infected == 12, max_cycles=60)
-        receipts = log.first_receipts("k")
+        receipts = first_receipts(index, "k")
         assert set(receipts) == set(range(1, 12))  # injection is not a delivery
         assert receipts == {
             site: int(t) for site, t in metrics.receipt_times.items() if site != 0
         }
-
-    def test_capacity_bounds_memory(self):
-        cluster = Cluster(n=50, seed=6)
-        log = NewsLog(capacity=10)
-        cluster.add_protocol(log)
-        cluster.add_protocol(DirectMailProtocol())
-        cluster.inject_update(0, "k", "v")
-        cluster.run_cycle()
-        assert len(log.events) == 10
-        assert log.dropped == 39
