@@ -4,27 +4,27 @@ Responsibilities:
 
 * build one :class:`Site` per database site of a topology (or ``n``
   sites with no topology for the uniform-network experiments of
-  Tables 1-3);
+  Tables 1-3), whose listeners are the attached protocols: a site
+  accounts for its own injections and deliveries (:mod:`repro.cluster.site`);
 * advance time in cycles — each cycle first drains the event engine
   (mail deliveries and any other scheduled work) and then lets every
   attached protocol execute its per-cycle step;
-* route update and delete injections to the protocols;
 * account traffic: update sends and comparisons globally, and per
   link (routed over shortest paths) when the topology has links;
 * track the spread of one designated update for residue / delay
-  metrics, and emit a delivery span whenever any site learns news.
+  metrics, as the first listener of every site.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
+from repro.cluster.site import Site
 from repro.core.store import ApplyResult, StoreUpdate
 from repro.core.timestamps import SimClock
 from repro.obs.events import EventBus, EventKind
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiling import NULL_PROFILER, Profiler
-from repro.obs.spans import emit_delivery_span
 from repro.sim.engine import Simulator
 from repro.sim.metrics import EpidemicMetrics, LinkTraffic
 from repro.sim.rng import RngRegistry
@@ -57,17 +57,15 @@ class Cluster:
         self.topology = topology
         self._participants = list(topology.sites)
         self.rng = RngRegistry(seed)
-        self.bus = bus if bus is not None else EventBus(clock=lambda: float(self.cycle))
+        self.bus = bus if bus is not None else EventBus(clock=self._now)
         self.simulator = Simulator()
         self.cycle = 0
-        self.sites: Dict[int, "Site"] = {}
-        from repro.cluster.site import Site  # local import: cycle guard
-
         self._clock_skew = clock_skew
+        # Every site's listeners: the protocols, behind the cluster once it tracks.
+        self._listeners: List = []
+        self.sites: Dict[int, Site] = {}
         for site_id in self._participants:
-            self.sites[site_id] = Site(
-                site_id, self._make_clock(site_id), self.rng.site_stream(site_id)
-            )
+            self.sites[site_id] = self._make_site(site_id)
         self.protocols: List = []
         self.traffic = LinkTraffic()
         # Optional WAN model (repro.workload.geo.WanNetwork): per-cycle
@@ -87,11 +85,17 @@ class Cluster:
     # Composition
     # ------------------------------------------------------------------
 
-    def _make_clock(self, site_id: int) -> SimClock:
-        """A site clock honoring the cluster's ``clock_skew`` function —
+    def _now(self) -> float:
+        return float(self.cycle)
+
+    def _make_site(self, site_id: int) -> Site:
+        """A site whose clock honors the cluster's ``clock_skew`` function —
         for construction-time sites and late joiners alike."""
         skew = self._clock_skew(site_id) if self._clock_skew is not None else 0.0
-        return SimClock(site_id, lambda: float(self.cycle), skew=skew)
+        clock = SimClock(site_id, self._now, skew=skew)
+        return Site(
+            site_id, clock, self.rng.site_stream(site_id), self.bus, self._now, self._listeners
+        )
 
     @property
     def n(self) -> int:
@@ -101,7 +105,7 @@ class Cluster:
     def site_ids(self) -> List[int]:
         return list(self._participants)
 
-    def site(self, site_id: int) -> "Site":
+    def site(self, site_id: int) -> Site:
         return self.sites[site_id]
 
     def up_site_ids(self) -> List[int]:
@@ -122,8 +126,6 @@ class Cluster:
         ``on_site_added`` so they can initialize per-site state; any
         auto-created uniform selectors refresh to include the newcomer.
         """
-        from repro.cluster.site import Site  # local import: cycle guard
-
         if site_id is None:
             if self.topology.edge_count > 0:
                 raise ValueError(
@@ -137,9 +139,7 @@ class Cluster:
                 if self.topology.edge_count > 0:
                     raise ValueError(f"{site_id} is not a site of the topology")
                 self.topology.add_node(site_id, site=True)
-        self.sites[site_id] = Site(
-            site_id, self._make_clock(site_id), self.rng.site_stream(site_id)
-        )
+        self.sites[site_id] = self._make_site(site_id)
         self._participants.append(site_id)
         for protocol in self.protocols:
             protocol.on_site_added(site_id)
@@ -214,6 +214,7 @@ class Cluster:
     def add_protocol(self, protocol) -> "Cluster":
         protocol.attach(self)
         self.protocols.append(protocol)
+        self._listeners.append(protocol)
         return self
 
     def attach_wan(self, wan) -> "Cluster":
@@ -258,10 +259,11 @@ class Cluster:
         notified, so even the injection-time traffic (direct mail's
         ``n-1`` messages) is counted.
         """
-        update = self.sites[site_id].store.update(key, value)
+        site = self.sites[site_id]
+        update = site.store.update(key, value)
         if track:
             self.track(update, injection_site=site_id)
-        self._after_injection(site_id, update)
+        site.injected(update)
         return update
 
     def inject_delete(
@@ -277,33 +279,15 @@ class Cluster:
         chosen at random (by the deleting site) to retain a dormant
         copy of the certificate after ``tau1``.
         """
+        site = self.sites[site_id]
         retention: Tuple[int, ...] = ()
         if retention_count > 0:
-            rng = self.sites[site_id].rng
-            retention = tuple(rng.sample(self.site_ids, min(retention_count, self.n)))
-        update = self.sites[site_id].store.delete(key, retention_sites=retention)
+            retention = tuple(site.rng.sample(self.site_ids, min(retention_count, self.n)))
+        update = site.store.delete(key, retention_sites=retention)
         if track:
             self.track(update, injection_site=site_id)
-        self._after_injection(site_id, update)
+        site.injected(update)
         return update
-
-    def _after_injection(self, site_id: int, update: StoreUpdate) -> None:
-        if self._tracked is not None and self._matches_tracked(update):
-            self.metrics.record_receipt(site_id, float(self.cycle))
-        if self.bus.has_sinks:
-            self.bus.emit(
-                EventKind.UPDATE_INJECTED,
-                node=site_id,
-                key=str(update.key),
-                deletion=update.entry.is_deletion,
-            )
-            # The injection is the root span of this update's trace:
-            # no delivering source.
-            emit_delivery_span(
-                self.bus, node=site_id, update=update, result=ApplyResult.APPLIED
-            )
-        for protocol in self.protocols:
-            protocol.on_local_update(site_id, update)
 
     # ------------------------------------------------------------------
     # Tracking a designated update
@@ -314,77 +298,29 @@ class Cluster:
 
         Call immediately after :meth:`inject_update`; pass the site it
         was injected at so the origin counts as infected at time 0.
+        From then on the cluster is the first listener of every site, and
+        records each site's first receipt of ``update`` or a newer
+        version of its key.
         """
         self.metrics = EpidemicMetrics(n=self.n, injection_time=float(self.cycle))
         self._tracked = update
         if injection_site is not None:
             self.metrics.record_receipt(injection_site, float(self.cycle))
+        if self not in self._listeners:
+            self._listeners.insert(0, self)
         return self.metrics
 
-    def _matches_tracked(self, update: StoreUpdate) -> bool:
+    def on_local_update(self, site_id: int, update: StoreUpdate) -> None:
+        self.on_news(site_id, update, ApplyResult.APPLIED)
+
+    def on_news(self, site_id: int, update: StoreUpdate, result: ApplyResult) -> None:
         tracked = self._tracked
-        return (
-            tracked is not None
-            and update.key == tracked.key
-            and update.entry.timestamp >= tracked.entry.timestamp
-        )
+        if update.key == tracked.key and update.entry.timestamp >= tracked.entry.timestamp:
+            self.metrics.record_receipt(site_id, float(self.cycle))
 
     # ------------------------------------------------------------------
     # Protocol-facing hooks
     # ------------------------------------------------------------------
-
-    def apply_at(
-        self, site_id: int, update: StoreUpdate, via, source: Optional[int] = None
-    ) -> ApplyResult:
-        """Merge a received update into ``site_id``'s store and fan out
-        news notifications.  ``via`` is the delivering protocol (or
-        ``None``); other protocols get ``on_news`` so that, e.g., a
-        mail delivery can become a hot rumor.  ``source`` is the site
-        the update arrived from, when the protocol knows it — it becomes
-        the parent of the delivery span."""
-        result = self.sites[site_id].store.apply_entry(update.key, update.entry)
-        if result.was_news:
-            self.notify_news(site_id, update, result, via, source=source)
-        elif self.bus.has_sinks and source is not None:
-            # A targeted delivery the receiver already knew: redundant
-            # traffic, attributed to its link in the infection tree.
-            emit_delivery_span(
-                self.bus,
-                node=site_id,
-                update=update,
-                result=result,
-                src=source,
-                first=False,
-            )
-        return result
-
-    def notify_news(
-        self,
-        site_id: int,
-        update: StoreUpdate,
-        result: ApplyResult,
-        via,
-        source: Optional[int] = None,
-    ) -> None:
-        if self.metrics is not None and self._matches_tracked(update):
-            self.metrics.record_receipt(site_id, float(self.cycle))
-        if self.bus.has_sinks:
-            self.bus.emit(
-                EventKind.NEWS_RECEIVED,
-                node=site_id,
-                key=str(update.key),
-                result=result.value,
-            )
-            if result is ApplyResult.RESURRECTION_BLOCKED:
-                self.bus.emit(
-                    EventKind.DEATH_CERT_ACTIVATED, node=site_id, key=str(update.key)
-                )
-            emit_delivery_span(
-                self.bus, node=site_id, update=update, result=result, src=source
-            )
-        for protocol in self.protocols:
-            if protocol is not via:
-                protocol.on_news(site_id, update, result)
 
     def count_comparison(self, src: int, dst: int) -> None:
         """Record one conversation (anti-entropy comparison or rumor

@@ -116,7 +116,7 @@ def anti_entropy_tail(
     cluster, update = single_update(protocol, seed, n=n)
     metrics = cluster.metrics
     for site_id in planted_sites(cluster, seed, 1.0 - initial_susceptible):
-        cluster.apply_at(site_id, update, via=None)
+        cluster.sites[site_id].deliver(update)
     fractions = [metrics.residue]
     cycles = 0
     while metrics.residue > 0 and cycles < max_cycles:

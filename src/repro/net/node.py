@@ -1,7 +1,7 @@
 """The live gossip node: the paper's protocols over asyncio TCP.
 
-A :class:`GossipNode` owns one :class:`~repro.core.store.ReplicaStore`
-(timestamped by wall-clock time) and runs, concurrently:
+A :class:`GossipNode` holds one :class:`~repro.cluster.site.Site` — its
+replica store, timestamped by wall-clock time — and runs, concurrently:
 
 * an **inbound server** answering PUSH / PULL_REQUEST / CHECKSUM /
   TREE / RUMOR / MAIL frames from peers;
@@ -29,10 +29,12 @@ endpoint produces into a wire message and back (:meth:`GossipNode._message`,
 :func:`_frame_of`), picks partners, retries, refuses when busy, and keeps
 the books — stats, events and profiler phases come from the conversation's
 report and the frames that passed.  Every update list leaves through
-:meth:`GossipNode._update_payload`, and every list merged here is
-accounted for as one batch by :meth:`GossipNode._account` — by its key
-column, with ``(update, result)`` rows built only for a delivery span
-that someone reads.
+:meth:`GossipNode._update_payload`.  What the replica learns — a client
+write, every list merged here as one batch — is accounted for by its
+:class:`~repro.cluster.site.Site`, the same code that accounts for a
+simulated site, so both runtimes emit the same events; the node keeps
+only its receipt times and counters, by the batch's key column.  Rows
+are built only for a delivery span that someone reads.
 """
 
 from __future__ import annotations
@@ -55,14 +57,14 @@ from repro.core.serialize import (
     encode_batch,
     encode_timestamp,
 )
-from repro.core.store import ApplyResult, ReplicaStore, StoreUpdate, UpdateList
+from repro.cluster.site import Site
+from repro.core.store import ApplyResult, StoreUpdate, UpdateList
 from repro.core.timestamps import SimClock
 from repro.net.membership import Membership, PeerInfo
 from repro.net.peer import InFlightBudget, Peer, PeerError, RetryPolicy
 from repro.obs.events import EventBus, EventKind
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiling import Profiler
-from repro.obs.spans import emit_delivery_span
 from repro.net.wire import (
     MAX_FRAME_BYTES,
     Message,
@@ -289,11 +291,18 @@ class GossipNode:
         self.membership = membership
         self.config = config
         self.bus = bus if bus is not None else EventBus()
-        self.store = ReplicaStore(
-            site_id=node_id,
-            clock=SimClock(site=node_id, time_source=time.time),
-            bucket_bits=NODE_BUCKET_BITS,
+        self.stats = NodeStats()
+        # Phase timers share the stats registry, so profiling numbers
+        # travel in every STATUS snapshot.  Live granularity is one
+        # network conversation — timing overhead is noise at that scale.
+        self.profiler = Profiler(registry=self.stats.registry)
+        self._rng = random.Random(seed if seed is not None else node_id)
+        clock = SimClock(site=node_id, time_source=time.time)
+        self.site = Site(
+            node_id, clock, self._rng, self.bus, time.time,
+            bucket_bits=NODE_BUCKET_BITS, profiler=self.profiler,
         )
+        self.store = self.site.store
         self.peers: Dict[int, Peer] = {
             peer.node_id: Peer(
                 peer, config.retry, observer=self._peer_event, max_frame=config.max_frame
@@ -301,7 +310,6 @@ class GossipNode:
             for peer in membership.others(node_id)
         }
         self._selector = membership.selector(config.selector) if len(membership) > 1 else None
-        self._rng = random.Random(seed if seed is not None else node_id)
         self._budget = InFlightBudget(config.in_flight_limit)
         self._hot = rumor.HotList(on_hot=self._rumor_started)
         self._inbound_active = 0
@@ -312,11 +320,6 @@ class GossipNode:
         self._accepting = False
         self._tasks: List[asyncio.Task] = []
         self._started_at = time.time()
-        self.stats = NodeStats()
-        # Phase timers share the stats registry, so profiling numbers
-        # travel in every STATUS snapshot.  Live granularity is one
-        # network conversation — timing overhead is noise at that scale.
-        self.profiler = Profiler(registry=self.stats.registry)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -426,37 +429,17 @@ class GossipNode:
 
     def inject(self, key: Hashable, value: Any) -> StoreUpdate:
         """A client write at this node; becomes a hot rumor."""
-        update = self.store.update(key, value)
-        self._announce_injection(update, deletion=False)
-        self._hot.make_hot(update.key, update.entry)
-        return update
+        return self._injected(self.store.update(key, value))
 
     def delete(self, key: Hashable) -> StoreUpdate:
-        update = self.store.delete(key)
-        self._announce_injection(update, deletion=True)
+        return self._injected(self.store.delete(key))
+
+    def _injected(self, update: StoreUpdate) -> StoreUpdate:
+        # The receipt shares the events' timestamp, so a trace replay and
+        # the node's own receipt record agree exactly.
+        self._note_news([update.key], self.site.injected(update))
         self._hot.make_hot(update.key, update.entry)
         return update
-
-    def _announce_injection(self, update: StoreUpdate, deletion: bool) -> None:
-        """Emit the injection events with one shared timestamp, so the
-        trace replay and the node's own receipt record agree exactly."""
-        now = time.time()
-        self.bus.emit(
-            EventKind.UPDATE_INJECTED,
-            node=self.node_id,
-            time=now,
-            key=str(update.key),
-            deletion=deletion,
-        )
-        self._note_news([update.key], now=now)
-        if self.bus.has_sinks:
-            emit_delivery_span(
-                self.bus,
-                node=self.node_id,
-                update=update,
-                result=ApplyResult.APPLIED,
-                time=now,
-            )
 
     # ------------------------------------------------------------------
     # Outbound: one partner loop and one frame loop for both protocols
@@ -856,63 +839,21 @@ class GossipNode:
         sent_at: Optional[float],
     ) -> float:
         """Account for entries just applied from node ``src`` (``results``
-        parallel to ``updates``): delivery spans, receipt times,
-        reactivated death certificates, the absorbed counter.  Returns
-        the receipt time it stamped."""
-        now = time.time()
-        self._record_deliveries(updates, results, src, sent_at, now)
-        if ApplyResult.RESURRECTION_BLOCKED in results:
-            for key, result in zip(updates.keys, results):
-                if result is ApplyResult.RESURRECTION_BLOCKED:
-                    # A dormant death certificate met obsolete data and
-                    # woke up (Section 2's antibody); the same event the
-                    # simulator emits.
-                    self.bus.emit(EventKind.DEATH_CERT_ACTIVATED, node=self.node_id, key=str(key))
+        parallel to ``updates``): the site's events, then this node's
+        receipt times and absorbed counter.  Returns the receipt time."""
+        now = self.site.absorb(updates, results, src, sent_at)
         news = list(compress(updates.keys, map(_WAS_NEWS, results)))
-        self._note_news(news, now=now)
+        self._note_news(news, now)
         self.stats.updates_absorbed += len(news)
         return now
-
-    def _record_deliveries(
-        self,
-        updates: UpdateList,
-        results: List[ApplyResult],
-        src: int,
-        sent_at: Optional[float],
-        now: float,
-    ) -> None:
-        """Emit one delivery span per update of a batch from peer ``src``
-        when a sink is attached; only then are the batch's rows built.
-        The trace id is derived locally from each update, so the wire
-        contributes only the send time."""
-        if not results or not self.bus.has_sinks:
-            return
-        with self.profiler.phase("emit"):
-            for update, result in zip(updates, results):
-                emit_delivery_span(
-                    self.bus,
-                    node=self.node_id,
-                    update=update,
-                    result=result,
-                    src=src,
-                    sent_at=sent_at,
-                    first=result.was_news,
-                    time=now,
-                )
 
     def _ack(self, payload: Dict[str, Any]) -> Message:
         return Message(type=MessageType.ACK, sender=self.node_id, payload=payload)
 
-    def _note_news(self, keys: Iterable[Hashable], now: Optional[float] = None) -> None:
+    def _note_news(self, keys: Iterable[Hashable], now: float) -> None:
         """Stamp the first receipt of news about each of ``keys``."""
-        if now is None:
-            now = time.time()
         received = self.stats.received
-        first = dict.fromkeys(filterfalse(received.__contains__, keys), now)
-        received.update(first)
-        if self.bus.has_sinks:
-            for key in first:
-                self.bus.emit(EventKind.NEWS_RECEIVED, node=self.node_id, time=now, key=str(key))
+        received.update(dict.fromkeys(filterfalse(received.__contains__, keys), now))
 
     def _peer_event(
         self, kind: str, info: PeerInfo, attempt: int, error: BaseException

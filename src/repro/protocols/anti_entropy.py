@@ -174,18 +174,18 @@ class AntiEntropyProtocol(GossipProtocol):
                 continue  # one immutable object: neither side beats the other
             if mode.pushes and entry_beats(entry_s, entry_p):
                 update = StoreUpdate(key=key, entry=entry_s)
-                result = cluster.apply_at(partner_id, update, via=self, source=site_id)
+                result = cluster.sites[partner_id].deliver(update, self, site_id)
                 sent_sp += 1
                 if result.was_news:
                     cluster.count_useful_update_send(site_id, partner_id, 1)
-                self._fire_transfer(site_id, partner_id, update, result)
+                self._fire_transfers(site_id, partner_id, (update,), (result,))
             elif mode.pulls and entry_beats(entry_p, entry_s):
                 update = StoreUpdate(key=key, entry=entry_p)
-                result = cluster.apply_at(site_id, update, via=self, source=partner_id)
+                result = cluster.sites[site_id].deliver(update, self, partner_id)
                 sent_ps += 1
                 if result.was_news:
                     cluster.count_useful_update_send(partner_id, site_id, 1)
-                self._fire_transfer(partner_id, site_id, update, result)
+                self._fire_transfers(partner_id, site_id, (update,), (result,))
         self.stats.entries_examined += len(keys)
         self.stats.updates_shipped += sent_sp + sent_ps
         cluster.count_update_sends(site_id, partner_id, sent_sp)
@@ -206,12 +206,10 @@ class AntiEntropyProtocol(GossipProtocol):
                 0, len(store_s) + len(store_p) - report.entries_examined
             )
         self.stats.bucket_rounds += report.buckets_resolved
-        for update, result in zip(report.sent_ab, report.results_ab):
-            cluster.notify_news(partner_id, update, result, via=self, source=site_id)
-            self._fire_transfer(site_id, partner_id, update, result)
-        for update, result in zip(report.sent_ba, report.results_ba):
-            cluster.notify_news(site_id, update, result, via=self, source=partner_id)
-            self._fire_transfer(partner_id, site_id, update, result)
+        cluster.sites[partner_id].absorb(report.sent_ab, report.results_ab, site_id, via=self)
+        self._fire_transfers(site_id, partner_id, report.sent_ab, report.results_ab)
+        cluster.sites[site_id].absorb(report.sent_ba, report.results_ba, partner_id, via=self)
+        self._fire_transfers(partner_id, site_id, report.sent_ba, report.results_ba)
         cluster.count_update_sends(site_id, partner_id, len(report.sent_ab))
         cluster.count_update_sends(partner_id, site_id, len(report.sent_ba))
         # Live exchanges resolve differences against current stores, so
@@ -221,8 +219,10 @@ class AntiEntropyProtocol(GossipProtocol):
         cluster.count_useful_update_send(site_id, partner_id, len(report.sent_ab))
         cluster.count_useful_update_send(partner_id, site_id, len(report.sent_ba))
 
-    def _fire_transfer(
-        self, source: int, target: int, update: StoreUpdate, result: ApplyResult
-    ) -> None:
-        for hook in self._transfer_hooks:
-            hook(source, target, update, result)
+    def _fire_transfers(self, source: int, target: int, updates, results) -> None:
+        """The transfer hooks, once per update shipped from ``source`` to
+        ``target``; rows are read only when a hook is set."""
+        if self._transfer_hooks:
+            for update, result in zip(updates, results):
+                for hook in self._transfer_hooks:
+                    hook(source, target, update, result)

@@ -114,9 +114,7 @@ class DirectMailProtocol(Protocol):
             # attempt; the update is simply lost here, which is exactly
             # the failure anti-entropy must repair.
             return
-        self.cluster.apply_at(
-            letter.destination, letter.payload, via=self, source=letter.source
-        )
+        site.deliver(letter.payload, self, letter.source)
 
     @property
     def active(self) -> bool:

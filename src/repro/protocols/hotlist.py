@@ -180,7 +180,7 @@ class HotListProtocol(GossipProtocol):
             cluster.count_update_sends(source, target, 1)
             self.stats.updates_shipped += 1
             sent += 1
-            result = cluster.apply_at(target, update, via=self, source=source)
+            result = cluster.sites[target].deliver(update, self, source)
             if result.was_news:
                 # Useful: hot at both ends, like a rumor.
                 cluster.count_useful_update_send(source, target, 1)

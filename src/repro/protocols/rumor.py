@@ -440,10 +440,12 @@ class RumorMongeringProtocol(GossipProtocol):
         """Deliveries from ``source`` merged at ``target``, counted as
         update sends (useful or not) on the way."""
         cluster = self.cluster
+        site = cluster.sites[target]
 
         def absorb(updates: UpdateList) -> List[ApplyResult]:
             cluster.count_update_sends(source, target, len(updates))
-            results = [cluster.apply_at(target, u, via=self, source=source) for u in updates]
+            results = site.store.apply_updates(updates)
+            site.absorb(updates, results, source, via=self)
             useful = sum(map(_WAS_NEWS, results))
             cluster.count_useful_update_send(source, target, useful)
             self.stats.updates_sent += len(results)

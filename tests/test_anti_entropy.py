@@ -78,7 +78,7 @@ class TestEndgameAsymmetry:
         others = [s for s in cluster.site_ids if s != 0]
         # Plant at 90% of sites: the endgame regime.
         for site in rng.sample(others, int(n * 0.9) - 1):
-            cluster.apply_at(site, update, via=None)
+            cluster.sites[site].deliver(update)
         cluster.run_cycles(cycles)
         return cluster.metrics.residue
 

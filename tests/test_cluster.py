@@ -116,7 +116,7 @@ class TestTimeAdvance:
 
 
 class TestNewsFanout:
-    def test_apply_at_notifies_other_protocols_not_source(self):
+    def test_deliver_notifies_other_protocols_not_source(self):
         log = []
 
         class Recorder(Protocol):
@@ -133,25 +133,25 @@ class TestNewsFanout:
         cluster.add_protocol(a)
         cluster.add_protocol(b)
         update = cluster.sites[0].store.update("k", "v")
-        cluster.apply_at(1, update, via=a)
+        cluster.sites[1].deliver(update, via=a)
         assert log == ["b"]
 
-    def test_apply_at_suppresses_notification_for_stale(self):
+    def test_deliver_suppresses_notification_for_stale(self):
         log = []
 
         class Recorder(Protocol):
             def on_news(self, site_id, update, result):
-                log.append(site_id)
+                log.append((site_id, result))
 
         cluster = Cluster(n=2, seed=0)
         cluster.add_protocol(Recorder())
+        older = cluster.sites[0].store.update("k", "v1")
         newer = cluster.sites[0].store.update("k", "v2")
-        cluster.apply_at(1, newer, via=None)
-        older = cluster.sites[0].store  # build an older update artificially
-        assert log == [1]
-        result = cluster.apply_at(1, newer, via=None)
-        assert result is ApplyResult.EQUAL
-        assert log == [1]  # no duplicate notification
+        assert cluster.sites[1].deliver(newer) is ApplyResult.APPLIED
+        assert log == [(1, ApplyResult.APPLIED)]
+        assert cluster.sites[1].deliver(older) is ApplyResult.STALE
+        assert cluster.sites[1].deliver(newer) is ApplyResult.EQUAL
+        assert log == [(1, ApplyResult.APPLIED)]  # neither reached on_news
 
     def test_observers_see_news(self):
         """A bus sink hears each site's news once, as a first-delivery
@@ -159,8 +159,8 @@ class TestNewsFanout:
         cluster = Cluster(n=2, seed=0)
         sink = cluster.bus.add_sink(RingBufferSink())
         update = cluster.sites[0].store.update("k", "v")
-        cluster.apply_at(1, update, via=None, source=0)
-        cluster.apply_at(1, update, via=None, source=0)
+        cluster.sites[1].deliver(update, src=0)
+        cluster.sites[1].deliver(update, src=0)
         spans = [span_of_event(event) for event in sink.of_kind(EventKind.DELIVERY_SPAN)]
         assert [(s.node, s.src, s.first, s.result) for s in spans] == [
             (1, 0, True, "applied"),

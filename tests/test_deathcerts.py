@@ -130,10 +130,8 @@ class TestDormantLifecycle:
         from repro.core.timestamps import Timestamp
 
         # Obsolete data hits the retention site directly.
-        result = cluster.apply_at(
-            retention_site,
-            type(update)(key="x", entry=VersionedValue("zombie", Timestamp(-1.0, 9, 0))),
-            via=None,
+        result = cluster.sites[retention_site].deliver(
+            type(update)(key="x", entry=VersionedValue("zombie", Timestamp(-1.0, 9, 0)))
         )
         assert manager.stats.reactivations == 1
         # The awakened certificate is hot again and spreads.

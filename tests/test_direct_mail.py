@@ -97,5 +97,5 @@ class TestRemailOption:
         cluster, protocol = mail_cluster(n=5, remail_on_news=True)
         update = cluster.sites[0].store.update("k", "v")
         posted_before = protocol.mail.stats.posted
-        cluster.apply_at(2, update, via=None)  # news from another protocol
+        cluster.sites[2].deliver(update)  # news from another protocol
         assert protocol.mail.stats.posted == posted_before + 4

@@ -471,7 +471,7 @@ class TestSpanContextMapping:
 
 
 class TestAccounting:
-    """``_account``/``_note_news`` with and without an audience."""
+    """A merged batch's events and receipts, with and without an audience."""
 
     @staticmethod
     def _frame(node_id=1):
@@ -491,9 +491,9 @@ class TestAccounting:
         ]
         events = list(sink.events)
         # One delivery span per row, in row order, then one news-received
-        # per key the node had not heard of, in first-arrival order.
+        # per row that was news, in row order.
         assert [event.kind for event in events] == (
-            [EventKind.DELIVERY_SPAN] * 4 + [EventKind.NEWS_RECEIVED] * 2
+            [EventKind.DELIVERY_SPAN] * 4 + [EventKind.NEWS_RECEIVED] * 3
         )
         spans = events[:4]
         assert [span.payload["key"] for span in spans] == ["k", "('svc', 'p')", "k", "k"]
@@ -506,7 +506,7 @@ class TestAccounting:
         ]
         assert all(span.payload["src"] == 1 and span.payload["sent_at"] == 1.0 for span in spans)
         news = events[4:]
-        assert [event.payload for event in news] == [{"key": "k"}, {"key": "('svc', 'p')"}]
+        assert [event.payload for event in news] == [{"key": "k"}, {"key": "('svc', 'p')"}, {"key": "k"}]
         stamped = {event.time for event in events}
         assert stamped == {node.stats.received["k"]}  # one receipt time for the batch
 
