@@ -93,27 +93,36 @@ def theoretical_growth(n: int, a: float) -> float:
     return 1.0
 
 
-def wan_traffic_summary(wan, traffic) -> Dict[str, Any]:
-    """Measured traffic attributed to a WAN deployment's named links.
+def link_rows(counts, wan_links, datacenters) -> List[Dict[str, Any]]:
+    """Per-link rows in the one order both runtimes report: the named
+    ``wan:*`` links sorted, then an ``intra:<dc>`` rollup for each of
+    ``datacenters``.  ``counts`` maps a link name to its conversation,
+    update and useful-update crossings (absent: none)."""
+    rows = []
+    for link in [*sorted(wan_links), *(f"intra:{dc}" for dc in datacenters)]:
+        conversations, updates, useful = counts.get(link, (0.0, 0.0, 0.0))
+        rows.append(
+            {
+                "link": link,
+                "conversations": round(conversations, 3),
+                "updates": round(updates, 3),
+                "useful_updates": round(useful, 3),
+            }
+        )
+    return rows
 
-    ``wan`` is a :class:`repro.workload.geo.WanNetwork` and ``traffic``
-    the :class:`repro.sim.metrics.LinkTraffic` a cluster accumulated on
-    its topology.  Returns the per-link rows (long-haul ``wan:*`` links
-    and ``intra:<dc>`` rollups) plus ``wan_share``: the fraction of all
-    conversation link-crossings that happen on long-haul links — the
-    number the paper's Section 3 spatial distributions exist to push
-    down.
-    """
-    links = wan.link_report(traffic)
-    wan_conversations = sum(
-        row["conversations"] for row in links if str(row["link"]).startswith("wan:")
-    )
-    total_conversations = float(traffic.compare.total)
-    busiest = max(
-        (row for row in links if str(row["link"]).startswith("wan:")),
-        key=lambda row: row["conversations"],
-        default=None,
-    )
+
+def traffic_summary(links: List[Dict[str, Any]]) -> Dict[str, Any]:
+    """A WAN deployment's traffic block from its :func:`link_rows`: the
+    rows plus ``wan_share``, the fraction of all conversation
+    link-crossings that happen on long-haul links — the number the
+    paper's Section 3 spatial distributions exist to push down.  Each
+    conversation crosses its site→gateway(→gateway)→site route, the
+    simulator's routed edges and the live tap's charges alike."""
+    wan_rows = [row for row in links if str(row["link"]).startswith("wan:")]
+    wan_conversations = sum(row["conversations"] for row in wan_rows)
+    total_conversations = sum(row["conversations"] for row in links)
+    busiest = max(wan_rows, key=lambda row: row["conversations"], default=None)
     return {
         "links": links,
         "wan_conversations": round(wan_conversations, 3),

@@ -6,7 +6,8 @@ database site, a live :class:`~repro.net.node.GossipNode` one for itself,
 and both report each client write through :meth:`Site.injected` and each
 merged batch through :meth:`Site.absorb`.  So every ``update-injected``,
 ``news-received``, ``delivery-span`` and ``death-cert-activated`` event
-of either runtime is written here, once.
+of either runtime is written here, once, and so is the decision of what
+a replica spreads after obsolete data wakes a dormant certificate.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from repro.obs.profiling import NULL_PROFILER, Profiler
 from repro.obs.spans import emit_delivery_span
 
 _WAS_NEWS = attrgetter("was_news")
+_WOKE = ApplyResult.RESURRECTION_BLOCKED
 
 
 class Site:
@@ -36,11 +38,13 @@ class Site:
 
     Protocol state (hot-rumor lists, counters) is owned by the
     ``listeners``, keyed by site id: each hears ``on_local_update(id,
-    update)`` after a client write here and ``on_news(id, update,
-    result)`` for each row that was news here, except the listener that
-    delivered it (``via``).  The site carries what every protocol shares:
-    the store, the clock, the random stream that drives this site's
-    independent choices, and the event ``bus`` with its clock ``now``.
+    update)`` after a client write here or a dormant certificate woke
+    here, and ``on_news(id, update, result)`` for each other row that was
+    news here, except the listener that delivered it (``via``).  A live
+    node is its own site's one listener.  The site carries what every
+    protocol shares: the store, the clock, the random stream that drives
+    this site's independent choices, and the event ``bus`` with its
+    clock ``now``.
     """
 
     __slots__ = ("id", "store", "clock", "rng", "up", "bus", "now", "listeners", "profiler")
@@ -105,6 +109,7 @@ class Site:
         One ``delivery-span`` per row (a row that was not news only when
         ``src`` is known), then a ``death-cert-activated`` per dormant
         certificate a row woke, then a ``news-received`` per row that was
+        news; then the listeners hear each woken certificate and the other
         news.  Rows are built only for a sink or a listener to read.
         Returns the time the events carry.
         """
@@ -127,17 +132,23 @@ class Site:
                             first=news,
                             time=now,
                         )
-                # Section 2's antibody: obsolete data woke a dormant certificate.
-                woke = [result is ApplyResult.RESURRECTION_BLOCKED for result in results]
+                woke = [result is _WOKE for result in results]
                 for key in compress(updates.keys, woke):
                     bus.emit(EventKind.DEATH_CERT_ACTIVATED, node=node, time=now, key=str(key))
                 for key in compress(updates.keys, map(_WAS_NEWS, results)):
                     bus.emit(EventKind.NEWS_RECEIVED, node=node, time=now, key=str(key))
-        listeners = [listener for listener in self.listeners if listener is not via]
-        if listeners:
+        others = [listener for listener in self.listeners if listener is not via]
+        if others or _WOKE in results:
             for update, result in zip(updates, results):
-                if result.was_news:
-                    for listener in listeners:
+                if result is _WOKE:
+                    # Section 2's antibody: the woken certificate spreads
+                    # again as this replica's own write, to every listener
+                    # (``via`` too); the obsolete row reaches none.
+                    awakened = StoreUpdate(update.key, self.store.entry(update.key))
+                    for listener in self.listeners:
+                        listener.on_local_update(node, awakened)
+                elif result.was_news:
+                    for listener in others:
                         listener.on_news(node, update, result)
         return now
 

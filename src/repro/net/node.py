@@ -34,7 +34,9 @@ write, every list merged here as one batch — is accounted for by its
 :class:`~repro.cluster.site.Site`, the same code that accounts for a
 simulated site, so both runtimes emit the same events; the node keeps
 only its receipt times and counters, by the batch's key column.  Rows
-are built only for a delivery span that someone reads.
+are built only for a delivery span that someone reads.  The node is its
+site's one listener: what the site announces — a client write, a
+certificate that obsolete data woke — becomes a hot rumor.
 """
 
 from __future__ import annotations
@@ -299,7 +301,7 @@ class GossipNode:
         self._rng = random.Random(seed if seed is not None else node_id)
         clock = SimClock(site=node_id, time_source=time.time)
         self.site = Site(
-            node_id, clock, self._rng, self.bus, time.time,
+            node_id, clock, self._rng, self.bus, time.time, (self,),
             bucket_bits=NODE_BUCKET_BITS, profiler=self.profiler,
         )
         self.store = self.site.store
@@ -438,8 +440,12 @@ class GossipNode:
         # The receipt shares the events' timestamp, so a trace replay and
         # the node's own receipt record agree exactly.
         self._note_news([update.key], self.site.injected(update))
-        self._hot.make_hot(update.key, update.entry)
         return update
+
+    def on_local_update(self, site_id: int, update: StoreUpdate) -> None:
+        """The site's one listener: a client write, or a certificate the
+        site woke, becomes a hot rumor."""
+        self._hot.make_hot(update.key, update.entry)
 
     # ------------------------------------------------------------------
     # Outbound: one partner loop and one frame loop for both protocols
@@ -841,7 +847,9 @@ class GossipNode:
         """Account for entries just applied from node ``src`` (``results``
         parallel to ``updates``): the site's events, then this node's
         receipt times and absorbed counter.  Returns the receipt time."""
-        now = self.site.absorb(updates, results, src, sent_at)
+        # The node delivered these itself (a rumor conversation makes its
+        # news hot there), so it hears only what the site announces.
+        now = self.site.absorb(updates, results, src, sent_at, via=self)
         news = list(compress(updates.keys, map(_WAS_NEWS, results)))
         self._note_news(news, now)
         self.stats.updates_absorbed += len(news)

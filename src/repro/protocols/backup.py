@@ -2,18 +2,22 @@
 
 Rumor mongering can fail: with nonzero probability the rumor dies while
 some sites are still susceptible.  Running anti-entropy infrequently on
-top guarantees every update eventually reaches every site.  When an
-anti-entropy exchange discovers a missing update, three responses are
-modeled:
+top guarantees every update eventually reaches every site.  An update
+anti-entropy delivers is news at its target like any other, so the
+rumor makes it hot there under every strategy.  Beyond that, three
+responses to a discovered missing update are modeled:
 
-* ``CONSERVATIVE`` — just make the two participants consistent and let
-  anti-entropy finish the job over subsequent rounds;
-* ``REDISTRIBUTE_MAIL`` — remail the update to all sites (the original
-  Clearinghouse behavior; O(n^2) messages in the worst case, which is
-  why it had to be disabled on the CIN);
-* ``HOT_RUMOR`` — make the update a hot rumor again at both
-  participants, letting the epidemic finish cheaply (a rumor already
-  known nearly everywhere dies out quickly).
+* ``CONSERVATIVE`` — nothing more: the target's rumor and later
+  anti-entropy rounds finish the job;
+* ``REDISTRIBUTE_MAIL`` — also remail the update to all sites (the
+  original Clearinghouse behavior; O(n^2) messages in the worst case,
+  which is why it had to be disabled on the CIN);
+* ``HOT_RUMOR`` — also make the update hot at the source, so both
+  participants spread it, letting the epidemic finish cheaply (a rumor
+  already known nearly everywhere dies out quickly).
+
+Obsolete data that wakes a dormant certificate at the target is not a
+missing update: the target's site spreads its certificate instead.
 
 This module composes existing protocols rather than reimplementing
 them; it is the programmatic form of the paper's deployment advice.
@@ -102,15 +106,15 @@ class AntiEntropyBackup(Protocol):
         self, source: int, target: int, update: StoreUpdate, result: ApplyResult
     ) -> None:
         """Anti-entropy discovered a site missing an update."""
-        if not result.was_news:
+        if not result.was_news or result is ApplyResult.RESURRECTION_BLOCKED:
             return
         self.redistributions += 1
         if self.recovery is RecoveryStrategy.CONSERVATIVE:
             return
         if self.recovery is RecoveryStrategy.HOT_RUMOR:
-            # Make it hot again at both parties: the discovering site
-            # evidently lives in a poorly-covered neighborhood.
-            self.rumor.make_hot(target, update)
+            # The target's news is hot already; make it hot at the
+            # source too: it evidently lives in a poorly-covered
+            # neighborhood.
             self.rumor.make_hot(source, update)
             return
         if self.recovery is RecoveryStrategy.REDISTRIBUTE_MAIL:

@@ -49,7 +49,8 @@ class Protocol:
         self.cluster = cluster
 
     def on_local_update(self, site_id: int, update: StoreUpdate) -> None:
-        """A client injected ``update`` at ``site_id``."""
+        """A client injected ``update`` at ``site_id``, or obsolete data
+        woke the dormant certificate ``update`` there (Section 2)."""
 
     def on_news(self, site_id: int, update: StoreUpdate, result: ApplyResult) -> None:
         """Another protocol delivered ``update`` to ``site_id``."""

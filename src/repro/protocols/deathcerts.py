@@ -17,9 +17,10 @@ copies.  The question is when to discard the certificates themselves:
   equal space this extends the protected history by a factor O(n/r).
 
 The :class:`ReplicaStore` implements the mechanics (sweeping,
-reactivation-on-apply); this protocol schedules the sweeps, re-injects
-reactivated certificates into the distribution mechanisms, and keeps
-the bookkeeping the experiments report.
+reactivation-on-apply), and the replica's
+:class:`~repro.cluster.site.Site` hands a woken certificate to every
+distribution mechanism as its own write; this protocol schedules the
+sweeps and keeps the bookkeeping the experiments report.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict
 
-from repro.core.store import ApplyResult, StoreUpdate
+from repro.core.store import StoreUpdate
 from repro.protocols.base import Protocol
 
 
@@ -71,8 +72,7 @@ class CertificateStats:
 
 
 class DeathCertificateManager(Protocol):
-    """Periodically sweeps certificate tables and re-propagates
-    reactivated certificates."""
+    """Periodically sweeps certificate tables and counts reactivations."""
 
     name = "death-certificates"
 
@@ -92,19 +92,12 @@ class DeathCertificateManager(Protocol):
     def on_site_added(self, site_id: int) -> None:
         self.cluster.sites[site_id].store.certificate_ttl = self.policy.tau1
 
-    def on_news(self, site_id: int, update: StoreUpdate, result: ApplyResult) -> None:
-        if result is ApplyResult.RESURRECTION_BLOCKED:
+    def on_local_update(self, site_id: int, update: StoreUpdate) -> None:
+        # A certificate whose activation moved past its timestamp is one
+        # this site just woke; the site spreads it (Site.absorb).
+        entry = update.entry
+        if entry.is_deletion and entry.activation_timestamp > entry.timestamp:
             self.stats.reactivations += 1
-            # The awakened certificate must spread again.  The store has
-            # already installed the reactivated copy locally; announcing
-            # it as a local update lets whatever distribution mechanisms
-            # are attached (mail, rumors) pick it up.
-            reactivated = self.cluster.sites[site_id].store.entry(update.key)
-            if reactivated is not None and reactivated.is_deletion:
-                announcement = StoreUpdate(key=update.key, entry=reactivated)
-                for protocol in self.cluster.protocols:
-                    if protocol is not self:
-                        protocol.on_local_update(site_id, announcement)
 
     def run_cycle(self, cycle: int) -> None:
         if cycle % self.policy.sweep_period != 0:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.traffic import link_rows
 from repro.sim.metrics import Edge, LinkTraffic, canonical_edge
 from repro.sim.transport import LinkCapacityLedger
 from repro.topology.graph import Topology
@@ -286,33 +287,15 @@ class WanNetwork:
         edges; the ``intra:<dc>`` rows sum the site<->gateway edges of
         each datacenter.
         """
-        rows: List[Dict[str, object]] = []
-        for name in sorted(self._wan_edges):
-            edge = self._wan_edges[name]
-            rows.append(
-                {
-                    "link": name,
-                    "conversations": round(traffic.compare.on_link(*edge), 3),
-                    "updates": round(traffic.update.on_link(*edge), 3),
-                    "useful_updates": round(
-                        traffic.useful_update.on_link(*edge), 3
-                    ),
-                }
-            )
+        counters = (traffic.compare, traffic.update, traffic.useful_update)
+        counts = {
+            name: [counter.on_link(*edge) for counter in counters]
+            for name, edge in self._wan_edges.items()
+        }
         for dc in self.datacenter_names:
             gateway = self._gateway_of_dc[dc]
-            conversations = updates = useful = 0.0
-            for site_id in self._sites_of_dc[dc]:
-                edge = canonical_edge(site_id, gateway)
-                conversations += traffic.compare.on_link(*edge)
-                updates += traffic.update.on_link(*edge)
-                useful += traffic.useful_update.on_link(*edge)
-            rows.append(
-                {
-                    "link": f"intra:{dc}",
-                    "conversations": round(conversations, 3),
-                    "updates": round(updates, 3),
-                    "useful_updates": round(useful, 3),
-                }
-            )
-        return rows
+            edges = [canonical_edge(site_id, gateway) for site_id in self._sites_of_dc[dc]]
+            counts[f"intra:{dc}"] = [
+                sum(counter.on_link(*edge) for edge in edges) for counter in counters
+            ]
+        return link_rows(counts, self._wan_edges, self.datacenter_names)

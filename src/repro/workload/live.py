@@ -21,11 +21,12 @@ Live measurement specifics:
   ``latest_global_ts(key) − local_ts(key)`` in seconds (a node holding
   no version counts as a ``read_miss``);
 * **traffic** — nodes are assigned to named datacenters (contiguous
-  blocks over the roster) and a bus sink attributes every
-  ``exchange-settled`` / ``rumor-sent`` event to the ``wan:*`` or
-  ``intra:*`` link between the two parties' datacenters.  Unlike the
-  simulator there are no gateway hops, so a cross-datacenter
-  conversation counts once rather than once per routed edge.
+  blocks over the roster) and a bus sink charges every
+  ``exchange-settled`` / ``rumor-sent`` event to the links the
+  simulator's WAN model would route it over: each party's ``intra:*``
+  link and, between datacenters, the ``wan:*`` link joining them.  One
+  roll-up builds both reports' traffic blocks, so their rows and
+  ``wan_share`` mean the same.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import random
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.traffic import link_rows, traffic_summary
 from repro.core.serialize import decode_timestamp
 from repro.core.timestamps import Timestamp
 from repro.net.node import NodeConfig
@@ -108,11 +110,14 @@ def assign_datacenters(
 class LiveTrafficTap:
     """EventBus sink attributing gossip events to datacenter links.
 
-    ``exchange-settled`` events (anti-entropy conversations) carry
-    ``shipped``/``received`` — both directions needed by the receiver,
-    so they count as useful updates too.  ``rumor-sent`` pushes carry
-    ``shipped`` but may be redundant at the receiver, so they count
-    toward ``updates`` only.
+    A conversation crosses what the simulator's WAN model routes it
+    over: each endpoint's ``intra:<dc>`` link (site to gateway) and,
+    between datacenters, the ``wan:*`` link joining them; every crossing
+    is charged.  ``exchange-settled`` events (anti-entropy
+    conversations) carry ``shipped``/``received`` — both directions
+    needed by the receiver, so they count as useful updates too.
+    ``rumor-sent`` pushes carry ``shipped`` but may be redundant at the
+    receiver, so they count toward ``updates`` only.
     """
 
     def __init__(self, dc_of: Dict[int, str]):
@@ -121,71 +126,39 @@ class LiveTrafficTap:
         self.updates: Dict[str, float] = {}
         self.useful: Dict[str, float] = {}
 
-    def _link(self, a: int, b: int) -> Optional[str]:
+    def _route(self, a: int, b: int) -> List[str]:
         dc_a = self.dc_of.get(a)
         dc_b = self.dc_of.get(b)
         if dc_a is None or dc_b is None:
-            return None  # a client or an unknown node: not link traffic
+            return []  # a client or an unknown node: not link traffic
         if dc_a == dc_b:
-            return f"intra:{dc_a}"
-        return link_name(dc_a, dc_b)
+            return [f"intra:{dc_a}"] * 2
+        return [f"intra:{dc_a}", link_name(dc_a, dc_b), f"intra:{dc_b}"]
 
     def __call__(self, event) -> None:
-        kind = event.kind
+        kind, payload = event.kind, event.payload
         if kind is EventKind.EXCHANGE_SETTLED:
-            link = self._link(event.node, event.payload.get("partner", -1))
-            if link is None:
-                return
-            moved = float(
-                event.payload.get("shipped", 0) + event.payload.get("received", 0)
-            )
+            moved = useful = float(payload.get("shipped", 0) + payload.get("received", 0))
+        elif kind is EventKind.RUMOR_SENT:
+            moved, useful = float(payload.get("shipped", 0)), 0.0
+        else:
+            return
+        for link in self._route(event.node, payload.get("partner", -1)):
             self.conversations[link] = self.conversations.get(link, 0.0) + 1.0
             self.updates[link] = self.updates.get(link, 0.0) + moved
-            self.useful[link] = self.useful.get(link, 0.0) + moved
-        elif kind is EventKind.RUMOR_SENT:
-            link = self._link(event.node, event.payload.get("partner", -1))
-            if link is None:
-                return
-            self.conversations[link] = self.conversations.get(link, 0.0) + 1.0
-            self.updates[link] = self.updates.get(link, 0.0) + float(
-                event.payload.get("shipped", 0)
-            )
+            self.useful[link] = self.useful.get(link, 0.0) + useful
 
     def summary(self, datacenters: Sequence[str]) -> Dict[str, Any]:
-        """The same shape :func:`repro.analysis.traffic.wan_traffic_summary`
-        builds for the simulator."""
+        """The traffic block :func:`repro.analysis.traffic.traffic_summary`
+        builds for the simulator, over a full WAN mesh of
+        ``datacenters``."""
         names = [name for name in datacenters if name]
-        links: List[Dict[str, Any]] = []
-        for i, a in enumerate(names):
-            for b in names[i + 1:]:
-                link = link_name(a, b)
-                links.append(self._row(link))
-        for name in names:
-            links.append(self._row(f"intra:{name}"))
-        wan_conversations = sum(
-            row["conversations"]
-            for row in links
-            if str(row["link"]).startswith("wan:")
-        )
-        total = sum(self.conversations.values())
-        wan_rows = [row for row in links if str(row["link"]).startswith("wan:")]
-        busiest = max(
-            wan_rows, key=lambda row: row["conversations"], default=None
-        )
-        return {
-            "links": links,
-            "wan_conversations": round(wan_conversations, 3),
-            "wan_share": round(wan_conversations / total if total else 0.0, 4),
-            "busiest_wan_link": None if busiest is None else busiest["link"],
+        counts = {
+            link: (count, self.updates[link], self.useful[link])
+            for link, count in self.conversations.items()
         }
-
-    def _row(self, link: str) -> Dict[str, Any]:
-        return {
-            "link": link,
-            "conversations": round(self.conversations.get(link, 0.0), 3),
-            "updates": round(self.updates.get(link, 0.0), 3),
-            "useful_updates": round(self.useful.get(link, 0.0), 3),
-        }
+        wan_links = {link_name(a, b) for i, a in enumerate(names) for b in names[i + 1:]}
+        return traffic_summary(link_rows(counts, wan_links, names))
 
 
 class _LiveOracle:

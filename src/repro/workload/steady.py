@@ -27,7 +27,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Dict, List, Optional
 
-from repro.analysis.traffic import wan_traffic_summary
+from repro.analysis.traffic import traffic_summary
 from repro.cluster.cluster import Cluster
 from repro.obs.events import HARNESS_NODE, EventBus, EventKind
 from repro.obs.metrics import MetricsRegistry, linear_buckets
@@ -204,7 +204,7 @@ def run_steady_state(
     except RuntimeError:
         converged = False
     if wan_net is not None:
-        traffic = wan_traffic_summary(wan_net, cluster.traffic)
+        traffic = traffic_summary(wan_net.link_report(cluster.traffic))
     else:
         traffic = empty_traffic_summary()
     return build_report(

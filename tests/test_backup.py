@@ -3,6 +3,8 @@
 import pytest
 
 from repro.cluster.cluster import Cluster
+from repro.core.items import VersionedValue
+from repro.core.timestamps import Timestamp
 from repro.protocols.backup import AntiEntropyBackup, RecoveryStrategy
 from repro.protocols.base import ExchangeMode
 from repro.protocols.rumor import RumorConfig
@@ -93,6 +95,54 @@ class TestRecoveryBehavior:
         )
         assert mail.converged and rumor.converged
         assert mail.mail_messages > 5 * rumor.update_sends
+
+
+def _one_exchange(cluster, protocol, site_id, partner_id):
+    """One synchronous push-pull anti-entropy exchange between two sites."""
+    snapshots = {s: cluster.sites[s].store.snapshot() for s in cluster.site_ids}
+    protocol.anti_entropy._exchange_synchronous(site_id, partner_id, snapshots)
+
+
+def _hot_sites(protocol, key):
+    return {s for s in protocol.cluster.site_ids if protocol.rumor.is_infective(s, key)}
+
+
+STRATEGIES = list(RecoveryStrategy)
+
+
+class TestWhatEachStrategyAddsToAnExchange:
+    """Anti-entropy news is hot at its target under every strategy (the
+    rumor hears it as news); ``HOT_RUMOR`` adds the source and
+    ``REDISTRIBUTE_MAIL`` the mail, ``CONSERVATIVE`` nothing."""
+
+    @pytest.mark.parametrize("recovery", STRATEGIES, ids=lambda r: r.value)
+    def test_a_missing_update(self, recovery):
+        cluster, protocol = backup_cluster(3, recovery=recovery)
+        cluster.sites[0].store.update("k", "v")
+        _one_exchange(cluster, protocol, 0, 1)
+        assert cluster.sites[1].store.get("k") == "v"
+        assert protocol.redistributions == 1
+        expected = {0, 1} if recovery is RecoveryStrategy.HOT_RUMOR else {1}
+        assert _hot_sites(protocol, "k") == expected
+        posted = protocol._mail.mail.stats.posted if protocol._mail is not None else 0
+        assert posted == (2 if recovery is RecoveryStrategy.REDISTRIBUTE_MAIL else 0)
+
+    @pytest.mark.parametrize("recovery", STRATEGIES, ids=lambda r: r.value)
+    def test_obsolete_data_against_a_dormant_certificate(self, recovery):
+        """Not a missing update: the target spreads its woken certificate,
+        and no strategy redistributes the obsolete value."""
+        cluster, protocol = backup_cluster(3, recovery=recovery)
+        holder = cluster.sites[1].store
+        holder.delete("k", retention_sites=(1,))
+        assert holder.sweep_certificates(tau1=-1.0).made_dormant == 1
+        cluster.sites[0].store.apply_entry("k", VersionedValue("old", Timestamp(-1.0, 0, 0)))
+        _one_exchange(cluster, protocol, 0, 1)
+        awakened = holder.entry("k")
+        assert awakened.is_deletion
+        assert protocol.redistributions == 0
+        assert _hot_sites(protocol, "k") == {1}
+        assert protocol.rumor.hot_rumors(1)["k"].entry is awakened
+        assert protocol._mail is None or protocol._mail.mail.stats.posted == 0
 
 
 class TestScheduling:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster.cluster import Cluster
 from repro.core.items import VersionedValue
+from repro.core.store import StoreUpdate
 from repro.core.timestamps import Timestamp
 from repro.obs.events import EventKind, RingBufferSink
 from repro.protocols.anti_entropy import AntiEntropyConfig, AntiEntropyProtocol
@@ -142,8 +143,8 @@ class TestDormantLifecycle:
 
 class TestLiveExchangeHandsOnTheRealResult:
     """A live exchange (``synchronous=False``) that wakes a dormant
-    certificate must say so: the manager counts and re-announces an
-    awakening only when told ``RESURRECTION_BLOCKED``, as the
+    certificate must say so: the site announces an awakening, and the
+    manager counts it, only when told ``RESURRECTION_BLOCKED``, as the
     synchronous path and the TCP node already tell it."""
 
     @pytest.mark.parametrize("strategy", [FullCompare(), HierarchicalChecksum()], ids=type)
@@ -174,6 +175,51 @@ class TestLiveExchangeHandsOnTheRealResult:
         assert (event.node, event.payload["key"]) == (1, "k")
         cluster.run_until(cluster.converged, max_cycles=20)
         assert all(value is None for value in cluster.values_of("k").values())
+
+
+class TestTheAntibodyOverSockets:
+    """Three TCP nodes with only rumors running: node 1 holds a dormant
+    certificate and node 0 rumors an older value.  The certificate node
+    1 wakes must reach every node (a node used to wake it and spread the
+    obsolete value instead)."""
+
+    def test_every_node_ends_holding_the_certificate(self):
+        import asyncio
+        import time
+
+        from repro.net.node import NodeConfig
+        from repro.net.runner import LiveCluster
+
+        config = NodeConfig(anti_entropy_interval=60.0, rumor=RumorConfig(k=8))
+
+        def settled(nodes):
+            return all(
+                (entry := node.store.entry("k")) is not None and entry.is_deletion
+                for node in nodes
+            )
+
+        async def scenario():
+            live = await LiveCluster.launch(3, config)
+            try:
+                nodes = [live.nodes[i] for i in range(3)]
+                holder = nodes[1].store
+                holder.delete("k", retention_sites=(1,))
+                assert holder.sweep_certificates(tau1=-1.0).made_dormant == 1
+                obsolete = StoreUpdate("k", VersionedValue("old", Timestamp(1.0, 0, 0)))
+                nodes[0].store.apply_entry(obsolete.key, obsolete.entry)
+                nodes[0].on_local_update(0, obsolete)
+                deadline = time.monotonic() + 10.0
+                while not settled(nodes) and time.monotonic() < deadline:
+                    await asyncio.sleep(0.05)
+                return [node.store.entry("k") for node in nodes], [
+                    node.store.get("k") for node in nodes
+                ]
+            finally:
+                await live.stop()
+
+        entries, values = asyncio.run(scenario())
+        assert all(entry is not None and entry.is_deletion for entry in entries)
+        assert values == [None, None, None]
 
 
 class TestScenarioDrivers:

@@ -99,3 +99,22 @@ class TestRemailOption:
         posted_before = protocol.mail.stats.posted
         cluster.sites[2].deliver(update)  # news from another protocol
         assert protocol.mail.stats.posted == posted_before + 4
+
+    def test_remail_spreads_a_woken_certificate_not_the_obsolete_value(self):
+        """Obsolete data that wakes a dormant certificate is no news to
+        remail: the site mails its certificate, as its own write."""
+        from repro.core.items import VersionedValue
+        from repro.core.store import StoreUpdate
+        from repro.core.timestamps import Timestamp
+
+        cluster, protocol = mail_cluster(n=5, remail_on_news=True)
+        holder = cluster.sites[2].store
+        holder.delete("k", retention_sites=(2,))
+        assert holder.sweep_certificates(tau1=-1.0).made_dormant == 1
+        obsolete = StoreUpdate("k", VersionedValue("old", Timestamp(-1.0, 0, 0)))
+        posted_before = protocol.mail.stats.posted
+        cluster.sites[2].deliver(obsolete)
+        assert protocol.mail.stats.posted == posted_before + 4
+        cluster.run_until(lambda: not protocol.active, max_cycles=10)
+        for site_id in cluster.site_ids:
+            assert cluster.sites[site_id].store.entry("k").is_deletion

@@ -538,7 +538,11 @@ class TestAccounting:
             (EventKind.DEATH_CERT_ACTIVATED, "zombie"),
             (EventKind.NEWS_RECEIVED, "zombie"),
             (EventKind.NEWS_RECEIVED, "other"),
+            (EventKind.RUMOR_HOT, "zombie"),
         ]
+        # The node spreads the woken certificate, not the obsolete value.
+        assert node._hot["zombie"].entry is node.store.entry("zombie")
+        assert node.store.entry("zombie").is_deletion
 
 
 class TestStopClosesInboundConnections:

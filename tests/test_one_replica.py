@@ -3,8 +3,9 @@
 ``repro.cluster.site.Site`` emits every ``update-injected``,
 ``news-received``, ``delivery-span`` and ``death-cert-activated`` for
 the simulator's sites and for a live node alike.  These tests hold the
-two runtimes to the same event sequence for the same four steps, and a
-simulator trace to the numbers the simulator itself reports.
+two runtimes to the same event sequence for the same four steps and to
+the same hot rumor when a dormant certificate wakes, and a simulator
+trace to the numbers the simulator itself reports.
 """
 
 import pytest
@@ -16,6 +17,7 @@ from repro.core.store import ReplicaStore, StoreUpdate
 from repro.core.timestamps import Timestamp
 from repro.net.membership import Membership
 from repro.net.node import GossipNode, NodeConfig
+from repro.net.wire import Message, MessageType
 from repro.obs.convergence import ConvergenceTracker
 from repro.obs.events import EventKind, RingBufferSink
 from repro.protocols.base import ExchangeMode
@@ -121,6 +123,35 @@ class TestBothRuntimesTellTheSameStory:
         for events in (simulated, live):
             steps = [events[0:3], events[3:5], events[5:6], events[6:9]]
             assert all(len({event.time for event in step}) == 1 for step in steps)
+
+
+class TestBothRuntimesSpreadTheWokenCertificate:
+    """Obsolete data rumored at a dormant certificate wakes it, and the
+    certificate, not the obsolete value, becomes the replica's hot
+    rumor: in a simulator with no certificate manager, and on a node."""
+
+    def test_a_rumor_only_cluster(self):
+        cluster = Cluster(n=2, seed=0)
+        rumor = RumorMongeringProtocol(RumorConfig(mode=ExchangeMode.PUSH, k=1))
+        cluster.add_protocol(rumor)
+        store = cluster.sites[0].store
+        _plant_dormant_certificate(store)
+        __, obsolete = _steps()
+        cluster.sites[SRC].store.apply_entry(obsolete.key, obsolete.entry)
+        rumor.make_hot(SRC, obsolete)
+        cluster.run_cycle()  # SRC pushes the obsolete value to site 0
+        awakened = store.entry("zombie")
+        assert awakened.is_deletion
+        assert rumor.hot_rumors(0)["zombie"].entry is awakened
+
+    def test_a_node(self):
+        node = GossipNode(0, Membership.localhost([1, 2]), NodeConfig())
+        _plant_dormant_certificate(node.store)
+        __, obsolete = _steps()
+        node._answer_rumor(Message(MessageType.RUMOR, SRC, {"updates": encode_batch([obsolete])}))
+        awakened = node.store.entry("zombie")
+        assert awakened.is_deletion
+        assert node._hot["zombie"].entry is awakened
 
 
 class TestASimulatorTraceReplaysToItsOwnNumbers:

@@ -2,11 +2,14 @@
 
 import asyncio
 
+from repro.analysis.traffic import traffic_summary
 from repro.net.node import NodeConfig
 from repro.net.peer import RetryPolicy
 from repro.net.runner import LiveCluster
 from repro.workload.generators import WorkloadConfig
-from repro.workload.geo import three_datacenters
+from repro.obs.events import EventKind
+from repro.sim.metrics import LinkTraffic
+from repro.workload.geo import WanNetwork, three_datacenters
 from repro.workload.live import (
     DEFAULT_DATACENTERS,
     LiveTrafficTap,
@@ -55,25 +58,27 @@ class TestAssignment:
         assert sorted(assignment.values()) == sorted(DEFAULT_DATACENTERS)
 
 
+class FakeEvent:
+    def __init__(self, kind, node, payload):
+        self.kind = EventKind(kind)
+        self.node = node
+        self.payload = payload
+
+
 class TestTrafficTap:
     def test_client_events_are_ignored(self):
         tap = LiveTrafficTap({0: "east", 1: "west"})
-
-        class FakeEvent:
-            def __init__(self, kind, node, payload):
-                from repro.obs.events import EventKind
-                self.kind = EventKind(kind)
-                self.node = node
-                self.payload = payload
-
         tap(FakeEvent("exchange-settled", 0,
                       {"partner": -1, "shipped": 3, "received": 1}))
         assert tap.conversations == {}
+        # A cross-datacenter conversation crosses both endpoints' intra
+        # links and the WAN link between them, like the simulator's route.
+        route = {"intra:east": 1.0, "wan:east<->west": 1.0, "intra:west": 1.0}
         tap(FakeEvent("exchange-settled", 0,
                       {"partner": 1, "shipped": 3, "received": 1}))
-        assert tap.conversations == {"wan:east<->west": 1.0}
-        assert tap.updates == {"wan:east<->west": 4.0}
-        assert tap.useful == {"wan:east<->west": 4.0}
+        assert tap.conversations == route
+        assert tap.updates == {link: 4.0 for link in route}
+        assert tap.useful == {link: 4.0 for link in route}
         tap(FakeEvent("rumor-sent", 0, {"partner": 1, "shipped": 2}))
         assert tap.conversations["wan:east<->west"] == 2.0
         assert tap.updates["wan:east<->west"] == 6.0
@@ -88,6 +93,31 @@ class TestTrafficTap:
         assert {row["link"] for row in summary["links"]} == {
             "wan:a<->b", "intra:a", "intra:b",
         }
+
+    def test_the_same_conversations_read_the_same_in_both_reports(self):
+        """The simulator charges each conversation to its routed edges;
+        the live tap must charge the same links, so the two traffic
+        blocks agree row for row and on ``wan_share``."""
+        net = WanNetwork(three_datacenters(sites_per_dc=(2, 2, 2)))
+        traffic = LinkTraffic()
+        tap = LiveTrafficTap(assign_datacenters(net.site_ids, DEFAULT_DATACENTERS))
+        # (initiator, partner, shipped, received): intra us-east, us-east to
+        # eu-west, eu-west to ap-south, and an exchange that moved nothing.
+        for a, b, shipped, received in ((0, 1, 3, 1), (1, 2, 2, 0), (3, 5, 1, 4), (4, 0, 0, 0)):
+            traffic.compare.add_edges(net.topology.path_edges(a, b))
+            for counter in (traffic.update, traffic.useful_update):
+                counter.add_edges(net.topology.path_edges(a, b), shipped)
+                counter.add_edges(net.topology.path_edges(b, a), received)
+            tap(FakeEvent("exchange-settled", a,
+                          {"partner": b, "shipped": shipped, "received": received}))
+        sim = traffic_summary(net.link_report(traffic))
+        live = tap.summary(DEFAULT_DATACENTERS)
+        assert live == sim
+        assert [row["link"] for row in live["links"]] == [
+            "wan:ap-south<->eu-west", "wan:ap-south<->us-east", "wan:eu-west<->us-east",
+            "intra:us-east", "intra:eu-west", "intra:ap-south",
+        ]
+        assert live["wan_share"] == round(3 / 11, 4)  # 3 WAN of 11 crossings
 
 
 class TestWireOperations:
