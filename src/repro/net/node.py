@@ -99,6 +99,9 @@ _WAS_NEWS = attrgetter("was_news")
 #: bits the cold fold slows down measurably.
 NODE_BUCKET_BITS = 10
 
+#: Outbound conversations a node keeps in flight at once.
+MAX_OUTBOUND_CONVERSATIONS = 4
+
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class NodeConfig:
@@ -117,7 +120,6 @@ class NodeConfig:
     rumor: RumorConfig = RumorConfig(k=2)
     connection_limit: int = 8         # inbound conversations in flight
     hunt_limit: int = 2               # extra partner draws after a rejection
-    in_flight_limit: int = 4          # outbound conversations in flight
     selector: str = "uniform"         # "uniform" | "spatial:<a>"
     retry: RetryPolicy = RetryPolicy()
     max_frame: int = MAX_FRAME_BYTES
@@ -184,7 +186,7 @@ class NodeStats:
 
     Since the observability layer landed these are backed by a
     :class:`repro.obs.metrics.MetricsRegistry` — the same numbers are
-    exported as labeled Prometheus/JSON series over the ``STATUS`` wire
+    exported as labeled JSON series over the ``STATUS`` wire
     message — but the historical attribute API is preserved: read and
     ``+=`` the scalar counters (``stats.exchanges += 1``), and read
     ``frames_sent`` / ``frames_received`` as plain per-type dicts.
@@ -312,7 +314,7 @@ class GossipNode:
             for peer in membership.others(node_id)
         }
         self._selector = membership.selector(config.selector) if len(membership) > 1 else None
-        self._budget = InFlightBudget(config.in_flight_limit)
+        self._budget = InFlightBudget(MAX_OUTBOUND_CONVERSATIONS)
         self._hot = rumor.HotList(on_hot=self._rumor_started)
         self._inbound_active = 0
         self._server: Optional[asyncio.base_events.Server] = None

@@ -187,19 +187,25 @@ class LiveCluster:
 
     async def converged(self, key: Optional[str] = None) -> bool:
         """All running nodes agree (equal checksums, non-empty stores);
-        with ``key``, every node must additionally have received it."""
+        with ``key``, their stores must additionally hold it."""
         try:
             statuses = await self.status_all()
+            if not statuses:
+                return False
+            checksums = {s["checksum"] for s in statuses.values()}
+            if len(checksums) != 1 or not all(s["entries"] for s in statuses.values()):
+                return False
+            if key is None:
+                return True
+            # Equal stores: one node's answer is every node's.  A node
+            # at its connection limit refuses the read; ask the next.
+            for node_id in statuses:
+                reply = await self.read(node_id, key)
+                if "found" in reply:
+                    return reply["found"]
+            return False
         except PeerError:
             return False
-        if not statuses:
-            return False
-        checksums = {s["checksum"] for s in statuses.values()}
-        if len(checksums) != 1 or not all(s["entries"] for s in statuses.values()):
-            return False
-        if key is not None:
-            return all(key in s["received"] for s in statuses.values())
-        return True
 
     async def wait_converged(
         self, key: Optional[str] = None, timeout: float = 30.0, poll: float = 0.05

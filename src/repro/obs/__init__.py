@@ -26,7 +26,6 @@ from repro.obs.events import (
 from repro.obs.lineage import InfectionTree, LineageIndex, render_analysis
 from repro.obs.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricError,
     MetricsRegistry,
@@ -48,7 +47,6 @@ __all__ = [
     "Event",
     "EventBus",
     "EventKind",
-    "Gauge",
     "HARNESS_NODE",
     "Histogram",
     "InfectionTree",

@@ -1,6 +1,6 @@
-"""A small labeled-metrics registry with Prometheus-text and JSON export.
+"""A small labeled-metrics registry with JSON export.
 
-Counters, gauges, and histograms, each optionally labeled::
+Counters and histograms, each optionally labeled::
 
     registry = MetricsRegistry()
     frames = registry.counter(
@@ -10,8 +10,7 @@ Counters, gauges, and histograms, each optionally labeled::
     latency = registry.histogram("repro_exchange_seconds", "Exchange latency")
     latency.observe(0.012)
 
-    print(registry.render_prometheus())   # exposition text format
-    blob = registry.snapshot()            # JSON-safe dict (STATUS replies)
+    blob = registry.snapshot()   # JSON-safe dict (STATUS replies)
 
 Design points, all driven by how the gossip runtimes use this:
 
@@ -30,7 +29,6 @@ Design points, all driven by how the gossip runtimes use this:
 
 from __future__ import annotations
 
-import math
 import re
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -61,20 +59,6 @@ def linear_buckets(start: float, width: float, count: int) -> Tuple[float, ...]:
 
 class MetricError(Exception):
     """A metric was declared or used inconsistently."""
-
-
-def _escape_label_value(value: str) -> str:
-    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-
-
-def _format_value(value: float) -> str:
-    if value == math.inf:
-        return "+Inf"
-    if value == -math.inf:
-        return "-Inf"
-    if float(value).is_integer():
-        return str(int(value))
-    return repr(float(value))
 
 
 class _MetricFamily:
@@ -167,44 +151,6 @@ class Counter(_MetricFamily):
             ],
         }
 
-    def render(self) -> List[str]:
-        return [
-            _sample_line(self.name, labels, slot.value)
-            for labels, slot in self.labeled_series()
-        ]
-
-
-class Gauge(_MetricFamily):
-    """A value that can go up and down (or be set outright)."""
-
-    kind = "gauge"
-
-    def set(self, value: float, **labels: Any) -> None:
-        self._slot(labels, _Cell).value = float(value)
-
-    def inc(self, amount: float = 1.0, **labels: Any) -> None:
-        self._slot(labels, _Cell).value += amount
-
-    def value(self, **labels: Any) -> float:
-        slot = self._series.get(self._key(labels))
-        return 0.0 if slot is None else slot.value
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {
-            "type": self.kind,
-            "help": self.help,
-            "series": [
-                {"labels": labels, "value": slot.value}
-                for labels, slot in self.labeled_series()
-            ],
-        }
-
-    def render(self) -> List[str]:
-        return [
-            _sample_line(self.name, labels, slot.value)
-            for labels, slot in self.labeled_series()
-        ]
-
 
 class _HistogramCell:
     __slots__ = ("counts", "sum", "count")
@@ -216,7 +162,8 @@ class _HistogramCell:
 
 
 class Histogram(_MetricFamily):
-    """Observations bucketed by upper bound (cumulative on export)."""
+    """Observations bucketed by upper bound; a value above the last
+    bound is counted in ``count`` and ``sum`` only."""
 
     kind = "histogram"
 
@@ -262,37 +209,6 @@ class Histogram(_MetricFamily):
             )
         return {"type": self.kind, "help": self.help, "series": series}
 
-    def render(self) -> List[str]:
-        lines: List[str] = []
-        for labels, cell in self.labeled_series():
-            cumulative = 0
-            for bound, count in zip(self.buckets, cell.counts):
-                cumulative += count
-                lines.append(
-                    _sample_line(
-                        f"{self.name}_bucket",
-                        {**labels, "le": _format_value(bound)},
-                        cumulative,
-                    )
-                )
-            lines.append(
-                _sample_line(
-                    f"{self.name}_bucket", {**labels, "le": "+Inf"}, cell.count
-                )
-            )
-            lines.append(_sample_line(f"{self.name}_sum", labels, cell.sum))
-            lines.append(_sample_line(f"{self.name}_count", labels, cell.count))
-        return lines
-
-
-def _sample_line(name: str, labels: Dict[str, str], value: float) -> str:
-    if labels:
-        body = ",".join(
-            f'{key}="{_escape_label_value(str(val))}"' for key, val in labels.items()
-        )
-        return f"{name}{{{body}}} {_format_value(value)}"
-    return f"{name} {_format_value(value)}"
-
 
 class MetricsRegistry:
     """Owns a namespace of metric families.
@@ -310,12 +226,6 @@ class MetricsRegistry:
         max_series: int = 256,
     ) -> Counter:
         return self._declare(Counter, name, help, labels, max_series=max_series)
-
-    def gauge(
-        self, name: str, help: str = "", labels: Sequence[str] = (),
-        max_series: int = 256,
-    ) -> Gauge:
-        return self._declare(Gauge, name, help, labels, max_series=max_series)
 
     def histogram(
         self,
@@ -351,13 +261,3 @@ class MetricsRegistry:
     def snapshot(self) -> Dict[str, Any]:
         """JSON-safe dump of every family (the STATUS payload)."""
         return {family.name: family.snapshot() for family in self.families()}
-
-    def render_prometheus(self) -> str:
-        """The Prometheus text exposition format, families sorted by name."""
-        lines: List[str] = []
-        for family in self.families():
-            if family.help:
-                lines.append(f"# HELP {family.name} {family.help}")
-            lines.append(f"# TYPE {family.name} {family.kind}")
-            lines.extend(family.render())
-        return "\n".join(lines) + ("\n" if lines else "")

@@ -15,7 +15,7 @@ Timings accumulate in two counters on the existing
 * ``repro_phase_calls_total{phase=...}`` — timed sections per phase;
 
 so they ride along in every metrics snapshot (live ``STATUS`` replies,
-``--metrics-json`` dumps, Prometheus rendering) with no extra plumbing.
+``--metrics-json`` dumps) with no extra plumbing.
 
 The simulator's hot loop runs millions of callbacks, so its hooks are
 pay-for-what-you-use: :data:`NULL_PROFILER` is installed by default

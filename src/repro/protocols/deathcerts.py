@@ -19,8 +19,8 @@ copies.  The question is when to discard the certificates themselves:
 The :class:`ReplicaStore` implements the mechanics (sweeping,
 reactivation-on-apply), and the replica's
 :class:`~repro.cluster.site.Site` hands a woken certificate to every
-distribution mechanism as its own write; this protocol schedules the
-sweeps and keeps the bookkeeping the experiments report.
+distribution mechanism as its own write; this protocol sweeps every
+site each cycle and keeps the bookkeeping the experiments report.
 """
 
 from __future__ import annotations
@@ -43,15 +43,12 @@ class CertificatePolicy:
 
     tau1: float
     tau2: float = 0.0
-    sweep_period: int = 1
 
     def __post_init__(self) -> None:
         if self.tau1 <= 0:
             raise ValueError("tau1 must be positive")
         if self.tau2 < 0:
             raise ValueError("tau2 must be non-negative")
-        if self.sweep_period < 1:
-            raise ValueError("sweep_period must be >= 1")
 
     @staticmethod
     def space_budget_equivalent(tau: float, tau1: float, n: int, r: int) -> float:
@@ -100,8 +97,6 @@ class DeathCertificateManager(Protocol):
             self.stats.reactivations += 1
 
     def run_cycle(self, cycle: int) -> None:
-        if cycle % self.policy.sweep_period != 0:
-            return
         for site_id in self.cluster.site_ids:
             site = self.cluster.sites[site_id]
             if not site.up:

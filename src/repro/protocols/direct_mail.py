@@ -30,7 +30,6 @@ class DirectMailProtocol(Protocol):
 
     def __init__(
         self,
-        mail: Optional[MailSystem] = None,
         loss_probability: float = 0.0,
         mailbox_capacity: Optional[int] = None,
         known_fraction: float = 1.0,
@@ -39,7 +38,7 @@ class DirectMailProtocol(Protocol):
         super().__init__()
         if not 0.0 < known_fraction <= 1.0:
             raise ValueError("known_fraction must be in (0, 1]")
-        self._mail = mail
+        self._mail: Optional[MailSystem] = None
         self._loss_probability = loss_probability
         self._mailbox_capacity = mailbox_capacity
         self._known_fraction = known_fraction
@@ -51,14 +50,12 @@ class DirectMailProtocol(Protocol):
 
     def attach(self, cluster) -> None:
         super().attach(cluster)
-        if self._mail is None:
-            self._mail = MailSystem(
-                cluster.simulator,
-                cluster.rng,
-                loss_probability=self._loss_probability,
-                mailbox_capacity=self._mailbox_capacity,
-                latency=1.0,
-            )
+        self._mail = MailSystem(
+            cluster.simulator,
+            cluster.rng,
+            loss_probability=self._loss_probability,
+            mailbox_capacity=self._mailbox_capacity,
+        )
         self._mail.on_delivery(self._deliver)
 
     @property

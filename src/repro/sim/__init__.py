@@ -9,7 +9,7 @@ unreliable queued mail service, and metric collectors for residue,
 traffic and convergence delay.
 """
 
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry, derive_seed
 from repro.sim.metrics import EpidemicMetrics, LinkTraffic, TrafficCounter
 from repro.sim.transport import ConnectionLedger, ConnectionPolicy
@@ -17,7 +17,6 @@ from repro.sim.mailer import MailSystem, Mailbox, MailStats
 from repro.sim.faults import FaultSchedule, RandomChurn
 
 __all__ = [
-    "Event",
     "Simulator",
     "RngRegistry",
     "derive_seed",

@@ -3,37 +3,24 @@
 Events are ``(time, sequence, callback)`` triples on a binary heap; the
 sequence number breaks ties so that events scheduled for the same instant
 fire in scheduling order, which keeps runs bit-for-bit reproducible for a
-fixed seed.  The cluster layer schedules one event per protocol cycle;
-the mail system schedules per-message delivery events.
+fixed seed.  The cluster runs the heap up to each cycle boundary; the
+mail system is what schedules, one event per delivery instant.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
 import itertools
 from typing import Callable, Optional
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class Event:
-    """A scheduled callback.  Returned by :meth:`Simulator.schedule`."""
-
-    time: float
-    sequence: int
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.sequence) < (other.time, other.sequence)
-
-
 class Simulator:
-    """Deterministic event loop with cancellation support."""
+    """Deterministic event loop."""
 
     def __init__(self, start_time: float = 0.0):
         self._now = start_time
         self._sequence = itertools.count()
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
-        self._cancelled: set[int] = set()
         self._processed = 0
         #: Optional :class:`repro.obs.profiling.Profiler`; when set,
         #: callback execution is timed under the ``engine`` phase.
@@ -48,13 +35,8 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        """Number of events still queued (cancelled events excluded)."""
-        return len(self._heap) - len(self._cancelled)
-
-    @property
-    def processed(self) -> int:
-        """Total events executed so far."""
-        return self._processed
+        """Number of events still queued."""
+        return len(self._heap)
 
     def stats(self) -> dict:
         """Introspection snapshot (attached to ``cycle-completed``
@@ -63,26 +45,23 @@ class Simulator:
             "now": self._now,
             "pending": self.pending,
             "processed": self._processed,
-            "cancelled": len(self._cancelled),
         }
 
-    def schedule(self, delay: float, callback: Callable[[], None]) -> Event:
+    def schedule(self, delay: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` to run ``delay`` time units from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(self._now + delay, callback)
+        self.schedule_at(self._now + delay, callback)
 
-    def schedule_at(self, time: float, callback: Callable[[], None]) -> Event:
+    def schedule_at(self, time: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` at absolute simulated ``time``."""
         if time < self._now:
             raise ValueError(
                 f"cannot schedule into the past (time={time}, now={self._now})"
             )
-        sequence = next(self._sequence)
-        heapq.heappush(self._heap, (time, sequence, callback))
-        return Event(time=time, sequence=sequence)
+        heapq.heappush(self._heap, (time, next(self._sequence), callback))
 
-    def schedule_batch(self, delay: float, callbacks: list) -> Event:
+    def schedule_batch(self, delay: float, callbacks: list) -> None:
         """Schedule a whole batch of callbacks as ONE heap entry.
 
         ``callbacks`` is held by reference and iterated only when the
@@ -97,7 +76,7 @@ class Simulator:
             for callback in callbacks:
                 callback()
 
-        return self.schedule(delay, fire)
+        self.schedule(delay, fire)
 
     def advance_to(self, time: float) -> None:
         """Move the clock forward without running anything.
@@ -110,41 +89,14 @@ class Simulator:
             raise ValueError(f"cannot move time backwards (to {time})")
         self._now = time
 
-    def cancel(self, event: Event) -> None:
-        """Cancel a previously scheduled event (idempotent)."""
-        self._cancelled.add(event.sequence)
-
-    def step(self) -> bool:
-        """Run the next event.  Returns False when the queue is empty."""
-        while self._heap:
-            time, sequence, callback = heapq.heappop(self._heap)
-            if sequence in self._cancelled:
-                self._cancelled.discard(sequence)
-                continue
-            self._now = time
-            self._processed += 1
-            if self.profiler is not None:
-                with self.profiler.phase("engine"):
-                    callback()
-            else:
-                callback()
-            return True
-        return False
-
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
-        """Run events until the queue drains, ``until`` passes, or
-        ``max_events`` have executed.  Returns the number executed.
+    def run(self, until: Optional[float] = None) -> int:
+        """Run events until the queue drains or ``until`` passes.
+        Returns the number executed.
         """
         executed = 0
         profiler = self.profiler
         while self._heap:
-            if max_events is not None and executed >= max_events:
-                break
-            time, sequence, callback = self._heap[0]
-            if sequence in self._cancelled:
-                heapq.heappop(self._heap)
-                self._cancelled.discard(sequence)
-                continue
+            time, __, callback = self._heap[0]
             if until is not None and time > until:
                 break
             heapq.heappop(self._heap)
@@ -158,13 +110,4 @@ class Simulator:
             executed += 1
         if until is not None and self._now < until:
             self._now = until
-        return executed
-
-    def run_until_quiescent(self, max_events: int = 10_000_000) -> int:
-        """Drain the event queue entirely (with a runaway guard)."""
-        executed = self.run(max_events=max_events)
-        if self.pending > 0 and executed >= max_events:
-            raise RuntimeError(
-                f"simulation did not quiesce within {max_events} events"
-            )
         return executed

@@ -6,15 +6,12 @@ delayed and server crashes lose nothing, yet messages may still be
 discarded when queues overflow or destinations stay unreachable.  Those
 are exactly the failure modes modeled here:
 
-* each destination has a bounded mailbox; posting to a full mailbox
-  drops the message (**overflow**);
+* each destination has a bounded queue of the letters posted to it and
+  not yet delivered; posting to a full queue drops the message
+  (**overflow**), and each delivery frees its slot;
 * each message is independently lost in transit with probability
   ``loss_probability`` (**unreachable destination / transport loss**);
 * delivery takes ``latency`` simulated time units (default: one cycle).
-  ``latency`` may instead be a *delay model* — any object with a
-  ``delay(source, destination, now, size=1)`` method, such as
-  :class:`repro.workload.geo.WanNetwork` — so cross-datacenter mail
-  pays per-link WAN latency and queues behind bandwidth caps.
 
 The mail system drives deliveries through the discrete-event engine so
 direct mail interleaves naturally with cycle-based epidemics.
@@ -24,20 +21,10 @@ from __future__ import annotations
 
 import dataclasses
 from collections import deque
-from typing import Any, Callable, Deque, Dict, Optional, Protocol, Union
+from typing import Any, Callable, Deque, Dict, Optional
 
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
-
-
-class DelayModel(Protocol):
-    """Anything that can price a delivery: per-pair latency, queuing."""
-
-    def delay(
-        self, source: int, destination: int, now: float, size: float = 1.0
-    ) -> float:
-        """Delivery delay for a message posted at ``now``."""
-        ...  # pragma: no cover - protocol definition
 
 
 @dataclasses.dataclass(slots=True)
@@ -67,16 +54,14 @@ class Letter:
 
 
 class Mailbox:
-    """A bounded FIFO inbox for one site."""
+    """The letters posted to one site and not yet delivered: a bounded
+    FIFO (one latency for every letter, so they arrive in order)."""
 
     __slots__ = ("capacity", "_queue")
 
     def __init__(self, capacity: Optional[int] = None):
         self.capacity = capacity
         self._queue: Deque[Letter] = deque()
-
-    def __len__(self) -> int:
-        return len(self._queue)
 
     @property
     def full(self) -> bool:
@@ -88,11 +73,9 @@ class Mailbox:
         self._queue.append(letter)
         return True
 
-    def drain(self) -> list[Letter]:
-        """Remove and return all queued letters (oldest first)."""
-        letters = list(self._queue)
-        self._queue.clear()
-        return letters
+    def pop(self) -> Letter:
+        """Remove and return the oldest letter."""
+        return self._queue.popleft()
 
 
 class MailSystem:
@@ -104,11 +87,11 @@ class MailSystem:
         rng: RngRegistry,
         loss_probability: float = 0.0,
         mailbox_capacity: Optional[int] = None,
-        latency: Union[float, DelayModel] = 1.0,
+        latency: float = 1.0,
     ):
         if not 0.0 <= loss_probability <= 1.0:
             raise ValueError("loss_probability must be in [0, 1]")
-        if isinstance(latency, (int, float)) and latency < 0:
+        if latency < 0:
             raise ValueError("latency must be non-negative")
         self.simulator = simulator
         self._rng = rng.stream("mail")
@@ -123,59 +106,33 @@ class MailSystem:
         # is n-1 letters with one latency) ride one engine event.
         self._open_batches: Dict[float, list] = {}
 
-    def mailbox(self, site: int) -> Mailbox:
-        box = self._mailboxes.get(site)
-        if box is None:
-            box = Mailbox(capacity=self.mailbox_capacity)
-            self._mailboxes[site] = box
-        return box
-
     def on_delivery(self, callback: Callable[[Letter], None]) -> None:
-        """Invoke ``callback(letter)`` whenever a letter lands in a mailbox.
-
-        Sites may instead poll their mailbox with :meth:`receive`.
-        """
+        """Invoke ``callback(letter)`` whenever a letter is delivered."""
         self._on_delivery = callback
 
     def post(self, source: int, destination: int, payload: Any) -> None:
         """Queue a letter for delivery (the sender is never delayed)."""
         self.stats.posted += 1
-        letter = Letter(
-            source=source,
-            destination=destination,
-            payload=payload,
-            posted_at=self.simulator.now,
-        )
         if self._rng.random() < self.loss_probability:
             self.stats.dropped_loss += 1
             return
         now = self.simulator.now
-        due = now + self._delay(source, destination)
+        box = self._mailboxes.get(destination)
+        if box is None:
+            box = self._mailboxes[destination] = Mailbox(self.mailbox_capacity)
+        if not box.push(Letter(source, destination, payload, posted_at=now)):
+            self.stats.dropped_overflow += 1
+            return
+        due = now + self.latency
         batch = self._open_batches.get(due)
         if batch is None:
             batch = [lambda: self._open_batches.pop(due, None)]
             self._open_batches[due] = batch
             self.simulator.schedule_batch(due - now, batch)
-        batch.append(lambda: self._deliver(letter))
+        batch.append(lambda: self._deliver(box))
 
-    def _delay(self, source: int, destination: int) -> float:
-        """The delivery delay for this posting: a scalar, or whatever
-        the attached delay model prices the (source, destination) trip
-        at right now (WAN latency plus any transmission queue)."""
-        latency = self.latency
-        if isinstance(latency, (int, float)):
-            return float(latency)
-        return latency.delay(source, destination, self.simulator.now)
-
-    def receive(self, site: int) -> list[Letter]:
-        """Drain a site's mailbox (poll-style reception)."""
-        return self.mailbox(site).drain()
-
-    def _deliver(self, letter: Letter) -> None:
-        box = self.mailbox(letter.destination)
-        if not box.push(letter):
-            self.stats.dropped_overflow += 1
-            return
+    def _deliver(self, box: Mailbox) -> None:
+        letter = box.pop()
         self.stats.delivered += 1
         if self._on_delivery is not None:
             self._on_delivery(letter)

@@ -2,17 +2,17 @@
 
 The pieces, bottom-up:
 
-* :mod:`repro.workload.generators` — open-loop Poisson arrivals (rate
-  scalable to millions of users) and a closed-loop client pool with
-  think times; Zipf key popularity; write/read/delete mixes.
+* :mod:`repro.workload.generators` — open-loop Poisson arrivals and a
+  closed-loop client pool with think times; Zipf key popularity;
+  write/read/delete mixes.
 * :mod:`repro.workload.stats` — reservoir-sampled staleness
   distributions and per-window curve series.
 * :mod:`repro.workload.driver` — plays generated operations into a
   simulated :class:`~repro.cluster.cluster.Cluster`, maintaining the
   staleness oracle.
-* :mod:`repro.workload.geo` — named datacenters, per-link WAN latency
-  and bandwidth caps, wired into the simulator's topology, mailer and
-  per-cycle conversation admission.
+* :mod:`repro.workload.geo` — named datacenters and per-link WAN
+  capacity caps, wired into the simulator's topology and per-cycle
+  conversation admission.
 * :mod:`repro.workload.steady` — the simulator steady-state harness
   behind ``python -m repro workload``.
 * :mod:`repro.workload.live` — the live-runtime load generator

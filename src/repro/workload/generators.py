@@ -8,9 +8,6 @@ traffic for both runtimes:
 * :class:`OpenLoopGenerator` — an **open-loop** (rate-driven) arrival
   process: operations arrive Poisson(``rate``) per cycle regardless of
   how the system keeps up, the way an internet full of clients behaves.
-  The rate may be given directly (``updates_per_cycle``) or derived
-  from a population (``users`` × ``ops_per_user_per_cycle``), so a
-  millions-of-users deployment is one config line.
 * :class:`ClosedLoopGenerator` — a **closed-loop** client pool: each of
   ``clients`` simulated clients keeps at most ``max_outstanding``
   operations in flight and *thinks* for an exponential
@@ -33,13 +30,13 @@ import dataclasses
 import enum
 import math
 import random
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 #: Above this mean, :func:`poisson` switches from Knuth's exact product
 #: method (O(mean) uniform draws) to a normal approximation — at that
 #: scale the relative error is below 1/sqrt(256) ≈ 6% of a standard
 #: deviation, invisible next to sampling noise, and the cost stays O(1)
-#: however many million users the rate models.
+#: however large the rate.
 _POISSON_EXACT_LIMIT = 256.0
 
 
@@ -119,9 +116,7 @@ class WorkloadConfig:
     """A continuous client workload.
 
     ``updates_per_cycle`` is the mean of the open-loop Poisson arrival
-    process; alternatively give a population (``users`` ×
-    ``ops_per_user_per_cycle``) and the aggregate rate is derived.
-    Keys are drawn from ``key_space`` names with popularity skew
+    process.  Keys are drawn from ``key_space`` names with popularity skew
     ``zipf_s`` (0 = uniform); a ``delete_fraction`` of operations are
     deletions and a ``read_fraction`` are staleness-sampling reads (the
     remainder are writes).
@@ -132,8 +127,6 @@ class WorkloadConfig:
     zipf_s: float = 0.0
     delete_fraction: float = 0.0
     read_fraction: float = 0.0
-    users: Optional[int] = None
-    ops_per_user_per_cycle: float = 0.001
 
     def __post_init__(self) -> None:
         if self.updates_per_cycle < 0:
@@ -148,16 +141,10 @@ class WorkloadConfig:
             raise ValueError("read_fraction must be in [0, 1)")
         if self.delete_fraction + self.read_fraction >= 1.0:
             raise ValueError("delete_fraction + read_fraction must leave writes")
-        if self.users is not None and self.users < 1:
-            raise ValueError("users must be positive")
-        if self.ops_per_user_per_cycle < 0:
-            raise ValueError("ops_per_user_per_cycle must be non-negative")
 
     @property
     def rate(self) -> float:
-        """The aggregate open-loop arrival rate (operations per cycle)."""
-        if self.users is not None:
-            return self.users * self.ops_per_user_per_cycle
+        """The open-loop arrival rate (operations per cycle)."""
         return self.updates_per_cycle
 
 

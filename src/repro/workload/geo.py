@@ -1,4 +1,4 @@
-"""The geo-distributed WAN model: datacenters, latency, bandwidth.
+"""The geo-distributed WAN model: datacenters and capped links.
 
 The Clearinghouse ran over "an internetwork connecting several hundred
 sites" — machine rooms joined by slow, expensive long-haul links (the
@@ -10,13 +10,10 @@ module models that shape explicitly:
   links join the gateways, so every cross-datacenter conversation is
   charged to exactly one labeled WAN link by the existing per-link
   traffic accounting;
-* each WAN link has a one-way **latency** (simulated time units) and an
-  optional **capacity** (messages per cycle).  Latencies accumulate
-  along routed paths and drive :class:`~repro.sim.mailer.MailSystem`
-  delivery delays; capacities bound both queued mail (a transmission
-  queue inflates delay) and per-cycle anti-entropy conversations (a
-  saturated link refuses further exchanges that cycle, pushing gossip
-  local — the Section 3 motivation for spatial distributions);
+* each WAN link has an optional **capacity** (messages per cycle): a
+  saturated link refuses further anti-entropy exchanges that cycle,
+  pushing gossip local — the Section 3 motivation for spatial
+  distributions;
 * :meth:`WanNetwork.link_report` attributes measured traffic back to
   the named links, the WAN companion of
   :mod:`repro.analysis.traffic`'s line-topology expectations.
@@ -49,22 +46,16 @@ class DatacenterSpec:
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class WanLinkSpec:
-    """A long-haul link between two datacenters.
-
-    ``latency`` is the one-way delivery delay in simulated time units
-    (cycles); ``capacity`` caps messages per cycle (None = uncapped).
-    """
+    """A long-haul link between two datacenters; ``capacity`` caps
+    messages per cycle (None = uncapped)."""
 
     a: str
     b: str
-    latency: float = 1.0
     capacity: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.a == self.b:
             raise ValueError("a WAN link must join two distinct datacenters")
-        if self.latency < 0:
-            raise ValueError("latency must be non-negative")
         if self.capacity is not None and self.capacity <= 0:
             raise ValueError("capacity must be positive when set")
 
@@ -85,7 +76,6 @@ class WanConfig:
 
     datacenters: Tuple[DatacenterSpec, ...]
     links: Tuple[WanLinkSpec, ...]
-    intra_dc_latency: float = 0.1
 
     def __post_init__(self) -> None:
         names = [dc.name for dc in self.datacenters]
@@ -93,8 +83,6 @@ class WanConfig:
             raise ValueError("datacenter names must be unique")
         if len(names) < 2:
             raise ValueError("a WAN needs at least two datacenters")
-        if self.intra_dc_latency < 0:
-            raise ValueError("intra_dc_latency must be non-negative")
         known = set(names)
         seen: set = set()
         for link in self.links:
@@ -114,7 +102,7 @@ def three_datacenters(
     capacity: Optional[float] = 64.0,
 ) -> WanConfig:
     """The stock 3-datacenter deployment used by the CLI:
-    a US/EU/AP triangle with asymmetric latencies and capped links."""
+    a US/EU/AP triangle of capped links."""
     if len(sites_per_dc) != 3:
         raise ValueError("three_datacenters needs exactly three site counts")
     us, eu, ap = sites_per_dc
@@ -125,16 +113,15 @@ def three_datacenters(
             DatacenterSpec("ap-south", ap),
         ),
         links=(
-            WanLinkSpec("us-east", "eu-west", latency=1.0, capacity=capacity),
-            WanLinkSpec("eu-west", "ap-south", latency=2.0, capacity=capacity),
-            WanLinkSpec("us-east", "ap-south", latency=2.5, capacity=capacity),
+            WanLinkSpec("us-east", "eu-west", capacity=capacity),
+            WanLinkSpec("eu-west", "ap-south", capacity=capacity),
+            WanLinkSpec("us-east", "ap-south", capacity=capacity),
         ),
-        intra_dc_latency=0.1,
     )
 
 
 class WanNetwork:
-    """A :class:`WanConfig` realized as a routed topology plus delays.
+    """A :class:`WanConfig` realized as a routed topology.
 
     Site ids run ``0..N-1`` in datacenter order; each datacenter ``d``
     gets one gateway node (id ``N + index(d)``, not a site).  Every
@@ -163,13 +150,6 @@ class WanNetwork:
             self.topology.add_node(gateway, site=False)
             for site_id in self._sites_of_dc[dc.name]:
                 self.topology.add_edge(site_id, gateway)
-        # Per-edge latency: half the intra-DC latency per site<->gateway
-        # hop (so intra-DC site-to-site pays the full intra latency) and
-        # the spec latency per WAN edge.
-        self._edge_latency: Dict[Edge, float] = {}
-        half_intra = config.intra_dc_latency / 2.0
-        for edge in self.topology.edges:
-            self._edge_latency[edge] = half_intra
         self._wan_edges: Dict[str, Edge] = {}
         self._capacity: Dict[Edge, float] = {}
         for link in config.links:
@@ -179,14 +159,10 @@ class WanNetwork:
                 label=link.name,
             )
             self._wan_edges[link.name] = edge
-            self._edge_latency[edge] = link.latency
             if link.capacity is not None:
                 self._capacity[edge] = link.capacity
         self.topology.validate()
         self.ledger = LinkCapacityLedger(self._capacity)
-        # Transmission-queue state for capped links: the time each link
-        # is next free, in simulated time.
-        self._next_free: Dict[Edge, float] = {}
 
     # ------------------------------------------------------------------
     # Introspection
@@ -216,41 +192,6 @@ class WanNetwork:
 
     def gateway_of(self, dc: str) -> int:
         return self._gateway_of_dc[dc]
-
-    # ------------------------------------------------------------------
-    # Delays (mailer integration: the MailSystem delay-model protocol)
-    # ------------------------------------------------------------------
-
-    def latency(self, source: int, destination: int) -> float:
-        """Propagation latency along the routed path, queuing excluded."""
-        if source == destination:
-            return 0.0
-        return sum(
-            self._edge_latency[edge]
-            for edge in self.topology.path_edges(source, destination)
-        )
-
-    def delay(
-        self, source: int, destination: int, now: float, size: float = 1.0
-    ) -> float:
-        """Delivery delay for a message posted at ``now``.
-
-        Path latency plus, on every capacity-capped WAN edge en route,
-        a deterministic transmission queue: each message occupies the
-        link for ``size / capacity`` time units, and a message finding
-        the link busy waits for it.
-        """
-        delay = self.latency(source, destination)
-        if self._capacity:
-            for edge in self.topology.path_edges(source, destination):
-                capacity = self._capacity.get(edge)
-                if capacity is None:
-                    continue
-                transmission = size / capacity
-                start = max(now, self._next_free.get(edge, 0.0))
-                self._next_free[edge] = start + transmission
-                delay += (start - now) + transmission
-        return delay
 
     # ------------------------------------------------------------------
     # Per-cycle conversation admission (transport integration)

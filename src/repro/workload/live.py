@@ -195,7 +195,6 @@ async def run_live_workload(
         updates_per_cycle=max(
             config.rate_per_second * config.tick, 1e-9
         ),
-        users=None,
     )
     rng = random.Random(derive_seed(config.seed, "live-workload"))
     generator = OpenLoopGenerator(tick_config, rng)

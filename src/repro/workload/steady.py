@@ -3,8 +3,7 @@
 :func:`run_steady_state` is the simulator half of
 ``python -m repro workload``: it builds a cluster (uniform, or a
 :class:`~repro.workload.geo.WanNetwork` deployment), attaches
-anti-entropy (plus direct mail when asked — whose deliveries then pay
-WAN latency and queue behind bandwidth caps), drives a
+full-compare anti-entropy, drives a
 :class:`~repro.workload.driver.WorkloadDriver` for ``cycles`` cycles,
 and reports the steady-state observables:
 
@@ -33,9 +32,7 @@ from repro.obs.events import HARNESS_NODE, EventBus, EventKind
 from repro.obs.metrics import MetricsRegistry, linear_buckets
 from repro.protocols.anti_entropy import AntiEntropyConfig, AntiEntropyProtocol
 from repro.protocols.base import ExchangeMode
-from repro.protocols.direct_mail import DirectMailProtocol
-from repro.protocols.exchange import ChecksumWithRecent, FullCompare
-from repro.sim.mailer import MailSystem
+from repro.protocols.exchange import FullCompare
 from repro.sim.rng import derive_seed
 from repro.workload.driver import WorkloadDriver
 from repro.workload.generators import ClientPool, WorkloadConfig
@@ -44,6 +41,9 @@ from repro.workload.stats import WindowSeries
 
 #: Report schema identifier shared by the sim and live harnesses.
 SCHEMA = "repro-workload/1"
+
+#: Cycles a run may take to converge once injection stops.
+QUIESCE_CYCLES = 200
 
 
 @dataclasses.dataclass(frozen=True)
@@ -57,10 +57,6 @@ class SteadyStateConfig:
     window: int = 5
     seed: int = 0
     pool: Optional[ClientPool] = None  # closed-loop when set, open-loop else
-    direct_mail: bool = False          # timely distribution over the mailer
-    strategy: str = "full"             # "full" | "checksum"
-    tau: float = 10.0                  # recent-update window for "checksum"
-    quiesce_cycles: int = 200
 
     def __post_init__(self) -> None:
         if self.cycles < 1:
@@ -69,14 +65,6 @@ class SteadyStateConfig:
             raise ValueError("window must be in [1, cycles]")
         if self.n < 2 and self.wan is None:
             raise ValueError("need at least two sites")
-        if self.strategy not in ("full", "checksum"):
-            raise ValueError("strategy must be 'full' or 'checksum'")
-
-
-def _exchange_strategy(config: SteadyStateConfig):
-    if config.strategy == "checksum":
-        return ChecksumWithRecent(tau=config.tau)
-    return FullCompare()
 
 
 def build_report(
@@ -143,19 +131,9 @@ def run_steady_state(
             config=AntiEntropyConfig(
                 mode=ExchangeMode.PUSH_PULL, synchronous=False
             ),
-            strategy=_exchange_strategy(config),
+            strategy=FullCompare(),
         )
     )
-    if config.direct_mail:
-        cluster.add_protocol(
-            DirectMailProtocol(
-                mail=MailSystem(
-                    cluster.simulator,
-                    cluster.rng,
-                    latency=wan_net if wan_net is not None else 1.0,
-                )
-            )
-        )
     driver = WorkloadDriver(
         cluster, config.workload, seed=config.seed, pool=config.pool
     )
@@ -200,7 +178,7 @@ def run_steady_state(
     # Quiesce: stop injecting and confirm the epidemics still converge.
     converged = True
     try:
-        cluster.run_until(cluster.converged, max_cycles=config.quiesce_cycles)
+        cluster.run_until(cluster.converged, max_cycles=QUIESCE_CYCLES)
     except RuntimeError:
         converged = False
     if wan_net is not None:

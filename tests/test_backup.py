@@ -65,15 +65,35 @@ class TestRecoveryBehavior:
         )
         assert protocol.redistributions > 0
 
-    def test_conservative_recovery_never_remakes_rumors(self):
-        cluster, protocol = backup_cluster(
-            100, recovery=RecoveryStrategy.CONSERVATIVE, k=1, seed=4
-        )
-        cluster.inject_update(0, "k", "v", track=True)
-        cluster.run_until(lambda: not protocol.rumor.active, max_cycles=60)
-        hot_before = protocol.rumor.infective_count()
-        cluster.run_cycles(6)  # a couple of anti-entropy rounds
-        assert protocol.rumor.infective_count() == hot_before == 0
+    def test_conservative_recovery_never_heats_the_source(self):
+        """After the k=1 rumor dies with a residue, anti-entropy carries
+        the update from an old holder to each site it missed.  The news
+        is hot at the target under both strategies; the source turns hot
+        again only under ``HOT_RUMOR``."""
+        for recovery, source_hot in (
+            (RecoveryStrategy.CONSERVATIVE, False),
+            (RecoveryStrategy.HOT_RUMOR, True),
+        ):
+            cluster, protocol = backup_cluster(100, recovery=recovery, k=1, seed=5)
+            cluster.inject_update(0, "k", "v", track=True)
+            cluster.run_until(lambda: not protocol.rumor.active, max_cycles=60)
+            assert cluster.metrics.residue > 0
+            holders = {s for s in cluster.site_ids if cluster.sites[s].store.get("k")}
+            transfers = []
+
+            def heat(source, target, update, result, protocol=protocol):
+                if result.was_news and source in holders:
+                    transfers.append(
+                        (
+                            protocol.rumor.is_infective(target, "k"),
+                            protocol.rumor.is_infective(source, "k"),
+                        )
+                    )
+
+            protocol.anti_entropy.on_transfer(heat)
+            cluster.run_until(lambda: cluster.metrics.complete, max_cycles=60)
+            assert transfers
+            assert set(transfers) == {(True, source_hot)}
 
     def test_mail_recovery_uses_mail(self):
         cluster, protocol = backup_cluster(

@@ -7,66 +7,15 @@ binary reader honest and counts what a ``Peer`` sends.
 """
 
 import asyncio
-import contextlib
-import socket
-from typing import List
 
-from repro.net.membership import Membership, PeerInfo
-from repro.net.node import GossipNode, NodeConfig
+from repro.net.membership import PeerInfo
 from repro.net.peer import Peer, RetryPolicy
-from repro.net.wire import (
-    Message,
-    MessageType,
-    decode_body,
-    encode_message,
-    read_message,
-)
+from repro.net.wire import Message, MessageType, decode_body, encode_message
 
-QUIET = dict(
-    anti_entropy_interval=3600.0,
-    rumor_interval=3600.0,
-    retry=RetryPolicy(connect_timeout=0.5, io_timeout=1.0, attempts=1),
-)
+from conftest import cluster
 
 BINARY_MAGIC_BYTE = b"\xc1"
 JSON_FIRST_BYTE = b"{"
-
-
-@contextlib.asynccontextmanager
-async def cluster(n: int = 2, **overrides):
-    config = NodeConfig(**{**QUIET, **overrides})
-    socks = []
-    for __ in range(n):
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind(("127.0.0.1", 0))
-        socks.append(sock)
-    membership = Membership.localhost([s.getsockname()[1] for s in socks])
-    nodes: List[GossipNode] = []
-    try:
-        for node_id, sock in enumerate(socks):
-            node = GossipNode(node_id, membership, config)
-            await node.start(sock=sock)
-            nodes.append(node)
-        yield nodes
-    finally:
-        for node in nodes:
-            await node.stop()
-
-
-async def raw_round_trip(port: int, request: Message) -> tuple[bytes, Message]:
-    """One conversation on a fresh TCP connection; returns the reply's
-    raw body bytes and its decoded form."""
-    reader, writer = await asyncio.open_connection("127.0.0.1", port)
-    try:
-        writer.write(encode_message(request))
-        await writer.drain()
-        reply = await asyncio.wait_for(read_message(reader), 2.0)
-        assert reply is not None
-    finally:
-        writer.close()
-    # Re-encode to recover the body bytes the server actually chose.
-    return encode_message(reply)[4:], reply
 
 
 async def raw_status_reply(version: int) -> bytes:

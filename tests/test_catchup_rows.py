@@ -30,7 +30,7 @@ from repro.net.runner import LiveCluster
 from repro.net.wire import Message, MessageType, encode_message, read_message
 from repro.obs.events import EventKind, JsonlTraceWriter, RingBufferSink, read_trace
 
-from test_binwire_interop import QUIET
+from conftest import QUIET
 
 N = 2_000
 

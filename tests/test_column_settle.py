@@ -31,7 +31,7 @@ from repro.obs import spans
 from repro.protocols.base import ExchangeMode
 from repro.protocols.exchange import ExchangeSession, Frame, respond
 
-from test_binwire_interop import QUIET
+from conftest import QUIET
 from test_store_pins import _Counter
 
 KEYS = ["a", "b", 3, ("t", 1), ("t", ("x", 2))]

@@ -30,8 +30,6 @@ class TestPolicyValidation:
             CertificatePolicy(tau1=0.0)
         with pytest.raises(ValueError):
             CertificatePolicy(tau1=1.0, tau2=-1.0)
-        with pytest.raises(ValueError):
-            CertificatePolicy(tau1=1.0, sweep_period=0)
 
     def test_space_budget_formula(self):
         # tau2 = (tau - tau1) * n / r
@@ -69,18 +67,6 @@ class TestDeletionSpreads:
         census = manager.certificate_census()
         assert census["active"] == 0
         assert manager.stats.expired > 0
-
-    def test_sweep_period_respected(self):
-        cluster = Cluster(n=5, seed=0)
-        manager = DeathCertificateManager(
-            CertificatePolicy(tau1=2.0, sweep_period=4)
-        )
-        cluster.add_protocol(manager)
-        cluster.inject_delete(0, "x")
-        cluster.run_cycles(3)   # cycles 1-3: no sweep multiple of 4
-        assert manager.stats.expired == 0
-        cluster.run_cycles(1)   # cycle 4 sweeps
-        assert manager.stats.expired == 1
 
 
 class TestDormantLifecycle:

@@ -79,6 +79,18 @@ class TestFailureModes:
         cluster.run_cycle()
         assert protocol.mail.stats.dropped_overflow > 0
 
+    def test_mailbox_capacity_bounds_letters_in_flight(self):
+        """A delivered letter frees its slot, so a capacity of two letters
+        per site carries one update per cycle for as long as it runs."""
+        cluster, protocol = mail_cluster(n=5, mailbox_capacity=2)
+        for i in range(4):
+            cluster.inject_update(0, f"k{i}", i)
+            cluster.run_cycle()
+        stats = protocol.mail.stats
+        assert (stats.posted, stats.delivered, stats.dropped_overflow) == (16, 16, 0)
+        for i in range(4):
+            assert set(cluster.values_of(f"k{i}").values()) == {i}
+
     def test_down_site_misses_mail(self):
         cluster, protocol = mail_cluster(n=5)
         cluster.sites[3].up = False

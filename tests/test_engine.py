@@ -1,4 +1,4 @@
-"""The discrete-event engine: ordering, cancellation, determinism."""
+"""The discrete-event engine: ordering, run control, determinism."""
 
 import pytest
 
@@ -73,59 +73,3 @@ class TestRunControl:
         sim.run(until=3.0)
         sim.run(until=10.0)
         assert log == [5]
-
-    def test_max_events_bound(self):
-        sim = Simulator()
-        counter = []
-
-        def recurring():
-            counter.append(1)
-            sim.schedule(1.0, recurring)
-
-        sim.schedule(1.0, recurring)
-        executed = sim.run(max_events=10)
-        assert executed == 10
-
-    def test_run_until_quiescent_raises_on_runaway(self):
-        sim = Simulator()
-
-        def recurring():
-            sim.schedule(1.0, recurring)
-
-        sim.schedule(1.0, recurring)
-        with pytest.raises(RuntimeError):
-            sim.run_until_quiescent(max_events=100)
-
-    def test_step_returns_false_when_empty(self):
-        sim = Simulator()
-        assert sim.step() is False
-        sim.schedule(1.0, lambda: None)
-        assert sim.step() is True
-        assert sim.step() is False
-
-
-class TestCancellation:
-    def test_cancelled_event_does_not_fire(self):
-        sim = Simulator()
-        log = []
-        event = sim.schedule(1.0, lambda: log.append("cancelled"))
-        sim.schedule(2.0, lambda: log.append("kept"))
-        sim.cancel(event)
-        sim.run()
-        assert log == ["kept"]
-
-    def test_cancel_is_idempotent(self):
-        sim = Simulator()
-        event = sim.schedule(1.0, lambda: None)
-        sim.cancel(event)
-        sim.cancel(event)
-        sim.run()
-        assert sim.processed == 0
-
-    def test_pending_excludes_cancelled(self):
-        sim = Simulator()
-        event = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        assert sim.pending == 2
-        sim.cancel(event)
-        assert sim.pending == 1

@@ -35,7 +35,7 @@ from repro.obs.events import EventKind, RingBufferSink
 from repro.protocols.base import ExchangeMode, entry_beats
 from repro.protocols.exchange import ExchangeSession, FullCompare
 
-from test_binwire_interop import QUIET
+from conftest import QUIET
 from test_store_pins import _Counter
 from test_wire_form import RecordingProxy
 

@@ -7,9 +7,7 @@ is driven explicitly with ``run_anti_entropy_once`` /
 
 import asyncio
 import contextlib
-import socket
 import time
-from typing import List
 
 import pytest
 
@@ -33,34 +31,7 @@ from repro.protocols.base import ExchangeMode
 from repro.protocols.exchange import ChecksumWithRecent
 from repro.protocols.rumor import RumorConfig
 
-#: Loops effectively disabled; fast failure detection.
-QUIET = dict(
-    anti_entropy_interval=3600.0,
-    rumor_interval=3600.0,
-    retry=RetryPolicy(connect_timeout=0.5, io_timeout=1.0, attempts=1),
-)
-
-
-@contextlib.asynccontextmanager
-async def cluster(n: int = 2, **overrides):
-    config = NodeConfig(**{**QUIET, **overrides})
-    socks = []
-    for __ in range(n):
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind(("127.0.0.1", 0))
-        socks.append(sock)
-    membership = Membership.localhost([s.getsockname()[1] for s in socks])
-    nodes: List[GossipNode] = []
-    try:
-        for node_id, sock in enumerate(socks):
-            node = GossipNode(node_id, membership, config)
-            await node.start(sock=sock)
-            nodes.append(node)
-        yield nodes
-    finally:
-        for node in nodes:
-            await node.stop()
+from conftest import QUIET, cluster
 
 
 class TestAntiEntropy:

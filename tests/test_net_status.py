@@ -2,12 +2,13 @@
 ``repro status`` client, and event-driven report assembly."""
 
 import asyncio
+import dataclasses
 import json
 
 from repro.core.serialize import encode_batch
 from repro.core.store import ReplicaStore
 from repro.net.membership import Membership
-from repro.net.node import GossipNode, NodeConfig
+from repro.net.node import GossipNode, NodeConfig, NodeStats
 from repro.net.peer import RetryPolicy
 from repro.net.runner import LiveCluster, live_demo, query_status
 from repro.net.wire import (
@@ -171,6 +172,29 @@ class TestStatusStaysSmall:
         payload = node.status_payload()
         assert list(payload["received"]) == ["a", "('svc', 'p')"]
         assert payload["received_total"] == 2
+
+    def test_converged_on_a_key_past_the_newest_receipts(self):
+        """A node's STATUS carries only its newest receipts; convergence
+        on a key is judged by the stores, which hold it however many
+        keys arrived after it."""
+
+        async def scenario():
+            quiet = dataclasses.replace(FAST, anti_entropy_interval=3600.0, rumor_interval=3600.0)
+            cluster = await LiveCluster.launch(2, quiet)
+            try:
+                await cluster.inject(0, KEY, "10.0.7.12")
+                origin = cluster.nodes[0]
+                for index in range(NodeStats.RECEIPTS_IN_STATUS + 76):
+                    origin.inject(f"key-{index}", index)
+                await origin.run_anti_entropy_once()
+                receipts = (await cluster.status(1))["received"]
+                return KEY in receipts, await cluster.converged(KEY)
+            finally:
+                await cluster.stop()
+
+        in_status, converged = asyncio.run(scenario())
+        assert not in_status
+        assert converged
 
 
 class TestEventDrivenReport:

@@ -1,4 +1,4 @@
-"""Metrics registry: counters, labels, cardinality bounds, exporters."""
+"""Metrics registry: counters, labels, cardinality bounds, snapshots."""
 
 import json
 
@@ -69,17 +69,6 @@ class TestHistogram:
         assert cell.count == 5
         assert cell.sum == pytest.approx(106.05)
 
-    def test_render_is_cumulative_with_inf(self):
-        h = Histogram("repro_seconds", buckets=(0.1, 1.0))
-        h.observe(0.05)
-        h.observe(0.5)
-        h.observe(2.0)
-        lines = h.render()
-        assert 'repro_seconds_bucket{le="0.1"} 1' in lines
-        assert 'repro_seconds_bucket{le="1"} 2' in lines
-        assert 'repro_seconds_bucket{le="+Inf"} 3' in lines
-        assert "repro_seconds_count 3" in lines
-
     def test_unsorted_buckets_rejected(self):
         with pytest.raises(MetricError):
             Histogram("repro_seconds", buckets=(1.0, 0.1))
@@ -96,39 +85,19 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.counter("repro_things_total")
         with pytest.raises(MetricError):
-            registry.gauge("repro_things_total")
+            registry.histogram("repro_things_total")
         with pytest.raises(MetricError):
             registry.counter("repro_things_total", labels=("type",))
 
     def test_snapshot_is_json_safe(self):
         registry = MetricsRegistry()
         registry.counter("repro_a_total", "A.", labels=("type",)).inc(type="push")
-        registry.gauge("repro_b").set(7)
+        registry.counter("repro_b_total").inc(7)
         registry.histogram("repro_c_seconds", buckets=(1.0,)).observe(0.5)
         blob = json.loads(json.dumps(registry.snapshot()))
         assert blob["repro_a_total"]["type"] == "counter"
         assert blob["repro_a_total"]["series"] == [
             {"labels": {"type": "push"}, "value": 1.0}
         ]
-        assert blob["repro_b"]["series"][0]["value"] == 7.0
+        assert blob["repro_b_total"]["series"][0]["value"] == 7.0
         assert blob["repro_c_seconds"]["series"][0]["counts"] == [1]
-
-    def test_prometheus_rendering(self):
-        registry = MetricsRegistry()
-        frames = registry.counter(
-            "repro_frames_total", "Frames by type.", labels=("type",)
-        )
-        frames.inc(type="push")
-        frames.inc(3, type="ack")
-        text = registry.render_prometheus()
-        assert "# HELP repro_frames_total Frames by type." in text
-        assert "# TYPE repro_frames_total counter" in text
-        assert 'repro_frames_total{type="ack"} 3' in text
-        assert 'repro_frames_total{type="push"} 1' in text
-        assert text.endswith("\n")
-
-    def test_label_values_are_escaped(self):
-        registry = MetricsRegistry()
-        registry.counter("repro_odd_total", labels=("what",)).inc(what='a"b\\c')
-        text = registry.render_prometheus()
-        assert 'what="a\\"b\\\\c"' in text

@@ -48,12 +48,13 @@ class TestProfiler:
         profiler = Profiler(registry)
         with profiler.phase("partner-selection"):
             pass
-        text = registry.render_prometheus()
-        assert "repro_phase_seconds_total" in text
-        assert 'phase="partner-selection"' in text
-        assert "repro_phase_calls_total" in text
         snapshot = registry.snapshot()
-        assert snapshot["repro_phase_seconds_total"]["type"] == "counter"
+        for family in ("repro_phase_seconds_total", "repro_phase_calls_total"):
+            assert snapshot[family]["type"] == "counter"
+            assert [s["labels"] for s in snapshot[family]["series"]] == [
+                {"phase": "partner-selection"}
+            ]
+        assert snapshot["repro_phase_calls_total"]["series"][0]["value"] == 1.0
 
     def test_null_profiler_records_nothing(self):
         assert NULL_PROFILER.enabled is False

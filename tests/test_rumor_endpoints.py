@@ -34,7 +34,7 @@ from repro.protocols.rumor import HotList, RumorConfig, converse, respond
 from repro.sim.transport import ConnectionPolicy
 
 from test_exchange_endpoints import KEYS, NODE_A, NODE_B, entries, over_the_wire
-from test_net_node import QUIET, cluster
+from conftest import QUIET, cluster
 
 RULES = {
     "feedback-counter": dict(feedback=True, counter=True),

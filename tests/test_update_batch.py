@@ -47,7 +47,7 @@ from repro.obs.lineage import LineageIndex
 from repro.obs.spans import trace_id_of
 from repro.protocols.base import ExchangeMode
 
-from test_binwire_interop import cluster, raw_round_trip
+from conftest import cluster, raw_round_trip
 
 _keys = st.one_of(
     st.text(max_size=8),

@@ -39,7 +39,7 @@ from repro.net.wire import (
 )
 from repro.obs.events import EventKind, RingBufferSink
 
-from test_binwire_interop import QUIET, cluster
+from conftest import QUIET, cluster
 
 TUPLE_KEY = ("svc", ("printer", 2), 1.5, True)
 BUCKETS = 1 << NODE_BUCKET_BITS  # a node's bucket count: the first index out of range

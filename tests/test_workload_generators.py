@@ -92,10 +92,6 @@ class TestZipfKeys:
 
 
 class TestWorkloadConfig:
-    def test_users_scale_the_rate(self):
-        config = WorkloadConfig(users=2_000_000, ops_per_user_per_cycle=0.001)
-        assert config.rate == pytest.approx(2000.0)
-
     def test_rate_defaults_to_updates_per_cycle(self):
         assert WorkloadConfig(updates_per_cycle=3.5).rate == 3.5
 

@@ -1,11 +1,8 @@
-"""The WAN model: topology shape, latency, capacity, attribution."""
+"""The WAN model: topology shape, capacity, attribution."""
 
 import pytest
 
-from repro.sim.engine import Simulator
 from repro.sim.metrics import LinkTraffic, canonical_edge
-from repro.sim.mailer import MailSystem
-from repro.sim.rng import RngRegistry
 from repro.sim.transport import LinkCapacityLedger
 from repro.workload.geo import (
     DatacenterSpec,
@@ -17,11 +14,10 @@ from repro.workload.geo import (
 )
 
 
-def _two_dc(capacity=None, latency=2.0, intra=0.2):
+def _two_dc(capacity=None):
     return WanConfig(
         datacenters=(DatacenterSpec("east", 2), DatacenterSpec("west", 3)),
-        links=(WanLinkSpec("east", "west", latency=latency, capacity=capacity),),
-        intra_dc_latency=intra,
+        links=(WanLinkSpec("east", "west", capacity=capacity),),
     )
 
 
@@ -83,53 +79,6 @@ class TestTopology:
         assert edge == canonical_edge(
             net.gateway_of("east"), net.gateway_of("west")
         )
-
-
-class TestLatency:
-    def test_self_delivery_is_free(self):
-        assert WanNetwork(_two_dc()).latency(0, 0) == 0.0
-
-    def test_intra_dc_pays_the_intra_latency(self):
-        net = WanNetwork(_two_dc(intra=0.2))
-        # site -> gateway -> site: two half-intra hops.
-        assert net.latency(0, 1) == pytest.approx(0.2)
-
-    def test_cross_dc_accumulates_along_the_route(self):
-        net = WanNetwork(_two_dc(latency=2.0, intra=0.2))
-        # half-intra + WAN + half-intra.
-        assert net.latency(0, 2) == pytest.approx(0.1 + 2.0 + 0.1)
-
-    def test_uncapped_delay_equals_latency(self):
-        net = WanNetwork(_two_dc(latency=2.0, intra=0.2))
-        assert net.delay(0, 2, now=0.0) == pytest.approx(net.latency(0, 2))
-
-    def test_capped_link_builds_a_transmission_queue(self):
-        net = WanNetwork(_two_dc(capacity=2.0, latency=1.0, intra=0.0))
-        # Each message holds the link for 1/2 time unit; back-to-back
-        # posts at t=0 queue behind each other.
-        first = net.delay(0, 2, now=0.0)
-        second = net.delay(0, 2, now=0.0)
-        third = net.delay(0, 2, now=0.0)
-        assert first == pytest.approx(1.0 + 0.5)
-        assert second == pytest.approx(1.0 + 1.0)
-        assert third == pytest.approx(1.0 + 1.5)
-
-    def test_queue_drains_with_time(self):
-        net = WanNetwork(_two_dc(capacity=2.0, latency=1.0, intra=0.0))
-        net.delay(0, 2, now=0.0)
-        # Posted long after the queue drained: no waiting.
-        assert net.delay(0, 2, now=100.0) == pytest.approx(1.5)
-
-    def test_mailer_integration_prices_wan_trips(self):
-        net = WanNetwork(_two_dc(latency=2.0, intra=0.2))
-        simulator = Simulator()
-        mail = MailSystem(simulator, RngRegistry(0), latency=net)
-        delivered = []
-        mail.on_delivery(lambda letter: delivered.append(simulator.now))
-        mail.post(0, 2, "cross-dc")
-        mail.post(0, 1, "intra-dc")
-        simulator.run_until_quiescent()
-        assert sorted(delivered) == pytest.approx([0.2, 2.2])
 
 
 class TestCapacityLedger:

@@ -52,10 +52,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SteadyStateConfig(n=1)
 
-    def test_strategy_names_checked(self):
-        with pytest.raises(ValueError):
-            SteadyStateConfig(strategy="bloom")
-
 
 class TestReport:
     def test_schema_and_top_level_keys(self):
