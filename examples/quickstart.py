@@ -36,7 +36,7 @@ def main() -> None:
 
     cycles = cluster.run_until(cluster.converged, max_cycles=100)
     print(f"converged after {cycles} cycles "
-          f"(mail dropped {mail.mail.stats.dropped} letters)")
+          f"(mail dropped {mail.stats.dropped} letters)")
     for key in ("printer:bldg-35", "printer:bldg-40", "user:mcdaniel"):
         values = set(cluster.values_of(key).values())
         print(f"  {key!r:24} -> {values}")

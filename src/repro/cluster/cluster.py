@@ -6,9 +6,9 @@ Responsibilities:
   sites with no topology for the uniform-network experiments of
   Tables 1-3), whose listeners are the attached protocols: a site
   accounts for its own injections and deliveries (:mod:`repro.cluster.site`);
-* advance time in cycles — each cycle first drains the event engine
-  (mail deliveries and any other scheduled work) and then lets every
-  attached protocol execute its per-cycle step;
+* advance time in cycles — each cycle first runs what was posted for
+  it (direct mail's deliveries, :meth:`Cluster.at_next_cycle`) and then
+  lets every attached protocol execute its per-cycle step;
 * account traffic: update sends and comparisons globally, and per
   link (routed over shortest paths) when the topology has links;
 * track the spread of one designated update for residue / delay
@@ -25,7 +25,6 @@ from repro.core.timestamps import SimClock
 from repro.obs.events import EventBus, EventKind
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiling import NULL_PROFILER, Profiler
-from repro.sim.engine import Simulator
 from repro.sim.metrics import EpidemicMetrics, LinkTraffic
 from repro.sim.rng import RngRegistry
 from repro.topology.graph import Topology, sites_only
@@ -58,8 +57,9 @@ class Cluster:
         self._participants = list(topology.sites)
         self.rng = RngRegistry(seed)
         self.bus = bus if bus is not None else EventBus(clock=self._now)
-        self.simulator = Simulator()
         self.cycle = 0
+        # Callbacks due at the top of the next cycle, in posting order.
+        self._next_cycle: List[Callable[[], None]] = []
         self._clock_skew = clock_skew
         # Every site's listeners: the protocols, behind the cluster once it tracks.
         self._listeners: List = []
@@ -238,11 +238,9 @@ class Cluster:
 
         Phase timings accumulate as ``repro_phase_seconds_total`` /
         ``repro_phase_calls_total`` counters on ``registry`` (a fresh
-        one when omitted).  The simulator engine times every callback
-        once enabled, so expect measurable overhead on big runs.
+        one when omitted).
         """
         self.profiler = Profiler(registry)
-        self.simulator.profiler = self.profiler
         return self.profiler
 
     # ------------------------------------------------------------------
@@ -362,15 +360,20 @@ class Cluster:
     # Time
     # ------------------------------------------------------------------
 
+    def at_next_cycle(self, callback: Callable[[], None]) -> None:
+        """Run ``callback`` at the top of the next cycle, before any
+        protocol's step; callbacks run in the order they were posted."""
+        self._next_cycle.append(callback)
+
     def run_cycle(self) -> None:
-        """Advance one cycle: deliver scheduled events, then run protocols."""
+        """Advance one cycle: run what was posted for it, then run protocols."""
         self.cycle += 1
-        # Purely cycle-driven runs (no mail, no timers) keep an empty
-        # heap; skip the event loop and just move the clock.
-        if self.simulator.pending:
-            self.simulator.run(until=float(self.cycle))
-        else:
-            self.simulator.advance_to(float(self.cycle))
+        if self._next_cycle:
+            # What a callback posts now waits for the following cycle.
+            due, self._next_cycle = self._next_cycle, []
+            with self.profiler.phase("mail"):
+                for callback in due:
+                    callback()
         if self.wan is not None:
             self.wan.reset_cycle()
         for protocol in self.protocols:
@@ -379,11 +382,7 @@ class Cluster:
             self.metrics.cycles_run = self.cycle
         if self.bus.has_sinks:
             with self.profiler.phase("emit"):
-                self.bus.emit(
-                    EventKind.CYCLE_COMPLETED,
-                    cycle=self.cycle,
-                    engine=self.simulator.stats(),
-                )
+                self.bus.emit(EventKind.CYCLE_COMPLETED, cycle=self.cycle)
 
     def run_cycles(self, count: int) -> None:
         for __ in range(count):
@@ -405,18 +404,6 @@ class Cluster:
                 raise RuntimeError(f"predicate not reached within {max_cycles} cycles")
             self.run_cycle()
         return self.cycle - start
-
-    def run_until_quiescent(self, max_cycles: int = 10_000, settle: int = 0) -> int:
-        """Run until every protocol reports no pending work.
-
-        ``settle`` extra cycles are run afterwards (some experiments
-        want a margin to prove nothing re-ignites).
-        """
-        ran = self.run_until(
-            lambda: all(not p.active for p in self.protocols), max_cycles
-        )
-        self.run_cycles(settle)
-        return ran + settle
 
     # ------------------------------------------------------------------
     # Consistency checks

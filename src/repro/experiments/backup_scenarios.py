@@ -69,9 +69,7 @@ def recovery_cost_experiment(
         cluster.run_until(lambda: metrics.infected == n, max_cycles=max_cycles)
     except RuntimeError:
         converged = False
-    mail_messages = (
-        protocol._mail.mail.stats.posted if protocol._mail is not None else 0
-    )
+    mail_messages = protocol.mail.stats.posted if protocol.mail is not None else 0
     return RecoveryCost(
         strategy=strategy.value,
         n=n,

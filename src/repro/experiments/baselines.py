@@ -52,7 +52,7 @@ def run_direct_mail_trial(
     cluster, __ = single_update(protocol, seed, n=n)
     metrics = cluster.metrics
     cluster.run_until(lambda: not protocol.active, max_cycles=50)
-    return metrics.residue, metrics.update_sends, protocol.mail.stats.delivery_ratio
+    return metrics.residue, metrics.update_sends, protocol.stats.delivery_ratio
 
 
 def direct_mail_experiment(
@@ -194,7 +194,7 @@ def remail_blowup_experiment(
         for site_id in planted_sites(cluster, seed, initial_coverage):
             cluster.sites[site_id].store.apply_entry(update.key, update.entry)
         cluster.run_cycles(cycles)
-        return mail.mail.stats.posted
+        return mail.stats.posted
 
     return RemailBlowupResult(
         n=n,

@@ -17,12 +17,12 @@ Timings accumulate in two counters on the existing
 so they ride along in every metrics snapshot (live ``STATUS`` replies,
 ``--metrics-json`` dumps) with no extra plumbing.
 
-The simulator's hot loop runs millions of callbacks, so its hooks are
+The simulator's hot loop runs millions of conversations, so its hooks are
 pay-for-what-you-use: :data:`NULL_PROFILER` is installed by default
 and ``Cluster.enable_profiling()`` swaps in a real profiler.  The
-engine's per-event ``engine`` phase is entered only once profiling is
-on (the engine's profiler is ``None`` until then) and the cluster's
-``emit`` phase only when the event bus has a consumer.  The
+cluster's ``mail`` phase (the deliveries due at the top of a cycle) is
+entered only on a cycle with something to deliver, and its ``emit``
+phase only when the event bus has a consumer.  The
 per-conversation ``partner-selection`` and ``exchange`` phases of
 ``GossipProtocol.pair_up`` are always entered: with profiling off that
 is the null profiler's one shared do-nothing phase, a method call and
@@ -40,7 +40,7 @@ from typing import Dict, Optional
 from repro.obs.metrics import MetricsRegistry
 
 #: The canonical phase names both runtimes emit.
-PHASES = ("partner-selection", "exchange", "merge", "emit", "engine")
+PHASES = ("partner-selection", "exchange", "merge", "emit", "mail")
 
 
 class _Phase:

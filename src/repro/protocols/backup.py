@@ -30,7 +30,7 @@ from typing import Optional
 
 from repro.core.store import ApplyResult, StoreUpdate
 from repro.protocols.anti_entropy import AntiEntropyConfig, AntiEntropyProtocol
-from repro.protocols.base import ExchangeMode, Protocol
+from repro.protocols.base import Protocol
 from repro.protocols.direct_mail import DirectMailProtocol
 from repro.protocols.rumor import RumorConfig, RumorMongeringProtocol
 from repro.topology.spatial import PartnerSelector
@@ -53,31 +53,29 @@ class AntiEntropyBackup(Protocol):
         anti_entropy_period: int = 4,
         recovery: RecoveryStrategy = RecoveryStrategy.HOT_RUMOR,
         selector: Optional[PartnerSelector] = None,
-        anti_entropy_mode: ExchangeMode = ExchangeMode.PUSH_PULL,
-        mail: Optional[DirectMailProtocol] = None,
     ):
         super().__init__()
         self.rumor = RumorMongeringProtocol(rumor_config, selector=selector)
         self.anti_entropy = AntiEntropyProtocol(
             selector=selector,
             config=AntiEntropyConfig(
-                mode=anti_entropy_mode,
                 period=anti_entropy_period,
                 offset=anti_entropy_period - 1,
             ),
         )
         self.recovery = recovery
-        self._mail = mail
+        #: The remailing step's mail; None unless ``REDISTRIBUTE_MAIL``.
+        self.mail: Optional[DirectMailProtocol] = (
+            DirectMailProtocol() if recovery is RecoveryStrategy.REDISTRIBUTE_MAIL else None
+        )
         self.redistributions = 0
 
     def attach(self, cluster) -> None:
         super().attach(cluster)
         self.rumor.attach(cluster)
         self.anti_entropy.attach(cluster)
-        if self.recovery is RecoveryStrategy.REDISTRIBUTE_MAIL and self._mail is None:
-            self._mail = DirectMailProtocol()
-        if self._mail is not None:
-            self._mail.attach(cluster)
+        if self.mail is not None:
+            self.mail.attach(cluster)
         self.anti_entropy.on_transfer(self._on_anti_entropy_transfer)
 
     def on_local_update(self, site_id: int, update: StoreUpdate) -> None:
@@ -89,14 +87,14 @@ class AntiEntropyBackup(Protocol):
     def on_site_added(self, site_id: int) -> None:
         self.rumor.on_site_added(site_id)
         self.anti_entropy.on_site_added(site_id)
-        if self._mail is not None:
-            self._mail.on_site_added(site_id)
+        if self.mail is not None:
+            self.mail.on_site_added(site_id)
 
     def on_site_removed(self, site_id: int) -> None:
         self.rumor.on_site_removed(site_id)
         self.anti_entropy.on_site_removed(site_id)
-        if self._mail is not None:
-            self._mail.on_site_removed(site_id)
+        if self.mail is not None:
+            self.mail.on_site_removed(site_id)
 
     def run_cycle(self, cycle: int) -> None:
         self.rumor.run_cycle(cycle)
@@ -118,7 +116,7 @@ class AntiEntropyBackup(Protocol):
             self.rumor.make_hot(source, update)
             return
         if self.recovery is RecoveryStrategy.REDISTRIBUTE_MAIL:
-            self._mail.on_local_update(source, update)
+            self.mail.on_local_update(source, update)
 
     @property
     def active(self) -> bool:
@@ -129,6 +127,6 @@ class AntiEntropyBackup(Protocol):
         """
         if self.rumor.active:
             return True
-        if self._mail is not None and self._mail.active:
+        if self.mail is not None and self.mail.active:
             return True
         return not self.cluster.converged()

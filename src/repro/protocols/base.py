@@ -68,9 +68,10 @@ class Protocol:
     def active(self) -> bool:
         """True while the protocol still has pending distribution work.
 
-        Used by :meth:`Cluster.run_until_quiescent`.  Steady-state
+        Callers wait for quiescence with
+        ``cluster.run_until(lambda: not protocol.active)``.  Steady-state
         mechanisms that never finish (plain anti-entropy) return False
-        so they do not block quiescence detection.
+        so they do not block it.
         """
         return False
 

@@ -1,23 +1,21 @@
-"""Discrete-event simulation substrate.
+"""Simulation substrate.
 
 The paper's results are expressed in synchronous *cycles* (each site
-executes its protocol once per cycle).  We provide a general
-discrete-event engine (:mod:`repro.sim.engine`) plus the pieces the
-protocols need on top of it: deterministic per-site random streams,
-per-cycle connection accounting with rejection and hunting, an
-unreliable queued mail service, and metric collectors for residue,
-traffic and convergence delay.
+executes its protocol once per cycle), and the simulator's clock is the
+cycle: :class:`repro.cluster.Cluster` runs them.  This package holds
+the pieces the protocols need on top of that: deterministic per-site
+random streams, per-cycle connection accounting with rejection and
+hunting, fault schedules, and metric collectors for residue, traffic
+and convergence delay.  The unreliable queued mail service of
+Section 1.2 is :mod:`repro.protocols.direct_mail`.
 """
 
-from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry, derive_seed
 from repro.sim.metrics import EpidemicMetrics, LinkTraffic, TrafficCounter
 from repro.sim.transport import ConnectionLedger, ConnectionPolicy
-from repro.sim.mailer import MailSystem, Mailbox, MailStats
 from repro.sim.faults import FaultSchedule, RandomChurn
 
 __all__ = [
-    "Simulator",
     "RngRegistry",
     "derive_seed",
     "EpidemicMetrics",
@@ -25,9 +23,6 @@ __all__ = [
     "TrafficCounter",
     "ConnectionLedger",
     "ConnectionPolicy",
-    "MailSystem",
-    "Mailbox",
-    "MailStats",
     "FaultSchedule",
     "RandomChurn",
 ]

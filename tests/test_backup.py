@@ -44,7 +44,7 @@ class TestGuaranteedDelivery:
     def test_composite_goes_quiescent_after_convergence(self):
         cluster, protocol = backup_cluster(60)
         cluster.inject_update(0, "k", "v", track=True)
-        cluster.run_until_quiescent(max_cycles=300)
+        cluster.run_until(lambda: not protocol.active, max_cycles=300)
         assert cluster.converged()
         assert not protocol.rumor.active
 
@@ -101,8 +101,7 @@ class TestRecoveryBehavior:
         )
         cluster.inject_update(0, "k", "v", track=True)
         cluster.run_until(lambda: cluster.metrics.complete, max_cycles=100)
-        assert protocol._mail is not None
-        assert protocol._mail.mail.stats.posted > 0
+        assert protocol.mail.stats.posted > 0
 
     def test_mail_recovery_costs_far_more_than_hot_rumor(self):
         from repro.experiments.backup_scenarios import recovery_cost_experiment
@@ -144,7 +143,7 @@ class TestWhatEachStrategyAddsToAnExchange:
         assert protocol.redistributions == 1
         expected = {0, 1} if recovery is RecoveryStrategy.HOT_RUMOR else {1}
         assert _hot_sites(protocol, "k") == expected
-        posted = protocol._mail.mail.stats.posted if protocol._mail is not None else 0
+        posted = protocol.mail.stats.posted if protocol.mail is not None else 0
         assert posted == (2 if recovery is RecoveryStrategy.REDISTRIBUTE_MAIL else 0)
 
     @pytest.mark.parametrize("recovery", STRATEGIES, ids=lambda r: r.value)
@@ -162,7 +161,7 @@ class TestWhatEachStrategyAddsToAnExchange:
         assert protocol.redistributions == 0
         assert _hot_sites(protocol, "k") == {1}
         assert protocol.rumor.hot_rumors(1)["k"].entry is awakened
-        assert protocol._mail is None or protocol._mail.mail.stats.posted == 0
+        assert protocol.mail is None or protocol.mail.stats.posted == 0
 
 
 class TestScheduling:

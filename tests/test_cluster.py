@@ -85,7 +85,6 @@ class TestTimeAdvance:
         cluster = Cluster(n=2, seed=0)
         cluster.run_cycles(3)
         assert cluster.cycle == 3
-        assert cluster.simulator.now == 3.0
 
     def test_site_clocks_follow_cycles(self):
         cluster = Cluster(n=2, seed=0)
@@ -113,6 +112,50 @@ class TestTimeAdvance:
         cluster.add_protocol(Recorder())
         cluster.run_cycles(3)
         assert calls == [1, 2, 3]
+
+
+class TestAtNextCycle:
+    """What is posted for the next cycle runs at its top, before any
+    protocol's step, in posting order; nothing finer than a cycle."""
+
+    class Steps(Protocol):
+        def __init__(self, log):
+            super().__init__()
+            self.log = log
+
+        def run_cycle(self, cycle):
+            self.log.append(("step", cycle))
+
+    def cluster(self):
+        log = []
+        cluster = Cluster(n=2, seed=0)
+        cluster.add_protocol(self.Steps(log))
+        return cluster, log
+
+    def test_runs_at_the_top_of_the_next_cycle(self):
+        cluster, log = self.cluster()
+        cluster.at_next_cycle(lambda: log.append(("due", cluster.cycle)))
+        assert log == []
+        cluster.run_cycles(2)
+        assert log == [("due", 1), ("step", 1), ("step", 2)]
+
+    def test_callbacks_run_in_posting_order(self):
+        cluster, log = self.cluster()
+        for name in "cab":
+            cluster.at_next_cycle(lambda name=name: log.append(name))
+        cluster.run_cycle()
+        assert log == ["c", "a", "b", ("step", 1)]
+
+    def test_a_callback_posted_while_running_waits_a_cycle(self):
+        cluster, log = self.cluster()
+
+        def first():
+            log.append(("first", cluster.cycle))
+            cluster.at_next_cycle(lambda: log.append(("second", cluster.cycle)))
+
+        cluster.at_next_cycle(first)
+        cluster.run_cycles(2)
+        assert log == [("first", 1), ("step", 1), ("second", 2), ("step", 2)]
 
 
 class TestNewsFanout:

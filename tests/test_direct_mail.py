@@ -26,7 +26,7 @@ class TestHappyPath:
         cluster.inject_update(0, "k", "v", track=True)
         cluster.run_cycle()
         assert cluster.metrics.update_sends == 9
-        assert protocol.mail.stats.posted == 9
+        assert protocol.stats.posted == 9
 
     def test_newer_update_supersedes_in_flight(self):
         cluster, protocol = mail_cluster(n=5)
@@ -57,7 +57,7 @@ class TestFailureModes:
         cluster.inject_update(0, "k", "v", track=True)
         cluster.run_cycles(2)
         assert 0 < cluster.metrics.residue < 1
-        assert protocol.mail.stats.dropped_loss > 0
+        assert protocol.stats.dropped_loss > 0
 
     def test_incomplete_site_knowledge(self):
         cluster, protocol = mail_cluster(n=50, known_fraction=0.5, seed=5)
@@ -77,7 +77,7 @@ class TestFailureModes:
         for i in range(3):
             cluster.inject_update(0, f"k{i}", i)
         cluster.run_cycle()
-        assert protocol.mail.stats.dropped_overflow > 0
+        assert protocol.stats.dropped_overflow > 0
 
     def test_mailbox_capacity_bounds_letters_in_flight(self):
         """A delivered letter frees its slot, so a capacity of two letters
@@ -86,7 +86,7 @@ class TestFailureModes:
         for i in range(4):
             cluster.inject_update(0, f"k{i}", i)
             cluster.run_cycle()
-        stats = protocol.mail.stats
+        stats = protocol.stats
         assert (stats.posted, stats.delivered, stats.dropped_overflow) == (16, 16, 0)
         for i in range(4):
             assert set(cluster.values_of(f"k{i}").values()) == {i}
@@ -99,6 +99,18 @@ class TestFailureModes:
         assert cluster.sites[3].store.get("k") is None
         assert 3 not in cluster.metrics.receipt_times
 
+    def test_mail_to_a_removed_site_is_lost(self):
+        """A letter in flight to a site that has left is delivered into
+        nothing, like one to a down site; the cycle carries on."""
+        cluster, protocol = mail_cluster(n=4)
+        cluster.inject_update(0, "k", "v")
+        cluster.remove_site(3)
+        cluster.run_cycle()
+        assert cluster.sites[1].store.get("k") == "v"
+        assert cluster.sites[2].store.get("k") == "v"
+        assert protocol.stats.delivered == 3
+        assert not protocol.active
+
 
 class TestRemailOption:
     def test_remail_disabled_by_default(self):
@@ -108,9 +120,9 @@ class TestRemailOption:
     def test_remail_triggers_on_news(self):
         cluster, protocol = mail_cluster(n=5, remail_on_news=True)
         update = cluster.sites[0].store.update("k", "v")
-        posted_before = protocol.mail.stats.posted
+        posted_before = protocol.stats.posted
         cluster.sites[2].deliver(update)  # news from another protocol
-        assert protocol.mail.stats.posted == posted_before + 4
+        assert protocol.stats.posted == posted_before + 4
 
     def test_remail_spreads_a_woken_certificate_not_the_obsolete_value(self):
         """Obsolete data that wakes a dormant certificate is no news to
@@ -124,9 +136,9 @@ class TestRemailOption:
         holder.delete("k", retention_sites=(2,))
         assert holder.sweep_certificates(tau1=-1.0).made_dormant == 1
         obsolete = StoreUpdate("k", VersionedValue("old", Timestamp(-1.0, 0, 0)))
-        posted_before = protocol.mail.stats.posted
+        posted_before = protocol.stats.posted
         cluster.sites[2].deliver(obsolete)
-        assert protocol.mail.stats.posted == posted_before + 4
+        assert protocol.stats.posted == posted_before + 4
         cluster.run_until(lambda: not protocol.active, max_cycles=10)
         for site_id in cluster.site_ids:
             assert cluster.sites[site_id].store.entry("k").is_deletion

@@ -160,11 +160,10 @@ class TestASimulatorTraceReplaysToItsOwnNumbers:
         n = 64
         cluster = Cluster(n=n, seed=seed)
         sink = cluster.bus.add_sink(RingBufferSink())
-        cluster.add_protocol(
-            RumorMongeringProtocol(RumorConfig(mode=ExchangeMode.PUSH, k=1))
-        )
+        protocol = RumorMongeringProtocol(RumorConfig(mode=ExchangeMode.PUSH, k=1))
+        cluster.add_protocol(protocol)
         cluster.inject_update(0, "k", "v", track=True)
-        cluster.run_until_quiescent(max_cycles=200)
+        cluster.run_until(lambda: not protocol.active, max_cycles=200)
         metrics = cluster.metrics
         assert 0 < metrics.residue < 1  # k = 1 push leaves a residue
         replay = ConvergenceTracker.from_events(sink.events, n=n, key="k")
