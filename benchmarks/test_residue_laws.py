@@ -7,13 +7,11 @@
   lambda = 1/(1 - e^{-1})), and hunting improves it further.
 """
 
-import math
-
 import pytest
 
 from conftest import run_once
 from repro.analysis.epidemic_theory import (
-    connection_limited_push_lambda,
+    connection_limited_push_residue,
     residue_from_traffic,
     rumor_residue,
 )
@@ -108,14 +106,13 @@ def test_connection_limit_improves_push(benchmark, bench_n, bench_runs):
         return free, limited
 
     (free_s, free_m), (lim_s, lim_m) = run_once(benchmark, run)
-    lam = connection_limited_push_lambda()
     print()
     print(
         format_table(
             ["variant", "residue", "m", "e^-m", "e^-lambda*m"],
             [
-                ("no limit", free_s, free_m, math.exp(-free_m), math.exp(-lam * free_m)),
-                ("limit 1", lim_s, lim_m, math.exp(-lim_m), math.exp(-lam * lim_m)),
+                (label, s, m, residue_from_traffic(m), connection_limited_push_residue(m))
+                for label, s, m in [("no limit", free_s, free_m), ("limit 1", lim_s, lim_m)]
             ],
             title="Connection limit 1 helps push",
         )
@@ -123,9 +120,9 @@ def test_connection_limit_improves_push(benchmark, bench_n, bench_runs):
     # The limited variant's residue beats the unlimited law e^-m at its
     # own traffic level — the connection limit converted rejected
     # (useless) contacts into saved transmissions.
-    assert lim_s < math.exp(-lim_m)
+    assert lim_s < residue_from_traffic(lim_m)
     # And it tracks the predicted e^{-lambda m} within a broad factor.
-    predicted = math.exp(-lam * lim_m)
+    predicted = connection_limited_push_residue(lim_m)
     if lim_s > 0 and predicted > 1e-6:
         assert 0.05 < lim_s / predicted < 20.0
 

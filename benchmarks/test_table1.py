@@ -8,9 +8,8 @@ Paper (residue, traffic, t_ave, t_last by k):
     k=5: 0.0012  6.7  12.8  17.7
 """
 
-import math
-
 from conftest import run_once
+from repro.analysis.epidemic_theory import residue_from_traffic
 from repro.experiments.report import format_table
 from repro.experiments.tables import PAPER_TABLE1, table1
 
@@ -40,7 +39,7 @@ def test_table1_feedback_counter_push(benchmark, bench_runs, bench_n):
     assert abs(rows[0].residue - 0.18) < 0.08
     for row in rows:
         if row.residue > 0:
-            assert 0.3 < row.residue / math.exp(-row.traffic) < 3.0
+            assert 0.3 < row.residue / residue_from_traffic(row.traffic) < 3.0
     # Convergence delays in the paper's regime (~10-20 cycles).
     assert all(8 < r.t_ave < 16 for r in rows)
     assert all(12 < r.t_last < 26 for r in rows)

@@ -6,9 +6,8 @@ The footnote's counter semantics apply: if any recipient in a cycle
 needed the update the counter resets; if all did not, one is added.
 """
 
-import math
-
 from conftest import run_once
+from repro.analysis.epidemic_theory import residue_from_traffic
 from repro.experiments.report import format_table
 from repro.experiments.tables import PAPER_TABLE3, table3
 
@@ -32,7 +31,7 @@ def test_table3_feedback_counter_pull(benchmark, bench_runs, bench_n):
     )
     # Pull beats the push law s = e^-m at every k.
     for row in rows:
-        assert row.residue < math.exp(-row.traffic) + 1e-12
+        assert row.residue < residue_from_traffic(row.traffic) + 1e-12
     # k=1 in the paper's regime; k>=2 near-complete coverage.
     assert rows[0].residue < 0.1
     assert rows[1].residue < 5e-3

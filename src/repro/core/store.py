@@ -163,22 +163,25 @@ class UpdateList:
             return compress(self._entries, mask)
         return map(self._entry, compress(range(len(self.keys)), mask))
 
-    def settle(self, store: "ReplicaStore") -> Tuple[List[Entry], List[bool]]:
-        """``(held, unsettled)``: the entries ``store`` holds under ``keys``
-        (``None``, or :data:`ABSENT`, where none) and the rows a judgement
-        must see.  A built entry settles when it *is* the held one (stores
-        in one process share what they ship); a raw row, at C speed, when
-        its ``(time, site, sequence)`` equals the held one's: one update.
-        Built rows of a decoded list, certificates among them, are seen."""
+    def settle(self, store: "ReplicaStore") -> Tuple[List[Hashable], List[Entry], List[bool]]:
+        """``(keys, held, unsettled)`` for the rows a judgement must see
+        only, in row order: their keys, the entries ``store`` holds under
+        them (:data:`ABSENT` where none), and the mask that selects them.  A built entry settles when it *is* the held one
+        (stores in one process share what they ship): one lookup per row,
+        and a second per unsettled row.  A raw row settles, at C speed,
+        when its ``(time, site, sequence)`` equals the held one's: one
+        update.  Built rows of a decoded list, certificates among them,
+        are seen."""
         if self._entries is not None:
-            held = store.entries_for(self.keys)
-            return held, list(map(is_not, held, self._entries))
+            unsettled = list(map(is_not, map(store._entries.get, self.keys), self._entries))
+            keys = list(compress(self.keys, unsettled))
+            return keys, store.entries_for(keys, ABSENT), unsettled
         held = store.entries_for(self.keys, ABSENT)
         __, times, sites, seqs = self._raw
         unsettled = list(map(ne, zip(times, sites, seqs), map(_HELD_ORDER, held)))
         for row in self._built:
             unsettled[row] = True
-        return held, unsettled
+        return list(compress(self.keys, unsettled)), list(compress(held, unsettled)), unsettled
 
     @classmethod
     def of(cls, updates: Iterable[StoreUpdate]) -> "UpdateList":

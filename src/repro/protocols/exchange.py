@@ -171,10 +171,10 @@ class ExchangeSession:
         themselves are immutable and shared), in store order, which is
         deterministic under the simulator's seeded execution; the merge
         below is per-key, so no sort is needed.  Its key column is the
-        snapshot dict itself, which iterates as its keys and is the
-        responder's membership test (a keys view's ``__contains__`` is a
-        slot wrapper, 1.7× dearer per call); its entry column is the
-        dict's ``values()`` view.
+        snapshot dict itself, which iterates as its keys and, when the
+        responder scans for local-only keys, is its membership test (a
+        keys view's ``__contains__`` is a slot wrapper, 1.7× dearer per
+        call); its entry column is the dict's ``values()`` view.
         """
         table = self.store.snapshot()
         return UpdateList(table, table.values())
@@ -197,10 +197,12 @@ class ExchangeSession:
         are built and meet the last-writer-wins / death-certificate
         judgement, each against the pre-exchange state of the store:
         mutations are deferred until every decision is made.  A last pass
-        serves the local entries the offer does not name.  Every offered
-        row still counts as examined: the table was compared, only
-        faster.  What is applied holds the offer's own entry objects; what
-        is sent back, the local ones.
+        serves the local entries the offer does not name, unless the key
+        counts rule one out: the offer names each key once and the store
+        holds exactly the offered keys it was not found to miss.  Every
+        offered row still counts as examined: the table was compared,
+        only faster.  What is applied holds the offer's own entry
+        objects; what is sent back, the local ones.
 
         ``scope`` restricts the local-only pass to the given keys instead
         of the whole table.  A hierarchical exchange resolves only the
@@ -217,21 +219,26 @@ class ExchangeSession:
         # A table offer's key column is its snapshot dict: the membership
         # test already.
         named = keys if isinstance(keys, dict) else set(keys)
-        held, unsettled = offer.settle(store)
+        judged, held, unsettled = offer.settle(store)
         applied_keys, applied_entries, back_keys, back_entries = [], [], [], []
-        for key, entry, local in zip(
-            compress(keys, unsettled), offer.entries_where(unsettled), compress(held, unsettled)
-        ):
+        missing = 0
+        for key, entry, local in zip(judged, offer.entries_where(unsettled), held):
             if local is ABSENT:
                 local = None
+                missing += 1
             if pushes and entry_beats(entry, local):
                 applied_keys.append(key)
                 applied_entries.append(entry)
             elif pulls and entry_beats(local, entry):
                 back_keys.append(key)
                 back_entries.append(local)
-        local_keys = store.keys() if scope is None else scope
-        local_only = list(filterfalse(named.__contains__, local_keys))
+        if scope is None and len(named) == len(keys) and len(store) == len(keys) - missing:
+            # Every offered key is distinct, and as many are held here as
+            # the store holds: no local key is left unnamed.
+            local_only = []
+        else:
+            local_keys = store.keys() if scope is None else scope
+            local_only = list(filterfalse(named.__contains__, local_keys))
         if pulls:
             back_keys += local_only
             back_entries += store.entries_for(local_only)

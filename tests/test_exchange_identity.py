@@ -113,7 +113,7 @@ class TestRespondEqualsTheRowLoop:
     @settings(max_examples=300, deadline=None)
     @given(
         mode=st.sampled_from(list(ExchangeMode)),
-        shape=st.sampled_from(["table", "list", "scoped", "columns"]),
+        shape=st.sampled_from(["table", "list", "scoped", "columns", "renamed"]),
         shared=ROWS, copied=ROWS, woken=ROWS, only_a=ROWS, only_b=ROWS,
         second_version=st.none() | st.tuples(st.sampled_from(KEYS), entries(), st.integers(0, 30)),
         buckets=st.sets(st.integers(0, 2**BITS - 1)),
@@ -125,7 +125,11 @@ class TestRespondEqualsTheRowLoop:
         rows equal but distinct, ``woken`` rows differ by a certificate
         reactivation, the rest differ outright or exist on one side.
         ``columns`` is the list offer as a live node receives it: encoded,
-        through JSON, and decoded into columns sharing nothing."""
+        through JSON, and decoded into columns sharing nothing.
+        ``renamed`` offers the table to a store of the same size that
+        holds one key the offer does not name in place of one it does
+        (``only_b`` rewrites some of the rest): the key counts alone must
+        not rule the local-only pass out."""
         rows_a = shared + copied + woken + only_a
         rows_b = (
             shared
@@ -134,9 +138,17 @@ class TestRespondEqualsTheRowLoop:
             + only_b
         )
         a = build(0, rows_a)
+        if shape == "renamed":
+            held = list(a.entries())
+            unheld = [key for key in KEYS if a.entry(key) is None]
+            if held and unheld:
+                position = (second_version[2] if second_version else 0) % len(held)
+                held[position] = (unheld[0], held[position][1])
+            names = dict(held)
+            rows_b = held + [(key, entry) for key, entry in only_b if key in names]
         new, old = build(1, rows_b), build(1, rows_b)
         scope_new = scope_old = None
-        if shape == "table":
+        if shape in ("table", "renamed"):
             offered = ExchangeSession(a, mode).offer()
             assert isinstance(offered, UpdateList) and len(offered) == len(a)
         elif shape in ("list", "columns"):
@@ -157,7 +169,7 @@ class TestRespondEqualsTheRowLoop:
         applied, results, send_back, examined = reference_respond(old, mode, offered, scope_old)
 
         assert reply.applied == applied and reply.applied_results == results
-        if shape != "table":
+        if shape not in ("table", "renamed"):
             # What is applied are the offer's own entries, one object
             # per row of a decoded offer.
             assert [id(u.entry) for u in reply.applied] == [id(u.entry) for u in applied]
@@ -208,6 +220,36 @@ class TestWorkFollowsTheDifference:
         assert 0 < built.calls <= 2 * self.K
         assert a.agrees_with(b) and a.checksum == b.checksum
 
+    def test_the_responder_never_iterates_its_table(self, monkeypatch):
+        """Counts, never clocks: each offered key is looked up once to
+        settle it, only the rewritten ones again, and a responder that
+        holds no key the offer does not name never walks its table."""
+        a, b = self.converged_pair()
+        for index in range(self.K):
+            (a if index % 2 else b).update(f"key-{index * 100}", "rewritten")
+        iterated = _Counter(ReplicaStore.keys)
+        looked_up = []
+        entries_for = ReplicaStore.entries_for
+
+        def counted_entries_for(store, keys, absent=None):
+            keys = list(keys)
+            looked_up.extend(keys)
+            return entries_for(store, keys, absent)
+
+        monkeypatch.setattr(ReplicaStore, "keys", lambda store: iterated(store))
+        monkeypatch.setattr(ReplicaStore, "entries_for", counted_entries_for)
+        report = FullCompare().exchange(a, b, ExchangeMode.PUSH_PULL)
+        assert iterated.calls == 0
+        assert 0 < len(looked_up) <= 2 * self.K
+        assert report.entries_examined == self.N and report.updates_shipped == self.K
+
+        b.update("key-7", "rewritten")
+        b.update("only-here", 1)
+        reply = ExchangeSession(b, ExchangeMode.PULL).respond(ExchangeSession(a).offer())
+        assert iterated.calls == 1
+        assert list(reply.send_back.keys) == ["key-7", "only-here"]
+        assert reply.entries_examined == self.N + 1
+
     def test_a_decoded_offer_takes_every_comparison_it_took(self, monkeypatch):
         """Nothing is shared with a table that came off a wire: the
         shortcut neither helps nor skips a decision."""
@@ -218,6 +260,72 @@ class TestWorkFollowsTheDifference:
         reply = ExchangeSession(b).respond(offered)
         assert judged.calls == 2 * self.N
         assert reply.entries_examined == self.N and not reply.applied and not reply.send_back
+
+
+def respond_both(rows_a, rows_b, mode, shape):
+    """``respond`` and the reference row loop on one offer of
+    ``rows_a`` (a ``table``, a ``list`` of rows, or ``columns`` decoded
+    off a wire) to two stores of ``rows_b``."""
+    a, new, old = build(0, rows_a), build(1, rows_b), build(1, rows_b)
+    offered = ExchangeSession(a, mode).offer() if shape == "table" else list(a.updates())
+    if shape == "columns":
+        offered = decode_batch(json.loads(json.dumps(encode_batch(offered))))
+    reply = ExchangeSession(new, mode).respond(offered)
+    applied, results, send_back, examined = reference_respond(old, mode, offered)
+    assert reply.applied == applied and reply.applied_results == results
+    assert reply.send_back == send_back and reply.entries_examined == examined
+    assert new.snapshot() == old.snapshot()
+    return reply
+
+
+def value(index, site=0):
+    return VersionedValue(index, Timestamp(index + 1, site, 0))
+
+
+class TestTheKeyCountsRuleOutTheScan:
+    """The local-only pass is skipped only when the offer names each key
+    once, no scope is given, and the store holds exactly as many keys as
+    the offer names and it holds.  Each test below breaks one of those."""
+
+    def test_a_key_named_twice_does_not_stand_for_another(self):
+        store = build(1, [("k0", value(0)), ("k1", value(1))])
+        offered = [StoreUpdate("k0", value(0)), StoreUpdate("k0", value(2))]
+        reply = ExchangeSession(store, ExchangeMode.PULL).respond(offered)
+        assert list(reply.send_back.keys) == ["k1"]
+        assert reply.entries_examined == 3
+
+    @pytest.mark.parametrize("shape", ["table", "list", "columns"])
+    def test_equal_counts_of_different_keys(self, shape):
+        reply = respond_both(
+            [("k0", value(0)), ("k1", value(1))], [("k1", value(1)), ("k2", value(2))],
+            ExchangeMode.PUSH_PULL, shape,
+        )
+        assert list(reply.send_back.keys) == ["k2"] and list(reply.applied.keys) == ["k0"]
+
+    def test_a_scoped_offer_always_scans_its_scope(self):
+        class Scope(list):
+            iterated = 0
+
+            def __iter__(self):
+                Scope.iterated += 1
+                return super().__iter__()
+
+        a = build(0, [(key, value(index)) for index, key in enumerate(KEYS)])
+        bucket = a.bucket_of(KEYS[0])
+        offered = [StoreUpdate(*pair) for pair in a.bucket_entries(bucket)]
+        # The responder holds just the offered keys: the counts alone
+        # would rule the scan out.
+        b = build(1, [(update.key, update.entry) for update in offered])
+        reply = ExchangeSession(b).respond(offered, scope=Scope(b.bucket_keys(bucket)))
+        assert Scope.iterated == 1
+        assert reply.entries_examined == len(offered) and not reply.send_back
+
+    def test_a_decoded_table_over_the_same_keys_is_answered_as_before(self):
+        rows_a = [(key, value(index, site=0)) for index, key in enumerate(KEYS)]
+        rows_b = [(key, value(index + index % 3 - 1, site=1)) for index, key in enumerate(KEYS)]
+        for mode in ExchangeMode:
+            reply = respond_both(rows_a, rows_b, mode, "columns")
+            assert reply.entries_examined == len(KEYS)
 
 
 class TestAgreesWith:

@@ -207,6 +207,22 @@ class TestChecksumInvariant:
         assert a.checksum == b.checksum
         assert a.agrees_with(b)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="key_digest_bytes encodes 1, True and 1.0 apart while the table holds them as one key",
+    )
+    def test_equal_keys_of_different_types_are_one_key_to_the_checksum(self):
+        store = make_store(0)
+        store.update(1, "x")
+        store.checksum
+        store.update(True, "y")
+        store.update(1.0, "z")
+        assert store.checksum == store.recompute_checksum()
+        a, b = make_store(0), make_store(1)
+        update = a.update(True, "v")
+        b.apply_entry(1, update.entry)
+        assert a.agrees_with(b) and a.checksum == b.checksum
+
 
 class TestOrderedViews:
     def test_updates_newest_first(self, store):
